@@ -50,9 +50,8 @@ from .probes import (
     raic_level_sweep,
     raic_probe,
 )
-from .rng import RngStream, generator_for, substream_seed
+from .rng import generator_for, substream_seed
 from .sparse_ops import (
-    Support,
     geodesic_distance,
     hamming_distance,
     hard_threshold,
@@ -72,12 +71,10 @@ __all__ = [
     "MeasurementEnsemble",
     "RaicProbeConfig",
     "RaicProbeResult",
-    "RngStream",
     "RunManifest",
     "SamplingExhaustedError",
     "ScheduleConstants",
     "SparseVector",
-    "Support",
     "SweepConfig",
     "SweepRecord",
     "TheorySchedule",

@@ -78,10 +78,6 @@ class IterateTrace:
     estimate: np.ndarray = field(default=None)  # unit final for nbiht/biht, raw for iht
 
     @property
-    def final(self) -> np.ndarray:
-        return self.iterates[-1]
-
-    @property
     def iterations_used(self) -> int:
         return len(self.iterates) - 1
 
@@ -123,6 +119,19 @@ def _unwrap(A: MeasurementEnsemble, b) -> tuple[np.ndarray, np.ndarray]:
     return matrix, bits
 
 
+def _update(matrix, bits, x, signs, tau: float, s: int, degenerate_policy: str, normalized: bool):
+    """Threshold x + (tau/m) A^T (b - signs) to s terms; normalize it if asked.
+
+    Returns None when the thresholded iterate is zero under keep_previous.
+    """
+    t = hard_threshold(x + (tau / matrix.shape[0]) * _sign_gradient(matrix, bits, signs), s)
+    if not np.any(t):
+        if degenerate_policy == "fail":
+            raise DegenerateIterateError("hard threshold produced the zero vector")
+        return None
+    return normalize(t) if normalized else t
+
+
 def nbiht_step(
     A: MeasurementEnsemble,
     b,
@@ -136,13 +145,8 @@ def nbiht_step(
     x = as_vector(x_k)
     if x.shape != (matrix.shape[1],):
         raise InvalidArgumentError("iterate length does not match ensemble N")
-    z = x + (tau / matrix.shape[0]) * _sign_gradient(matrix, bits, _signs(matrix, x))
-    t = hard_threshold(z, s)
-    if not np.any(t):
-        if degenerate_policy == "fail":
-            raise DegenerateIterateError("hard threshold produced the zero vector")
-        return x.copy()
-    return normalize(t)
+    x_new = _update(matrix, bits, x, _signs(matrix, x), tau, s, degenerate_policy, normalized=True)
+    return x.copy() if x_new is None else x_new
 
 
 def _initial_iterate(A: MeasurementEnsemble, b, cfg: AlgorithmConfig) -> np.ndarray:
@@ -168,7 +172,6 @@ def _binary_descent(
     normalized: bool,
 ) -> IterateTrace:
     matrix, bits = _unwrap(A, b)
-    m = matrix.shape[0]
     truth_v = None if truth is None else as_vector(truth)
 
     x = _initial_iterate(A, b, cfg)
@@ -182,14 +185,10 @@ def _binary_descent(
         if np.array_equal(signs, bits):
             stop_reason = "converged"  # sign consistency: fixed point of the step map
             break
-        z = x + (cfg.tau / m) * _sign_gradient(matrix, bits, signs)
-        t = hard_threshold(z, cfg.s)
-        if not np.any(t):
-            if cfg.degenerate_policy == "fail":
-                raise DegenerateIterateError("hard threshold produced the zero vector")
+        x_new = _update(matrix, bits, x, signs, cfg.tau, cfg.s, cfg.degenerate_policy, normalized)
+        if x_new is None:
             stop_reason = "degenerate"
             break
-        x_new = normalize(t) if normalized else t
         signs = _signs(matrix, x_new)
         iterates.append(x_new)
         agreement.append(1.0 - hamming_distance(signs, bits))

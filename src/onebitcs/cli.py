@@ -18,19 +18,10 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .algorithms import (
-    DEFAULT_TAU,
-    AlgorithmConfig,
-    biht_run,
-    iht_run,
-    nbiht_run,
-    one_shot_estimate,
-)
+from .algorithms import DEFAULT_TAU
 from .errors import DegenerateIterateError, InvalidArgumentError, SamplingExhaustedError
-from .harness import ALGORITHMS, SweepConfig, cell_seed_table, fit_slope, run_sweep
-from .model import gen_gaussian_matrix, gen_sparse_signal, sign_quantize
+from .harness import ALGORITHMS, SweepConfig, cell_seed_table, draw_instance, fit_slope, run_sweep, solve
+from .model import gen_sparse_signal
 from .probes import (
     RaicProbeConfig,
     check_embedding,
@@ -43,7 +34,7 @@ from .probes import (
 from .report import emit_report
 from .rng import generator_for
 from .selftest import run_selftest
-from .sparse_ops import hamming_distance, l2_error, normalize
+from .sparse_ops import normalize
 from .theory import ScheduleConstants, error_exponent, theory_schedule
 
 PROBES = ("unbiased", "embedding", "raic", "width", "projection", "decomposition")
@@ -238,30 +229,13 @@ def _cmd_recover(args) -> int:
         support_rule=opts["support_rule"], value_rule=opts["value_rule"],
     )
     seeds = cell_seed_table(cfg, 0, 0)
-    x = gen_sparse_signal(seeds["signal"], cfg.n, cfg.s, cfg.support_rule, cfg.value_rule)
-    A = gen_gaussian_matrix(seeds["matrix"], opts["m"], cfg.n)
-    lin = A.matrix @ x.values
-    if cfg.noise_std > 0:
-        lin = lin + generator_for(seeds["noise"]).normal(0.0, cfg.noise_std, size=opts["m"])
-    b = sign_quantize(lin)
-    algo_cfg = AlgorithmConfig(
-        s=cfg.s, tau=cfg.tau, max_iters=cfg.max_iters, stop_tol=cfg.stop_tol,
-        init=cfg.init, init_seed=seeds[f"init.{opts['algo']}"],
+    instance = draw_instance(cfg, opts["m"], seeds)
+    error, iterations, agreement, reason = solve(
+        cfg, opts["algo"], instance, seeds[f"init.{opts['algo']}"]
     )
-    if opts["algo"] == "one_shot":
-        estimate = one_shot_estimate(A, b, cfg.s, cfg.tau)
-        iterations, reason = 1, "one_shot"
-        agreement = 1.0 - hamming_distance(sign_quantize(A.matrix @ estimate), b)
-    else:
-        run = {"nbiht": nbiht_run, "biht": biht_run}.get(opts["algo"])
-        trace = run(A, b, algo_cfg, truth=x) if run else iht_run(A, lin, algo_cfg, truth=x)
-        norm = float(np.linalg.norm(trace.estimate))
-        estimate = trace.estimate / norm if norm > 0 else trace.estimate
-        iterations, reason = trace.iterations_used, trace.stop_reason
-        agreement = trace.sign_agreement[-1]
     print(f"algorithm = {opts['algo']}")
     print(f"n = {cfg.n} s = {cfg.s} m = {opts['m']} seed = {seed}")
-    print(f"final_l2_error = {l2_error(estimate, x.values)!r}")
+    print(f"final_l2_error = {error!r}")
     print(f"iterations_used = {iterations}")
     print(f"sign_agreement = {agreement!r}")
     print(f"stop_reason = {reason}")
@@ -399,13 +373,10 @@ def parse_and_dispatch(argv: list[str]) -> int:
         if args.command == "selftest":
             return 2 if run_selftest() else 0
         return handlers[args.command](args)
-    except _UsageError as exc:
-        print(f"onebitcs: error: {exc}", file=sys.stderr)
-        return 1
     except InvalidArgumentError as exc:
         print(f"onebitcs: error: {exc}", file=sys.stderr)
         return 1
-    except (DegenerateIterateError, SamplingExhaustedError) as exc:
+    except (DegenerateIterateError, SamplingExhaustedError, MemoryError) as exc:
         print(f"onebitcs: runtime failure: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import datetime as _dt
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,8 +26,15 @@ from .algorithms import (
     one_shot_estimate,
 )
 from .errors import DegenerateIterateError, InvalidArgumentError, SamplingExhaustedError
-from .model import SUPPORT_RULES, VALUE_RULES, gen_gaussian_matrix, gen_sparse_signal, sign_quantize
-from .rng import GAUSSIAN_TRANSFORM, RNG_ALGORITHM, SUBSTREAM_RULE, generator_for, substream_seed
+from .model import (
+    SUPPORT_RULES,
+    VALUE_RULES,
+    gen_gaussian_matrix,
+    gen_sparse_signal,
+    linear_measurements,
+    sign_quantize,
+)
+from .rng import GAUSSIAN_TRANSFORM, RNG_ALGORITHM, SUBSTREAM_RULE, substream_seed
 from .sparse_ops import hamming_distance
 from .theory import ScheduleConstants
 
@@ -74,7 +81,7 @@ class SweepConfig:
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if unknown:
             raise InvalidArgumentError(f"unknown algorithms: {sorted(unknown)}")
-        if self.noise_std < 0:
+        if not self.noise_std >= 0:  # also rejects NaN
             raise InvalidArgumentError("noise_std must be nonnegative")
         if self.support_rule not in SUPPORT_RULES:
             raise InvalidArgumentError(f"unknown support_rule {self.support_rule!r}")
@@ -171,66 +178,65 @@ def _sphere_error(estimate: np.ndarray, truth: np.ndarray) -> float:
     return float(np.linalg.norm(unit - truth))
 
 
-def _run_cell(cfg: SweepConfig, m: int, trial: int, seeds: dict[str, int]) -> list[SweepRecord]:
+def draw_instance(cfg: SweepConfig, m: int, seeds: dict[str, int]) -> tuple:
+    """Draw the (m, trial) instance addressed by a cell's seed table.
+
+    Returns (signal, ensemble, A x + eps, sign(A x + eps)); every algorithm in
+    the cell runs on this one draw.
+    """
     x = gen_sparse_signal(seeds["signal"], cfg.n, cfg.s, cfg.support_rule, cfg.value_rule)
     A = gen_gaussian_matrix(seeds["matrix"], m, cfg.n)
-    lin = A.matrix @ x.values
-    if cfg.noise_std > 0:
-        lin = lin + generator_for(seeds["noise"]).normal(0.0, cfg.noise_std, size=m)
-    b = sign_quantize(lin)
+    lin = linear_measurements(A, x, cfg.noise_std, seeds["noise"])
+    return x, A, lin, sign_quantize(lin)
 
+
+def solve(
+    cfg: SweepConfig, algo: str, instance: tuple, init_seed: int
+) -> tuple[float, int, float, str]:
+    """Run one algorithm on a drawn instance.
+
+    Returns (final_l2_error, iterations_used, sign_agreement, stop_reason),
+    with the error measured after projecting the estimate onto the sphere.
+    Raises DegenerateIterateError when the run collapses to the zero vector.
+    """
+    x, A, lin, b = instance
+    # built before the one_shot branch so its validation covers every algorithm
+    algo_cfg = AlgorithmConfig(
+        s=cfg.s,
+        tau=cfg.tau,
+        max_iters=cfg.max_iters,
+        stop_tol=cfg.stop_tol,
+        init=cfg.init,
+        init_seed=init_seed,
+        degenerate_policy=cfg.degenerate_policy,
+    )
+    if algo == "one_shot":
+        estimate = one_shot_estimate(A, b, cfg.s, cfg.tau)
+        agreement = 1.0 - hamming_distance(sign_quantize(A.matrix @ estimate), b)
+        return _sphere_error(estimate, x.values), 1, agreement, "one_shot"
+    if algo == "iht":
+        trace = iht_run(A, lin, algo_cfg, truth=x)
+    elif algo == "nbiht":
+        trace = nbiht_run(A, b, algo_cfg, truth=x)
+    else:
+        trace = biht_run(A, b, algo_cfg, truth=x)
+    error = _sphere_error(trace.estimate, x.values)
+    return error, trace.iterations_used, trace.sign_agreement[-1], trace.stop_reason
+
+
+def _run_cell(cfg: SweepConfig, m: int, trial: int, seeds: dict[str, int]) -> list[SweepRecord]:
+    instance = draw_instance(cfg, m, seeds)
     records = []
     for algo in sorted(cfg.algorithms):
-        algo_cfg = AlgorithmConfig(
-            s=cfg.s,
-            tau=cfg.tau,
-            max_iters=cfg.max_iters,
-            stop_tol=cfg.stop_tol,
-            init=cfg.init,
-            init_seed=seeds[f"init.{algo}"],
-            degenerate_policy=cfg.degenerate_policy,
-        )
         start = time.perf_counter()
         try:
-            if algo == "one_shot":
-                estimate = one_shot_estimate(A, b, cfg.s, cfg.tau)
-                error = _sphere_error(estimate, x.values)
-                agreement = 1.0 - hamming_distance(sign_quantize(A.matrix @ estimate), b)
-                iterations, reason = 1, "one_shot"
-            else:
-                run = {"nbiht": nbiht_run, "biht": biht_run}.get(algo)
-                trace = (
-                    run(A, b, algo_cfg, truth=x)
-                    if run is not None
-                    else iht_run(A, lin, algo_cfg, truth=x)
-                )
-                error = _sphere_error(trace.estimate, x.values)
-                agreement = trace.sign_agreement[-1]
-                iterations, reason = trace.iterations_used, trace.stop_reason
+            outcome = solve(cfg, algo, instance, seeds[f"init.{algo}"])
         except (DegenerateIterateError, SamplingExhaustedError) as exc:
             # a failed cell is recorded, never fatal to the sweep
-            error, agreement, iterations, reason = 2.0, 0.0, 0, f"error: {exc}"
+            outcome = (2.0, 0, 0.0, f"error: {exc}")
         wall_ms = (time.perf_counter() - start) * 1e3
-        records.append(
-            SweepRecord(
-                algorithm=algo,
-                m=m,
-                N=cfg.n,
-                s=cfg.s,
-                trial_index=trial,
-                final_l2_error=error,
-                iterations_used=iterations,
-                sign_agreement=agreement,
-                stop_reason=reason,
-                wall_time_ms=wall_ms,
-            )
-        )
+        records.append(SweepRecord(algo, m, cfg.n, cfg.s, trial, *outcome, wall_time_ms=wall_ms))
     return records
-
-
-def _run_cell_task(task) -> list[SweepRecord]:
-    cfg, m, trial, seeds = task
-    return _run_cell(cfg, m, trial, seeds)
 
 
 def run_sweep(
@@ -247,9 +253,9 @@ def run_sweep(
     ]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_cell = list(pool.map(_run_cell_task, tasks, chunksize=1))
+            per_cell = list(pool.map(_run_cell, *zip(*tasks), chunksize=1))
     else:
-        per_cell = [_run_cell_task(t) for t in tasks]
+        per_cell = [_run_cell(*task) for task in tasks]
     records = [rec for cell in per_cell for rec in cell]
     records.sort(key=lambda r: (r.algorithm, r.m, r.trial_index))
     return records, manifest
@@ -266,41 +272,12 @@ def run_from_manifest(
     return run_sweep(cfg, workers=workers)
 
 
-def fit_slope(
-    records: list[SweepRecord], algorithm: str, error_stat: str = "median"
-) -> tuple[float, float, float]:
-    """OLS fit of log(error statistic per m) against log(m).
-
-    Returns (slope, intercept, r_squared). Needs at least 3 distinct m values
-    and strictly positive statistics.
-    """
-    if error_stat not in ("median", "mean"):
-        raise InvalidArgumentError(f"unknown error_stat {error_stat!r}")
-    by_m: dict[int, list[float]] = {}
-    for rec in records:
-        if rec.algorithm == algorithm:
-            by_m.setdefault(rec.m, []).append(rec.final_l2_error)
-    if len(by_m) < 3:
-        raise InvalidArgumentError("need records at >= 3 distinct m values")
-    stat = np.median if error_stat == "median" else np.mean
-    ms = sorted(by_m)
-    values = np.array([stat(by_m[m]) for m in ms], dtype=float)
-    if np.any(values <= 0):
-        raise InvalidArgumentError("error statistic must be positive for a log-log fit")
-    xs = np.log(np.array(ms, dtype=float))
-    ys = np.log(values)
-    slope, intercept = np.polyfit(xs, ys, 1)
-    fitted = slope * xs + intercept
-    ss_res = float(np.sum((ys - fitted) ** 2))
-    ss_tot = float(np.sum((ys - np.mean(ys)) ** 2))
-    r_squared = 1.0 if ss_tot == 0.0 and ss_res == 0.0 else 1.0 - ss_res / ss_tot
-    return float(slope), float(intercept), float(r_squared)
-
-
 def error_stat_by_m(
     records: list[SweepRecord], algorithm: str, error_stat: str = "median"
 ) -> list[tuple[int, float]]:
     """(m, statistic) series for one algorithm, ordered by m."""
+    if error_stat not in ("median", "mean"):
+        raise InvalidArgumentError(f"unknown error_stat {error_stat!r}")
     by_m: dict[int, list[float]] = {}
     for rec in records:
         if rec.algorithm == algorithm:
@@ -309,6 +286,25 @@ def error_stat_by_m(
     return [(m, float(stat(by_m[m]))) for m in sorted(by_m)]
 
 
-def manifest_config_dict(manifest: RunManifest) -> dict:
-    """Flat dict of the manifest's config snapshot (for text serialization)."""
-    return asdict(manifest.config)
+def fit_slope(
+    records: list[SweepRecord], algorithm: str, error_stat: str = "median"
+) -> tuple[float, float, float]:
+    """OLS fit of log(error statistic per m) against log(m).
+
+    Returns (slope, intercept, r_squared). Needs at least 3 distinct m values
+    and strictly positive statistics.
+    """
+    series = error_stat_by_m(records, algorithm, error_stat)
+    if len(series) < 3:
+        raise InvalidArgumentError("need records at >= 3 distinct m values")
+    values = np.array([v for _, v in series], dtype=float)
+    if np.any(values <= 0):
+        raise InvalidArgumentError("error statistic must be positive for a log-log fit")
+    xs = np.log(np.array([m for m, _ in series], dtype=float))
+    ys = np.log(values)
+    slope, intercept = np.polyfit(xs, ys, 1)
+    fitted = slope * xs + intercept
+    ss_res = float(np.sum((ys - fitted) ** 2))
+    ss_tot = float(np.sum((ys - np.mean(ys)) ** 2))
+    r_squared = 1.0 if ss_tot == 0.0 and ss_res == 0.0 else 1.0 - ss_res / ss_tot
+    return float(slope), float(intercept), float(r_squared)

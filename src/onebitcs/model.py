@@ -167,8 +167,13 @@ def gen_sparse_signal(
 
 
 def sign_quantize(v) -> BinaryObservation:
-    """Elementwise one-bit quantizer: +1 where v > 0, -1 otherwise (0 -> -1)."""
+    """Elementwise one-bit quantizer: +1 where v > 0, -1 otherwise (0 -> -1).
+
+    NaN and +-inf have no sign under this convention and are rejected.
+    """
     v = np.asarray(v, dtype=np.float64)
+    if not np.all(np.isfinite(v)):
+        raise InvalidArgumentError("cannot quantize NaN or infinite measurements")
     return BinaryObservation(bits=np.where(v > 0, 1.0, -1.0))
 
 

@@ -9,8 +9,6 @@ across builds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # Names recorded in manifests.
@@ -40,28 +38,3 @@ def generator_for(seed: int) -> np.random.Generator:
     """Build the package's named generator (PCG64) for a 64-bit seed."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(_as_entropy(seed))))
 
-
-@dataclass(frozen=True)
-class RngStream:
-    """Addressable substream of a master seed.
-
-    Distinct ``stream_index`` values give independent deterministic streams.
-    """
-
-    algorithm_name: str
-    master_seed: int
-    stream_index: int
-
-    @classmethod
-    def of(cls, master_seed: int, stream_index: int = 0) -> "RngStream":
-        return cls(RNG_ALGORITHM, master_seed, stream_index)
-
-    @property
-    def seed(self) -> int:
-        return substream_seed(self.master_seed, self.stream_index)
-
-    def generator(self) -> np.random.Generator:
-        return generator_for(self.seed)
-
-    def child(self, index: int) -> "RngStream":
-        return RngStream(self.algorithm_name, self.seed, index)

@@ -34,45 +34,6 @@ def hard_threshold(v, s: int) -> np.ndarray:
     return out
 
 
-def top_support(v, s: int) -> "Support":
-    """Support selected by hard_threshold(v, s)."""
-    v = as_vector(v)
-    if not 1 <= s <= v.size:
-        raise InvalidArgumentError(f"need 1 <= s <= {v.size}, got s={s}")
-    order = np.argsort(-np.abs(v), kind="stable")
-    return Support.of(order[:s], v.size)
-
-
-class Support:
-    """Strictly increasing index set inside [0, N)."""
-
-    __slots__ = ("indices", "n")
-
-    def __init__(self, indices, n: int):
-        idx = np.asarray(indices, dtype=np.int64)
-        if idx.size and (np.any(np.diff(idx) <= 0) or idx[0] < 0 or idx[-1] >= n):
-            raise InvalidArgumentError("indices must be strictly increasing within [0, N)")
-        if idx.size > n:
-            raise InvalidArgumentError("support larger than the ambient dimension")
-        self.indices = idx
-        self.n = n
-
-    @classmethod
-    def of(cls, indices, n: int) -> "Support":
-        return cls(np.sort(np.asarray(indices, dtype=np.int64)), n)
-
-    def __len__(self) -> int:
-        return self.indices.size
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Support) and self.n == other.n and np.array_equal(
-            self.indices, other.indices
-        )
-
-    def __repr__(self) -> str:
-        return f"Support({self.indices.tolist()}, n={self.n})"
-
-
 def normalize(v) -> np.ndarray:
     """v / ||v||_2; raises DegenerateIterateError on the zero vector."""
     v = as_vector(v)

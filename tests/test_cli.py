@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from onebitcs.cli import build_parser, parse_and_dispatch
+from onebitcs.harness import SweepConfig, run_sweep
 
 DATA = Path(__file__).parent / "data"
 
@@ -52,18 +53,24 @@ class TestExitCodes:
         ) == 1
 
     def test_runtime_failure_exits_two(self, capsys, monkeypatch):
-        import onebitcs.cli as cli
+        import onebitcs.harness as harness
         from onebitcs import DegenerateIterateError
 
         def boom(*args, **kwargs):
             raise DegenerateIterateError("synthetic collapse")
 
-        monkeypatch.setattr(cli, "one_shot_estimate", boom)
+        monkeypatch.setattr(harness, "one_shot_estimate", boom)
         code = parse_and_dispatch(
             ["recover", "--n", "16", "--s", "2", "--m", "32", "--algo", "one_shot", "--seed", "1"]
         )
         assert code == 2
         assert "runtime failure" in capsys.readouterr().err
+
+    def test_unallocatable_size_is_runtime_failure(self, capsys):
+        # 10^12 x 512 float64 exceeds the address space, so numpy refuses it at once
+        assert parse_and_dispatch(["recover", "--m", "1000000000000", "--seed", "1"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("onebitcs: runtime failure: ")
 
 
 class TestRecover:
@@ -90,6 +97,27 @@ class TestRecover:
         args[args.index("nbiht")] = algo
         assert parse_and_dispatch(args) == 0
         assert "final_l2_error" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("noise", [0.0, 0.2])
+    @pytest.mark.parametrize("algo", ["nbiht", "biht", "iht", "one_shot"])
+    def test_matches_one_cell_sweep_record(self, algo, noise, capsys):
+        args = ["recover", "--n", "64", "--s", "3", "--m", "256", "--algo", algo, "--seed", "11"]
+        if noise:
+            args += ["--noise-std", str(noise)]
+        assert parse_and_dispatch(args) == 0
+        printed = dict(
+            line.split(" = ", 1) for line in capsys.readouterr().out.splitlines()
+            if line.count(" = ") == 1
+        )
+        records, _ = run_sweep(SweepConfig(
+            n=64, s=3, m_grid=(256,), algorithms=(algo,), trials_per_cell=1,
+            master_seed=11, max_iters=500, noise_std=noise,
+        ))
+        (rec,) = records
+        assert printed["final_l2_error"] == repr(rec.final_l2_error)
+        assert printed["iterations_used"] == str(rec.iterations_used)
+        assert printed["sign_agreement"] == repr(rec.sign_agreement)
+        assert printed["stop_reason"] == rec.stop_reason
 
 
 class TestSweep:

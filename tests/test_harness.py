@@ -78,6 +78,8 @@ class TestRunSweep:
             _small_config(trials_per_cell=0)
         with pytest.raises(InvalidArgumentError):
             _small_config(value_rule="cauchy")
+        with pytest.raises(InvalidArgumentError):
+            _small_config(noise_std=float("nan"))
 
 
 class TestSeedHygiene:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from onebitcs import (
     DegenerateIterateError,
     InvalidArgumentError,
-    Support,
     gen_gaussian_matrix,
     gen_sparse_signal,
     geodesic_distance,
@@ -198,15 +197,3 @@ class TestHammingMeanMatchesGeodesic:
             total += hamming_distance(measure(A, x), measure(A, y))
         assert abs(total / trials - dg) <= binomial_band(dg, m * trials)
 
-
-class TestSupport:
-    def test_requires_strictly_increasing(self):
-        with pytest.raises(InvalidArgumentError):
-            Support([3, 3, 5], 8)
-
-    def test_of_sorts(self):
-        assert Support.of([5, 1, 3], 8) == Support([1, 3, 5], 8)
-
-    def test_bounds(self):
-        with pytest.raises(InvalidArgumentError):
-            Support([0, 9], 8)
