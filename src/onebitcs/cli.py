@@ -16,6 +16,7 @@ import configparser
 import math
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 from .algorithms import DEFAULT_TAU
@@ -128,7 +129,9 @@ def build_parser() -> _Parser:
                        help="signal support distribution")
     sweep.add_argument("--value-rule", choices=("gaussian", "rademacher", "flat"),
                        help="signal value distribution")
-    sweep.add_argument("--workers", type=int, help="worker processes (default: logical CPUs)")
+    sweep.add_argument("--workers", type=int,
+                       help="worker processes (default: logical CPUs); each pool worker runs BLAS "
+                            "at max(1, cpus // workers) threads")
     sweep.add_argument("--out-dir", help="report output directory")
     sweep.add_argument("--theory-overlay", action="store_true", default=None,
                        help="overlay the first-iteration theory curve on the plot")
@@ -271,6 +274,15 @@ def _cmd_sweep(args) -> int:
             print(f"{algo}: slope = {slope:+.4f}  intercept = {intercept:+.4f}  r2 = {r2:.4f}")
         except InvalidArgumentError as exc:
             print(f"{algo}: no fit ({exc})")
+    for algo in sorted(set(cfg.algorithms)):
+        reasons = Counter(
+            "error" if rec.stop_reason.startswith("error:") else rec.stop_reason
+            for rec in records
+            if rec.algorithm == algo
+        )
+        mix = {reason: reasons.pop(reason, 0) for reason in ("converged", "max_iters", "degenerate", "error")}
+        mix.update(sorted(reasons.items()))  # e.g. one_shot's single step
+        print(f"{algo}: stop reasons " + " ".join(f"{reason}={count}" for reason, count in mix.items()))
     for kind, path in paths.items():
         if path is not None:
             print(f"{kind}: {path}")

@@ -9,8 +9,12 @@ same records bitwise. Records are canonically sorted by
 
 from __future__ import annotations
 
+import ctypes
+import dataclasses
 import datetime as _dt
+import os
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -44,6 +48,15 @@ _ROLE_SIGNAL = 0
 _ROLE_MATRIX = 1
 _ROLE_NOISE = 2
 _ROLE_INIT_BASE = 3
+
+# OpenBLAS thread setters, as numpy's own wheel (scipy-openblas) and a plain
+# OpenBLAS build export them, with and without the ILP64 suffix.
+_BLAS_SETTERS = (
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
 
 
 @dataclass(frozen=True)
@@ -132,6 +145,9 @@ class RunManifest:
     constants: dict
     created_utc: str
     cell_seeds: dict  # (m, trial) -> {"signal": int, "matrix": int, "noise": int, "init.<algo>": int}
+    blas: str = "unknown"  # name and version of the BLAS numpy was built against
+    workers: int = 1  # processes the cells ran in (the pool size, 1 when serial)
+    blas_threads_per_worker: str = "default"  # pinned count, "default" when left to the BLAS
 
 
 def cell_seed_table(cfg: SweepConfig, m_index: int, trial: int) -> dict[str, int]:
@@ -153,6 +169,14 @@ def cell_seed_table(cfg: SweepConfig, m_index: int, trial: int) -> dict[str, int
     return seeds
 
 
+def _blas_name() -> str:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy builds without the dict form of show_config
+        return "unknown"
+
+
 def build_manifest(cfg: SweepConfig, constants: ScheduleConstants | None = None) -> RunManifest:
     constants = constants or ScheduleConstants()
     cells = {}
@@ -169,6 +193,7 @@ def build_manifest(cfg: SweepConfig, constants: ScheduleConstants | None = None)
         constants=dict(constants.as_dict(), c10_is_placeholder_derived=constants.c10_is_placeholder_derived),
         created_utc=_dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds"),
         cell_seeds=cells,
+        blas=_blas_name(),
     )
 
 
@@ -239,36 +264,97 @@ def _run_cell(cfg: SweepConfig, m: int, trial: int, seeds: dict[str, int]) -> li
     return records
 
 
+def _loaded_blas_function(names: tuple[str, ...]):
+    """The first of ``names`` exported by an OpenBLAS this process has loaded, or None.
+
+    Loaded libraries are read from /proc/self/maps, so elsewhere nothing is found.
+    """
+    try:
+        with open("/proc/self/maps", errors="replace") as maps:
+            paths = sorted({
+                fields[5].strip()
+                for fields in (line.split(None, 5) for line in maps)
+                if len(fields) == 6 and "openblas" in fields[5].lower()
+            })
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)  # already loaded: this only returns its handle
+        except OSError:
+            continue
+        for name in names:
+            if hasattr(lib, name):
+                return getattr(lib, name)
+    return None
+
+
+def _pin_blas_threads(n: int) -> None:
+    """Pool initializer: run this worker's OpenBLAS at ``n`` threads.
+
+    Without an OpenBLAS setter (MKL, Accelerate, another platform) it does
+    nothing; it never raises, because a failed initializer breaks the pool.
+    """
+    setter = _loaded_blas_function(_BLAS_SETTERS)
+    if setter is not None:
+        setter(ctypes.c_int(n))
+
+
 def run_sweep(
     cfg: SweepConfig,
     workers: int = 1,
     constants: ScheduleConstants | None = None,
 ) -> tuple[list[SweepRecord], RunManifest]:
-    """Execute all (algorithm, m, trial) cells; return sorted records + manifest."""
+    """Execute all (algorithm, m, trial) cells; return sorted records + manifest.
+
+    With ``workers > 1`` the cells run in a pool of at most one process per
+    cell, and each worker's BLAS is pinned to ``max(1, cpus // pool size)``
+    threads so that workers times threads does not exceed the CPU count. The
+    serial path keeps the BLAS default.
+    """
     manifest = build_manifest(cfg, constants)
     tasks = [
         (cfg, m, trial, manifest.cell_seeds[(m, trial)])
         for m in cfg.m_grid
         for trial in range(cfg.trials_per_cell)
     ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    pool_size = min(workers, len(tasks))
+    if pool_size > 1:
+        threads = max(1, (os.cpu_count() or 1) // pool_size)
+        with ProcessPoolExecutor(
+            max_workers=pool_size, initializer=_pin_blas_threads, initargs=(threads,)
+        ) as pool:
             per_cell = list(pool.map(_run_cell, *zip(*tasks), chunksize=1))
+        pinned = str(threads) if _loaded_blas_function(_BLAS_SETTERS) is not None else "default"
     else:
+        pool_size, pinned = 1, "default"
         per_cell = [_run_cell(*task) for task in tasks]
     records = [rec for cell in per_cell for rec in cell]
     records.sort(key=lambda r: (r.algorithm, r.m, r.trial_index))
-    return records, manifest
+    return records, dataclasses.replace(manifest, workers=pool_size, blas_threads_per_worker=pinned)
 
 
 def run_from_manifest(
     manifest: RunManifest, workers: int = 1
 ) -> tuple[list[SweepRecord], RunManifest]:
-    """Re-execute a sweep from its manifest; records must match bitwise."""
+    """Re-execute a sweep from its manifest; records must match bitwise.
+
+    Warns (RuntimeWarning) when the manifest was written under another numpy
+    version, whose Gaussian streams are not promised to be the same, and
+    reruns anyway.
+    """
     cfg = manifest.config
     rederived = build_manifest(cfg).cell_seeds
     if rederived != manifest.cell_seeds:
         raise InvalidArgumentError("manifest cell seeds do not match the declared config")
+    if manifest.numpy_version != np.__version__:
+        warnings.warn(
+            f"manifest was written with numpy {manifest.numpy_version}, this is numpy "
+            f"{np.__version__}; numpy does not promise the same standard_normal streams "
+            "across versions, so the records may differ",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     return run_sweep(cfg, workers=workers)
 
 
@@ -306,5 +392,6 @@ def fit_slope(
     fitted = slope * xs + intercept
     ss_res = float(np.sum((ys - fitted) ** 2))
     ss_tot = float(np.sum((ys - np.mean(ys)) ** 2))
-    r_squared = 1.0 if ss_tot == 0.0 and ss_res == 0.0 else 1.0 - ss_res / ss_tot
+    # a constant series is fitted exactly up to rounding, which must not divide by zero
+    r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return float(slope), float(intercept), float(r_squared)

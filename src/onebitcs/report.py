@@ -84,6 +84,9 @@ def _manifest_lines(manifest: RunManifest) -> list[str]:
         f"rng.algorithm = {manifest.rng_algorithm}",
         f"rng.gaussian_transform = {manifest.gaussian_transform}",
         f"rng.substream_rule = {manifest.substream_rule}",
+        f"env.blas = {manifest.blas}",
+        f"env.workers = {manifest.workers}",
+        f"env.blas_threads_per_worker = {manifest.blas_threads_per_worker}",
         f"config.n = {cfg.n}",
         f"config.s = {cfg.s}",
         f"config.m_grid = {','.join(str(m) for m in cfg.m_grid)}",
@@ -144,8 +147,11 @@ def load_manifest(path) -> RunManifest:
             support_rule=kv.get("config.support_rule", "uniform_random"),
             value_rule=kv.get("config.value_rule", "gaussian"),
         )
+        workers = int(kv.get("env.workers", 1))
     except KeyError as exc:
         raise InvalidArgumentError(f"manifest {path} is missing key {exc}") from exc
+    except ValueError as exc:
+        raise InvalidArgumentError(f"manifest {path} has a malformed value: {exc}") from exc
     manifest = build_manifest(cfg)
     stored = {}
     for key, value in kv.items():
@@ -164,6 +170,9 @@ def load_manifest(path) -> RunManifest:
         constants=manifest.constants,
         created_utc=kv.get("created_utc", manifest.created_utc),
         cell_seeds=manifest.cell_seeds,
+        blas=kv.get("env.blas", "unknown"),
+        workers=workers,
+        blas_threads_per_worker=kv.get("env.blas_threads_per_worker", "default"),
     )
 
 

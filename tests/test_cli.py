@@ -137,6 +137,41 @@ class TestSweep:
         stdout = capsys.readouterr().out
         assert "slope" in stdout
 
+    ARGS = [
+        "sweep", "--n", "32", "--s", "3", "--m-grid", "64,128,256",
+        "--algo", "nbiht,one_shot", "--trials", "3", "--max-iters", "40",
+        "--seed", "5", "--workers", "1",
+    ]
+
+    def test_stop_reason_mix_follows_slope_lines(self, tmp_path, capsys):
+        from onebitcs.report import read_records_csv
+
+        out = tmp_path / "out"
+        assert parse_and_dispatch(self.ARGS + ["--out-dir", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        records = read_records_csv(out / "records.csv")
+        nbiht = [r.stop_reason for r in records if r.algorithm == "nbiht"]
+        assert lines[2:4] == [
+            f"nbiht: stop reasons converged={nbiht.count('converged')} "
+            f"max_iters={nbiht.count('max_iters')} degenerate={nbiht.count('degenerate')} error=0",
+            "one_shot: stop reasons converged=0 max_iters=0 degenerate=0 error=0 one_shot=9",
+        ]
+        assert [line.split(":")[0] for line in lines[:2]] == ["nbiht", "one_shot"]
+        assert "slope" in lines[0] and "slope" in lines[1]
+        assert len(nbiht) == 9
+
+    def test_stop_reason_mix_counts_error_rows(self, tmp_path, capsys, monkeypatch):
+        import onebitcs.harness as harness
+        from onebitcs import DegenerateIterateError
+
+        def boom(*args, **kwargs):
+            raise DegenerateIterateError("synthetic collapse")
+
+        monkeypatch.setattr(harness, "nbiht_run", boom)
+        assert parse_and_dispatch(self.ARGS + ["--out-dir", str(tmp_path / "out")]) == 0
+        out = capsys.readouterr().out
+        assert "nbiht: stop reasons converged=0 max_iters=0 degenerate=0 error=9" in out
+
     def test_theory_overlay_flag(self, tmp_path):
         out = tmp_path / "overlay"
         code = parse_and_dispatch(

@@ -1,7 +1,11 @@
-"""Sweep execution: determinism, pairing, seed hygiene, slope fitting."""
+"""Sweep execution: determinism, pairing, seed hygiene, pool set-up, slope fitting."""
+
+import os
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+import onebitcs.harness as harness
 from onebitcs import DegenerateIterateError, InvalidArgumentError, SweepConfig, SweepRecord, fit_slope, run_sweep
 from onebitcs.harness import build_manifest, cell_seed_table, error_stat_by_m, run_from_manifest
 from onebitcs.rng import generator_for
@@ -82,6 +86,93 @@ class TestRunSweep:
             _small_config(noise_std=float("nan"))
 
 
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its arguments, runs the cells
+    in this process and never calls the initializer, so no BLAS setting changes."""
+
+    created = []
+
+    def __init__(self, **kwargs):
+        self.kwargs = kwargs
+        _RecordingPool.created.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables, chunksize=1):
+        return map(fn, *iterables)
+
+
+_BLAS_GETTERS = tuple(name.replace("_set_", "_get_") for name in harness._BLAS_SETTERS)
+
+
+def _worker_blas_threads(_):
+    return harness._loaded_blas_function(_BLAS_GETTERS)()
+
+
+class TestPool:
+    @pytest.fixture
+    def fake_pool(self, monkeypatch):
+        _RecordingPool.created = []
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 12)
+        return _RecordingPool.created
+
+    def test_pool_capped_at_cell_count(self, fake_pool):
+        cfg = _small_config(m_grid=(64, 128, 256), trials_per_cell=2)  # 6 cells
+        records, manifest = run_sweep(cfg, workers=64)
+        (pool,) = fake_pool
+        assert pool.kwargs == {
+            "max_workers": 6, "initializer": harness._pin_blas_threads, "initargs": (2,),
+        }
+        assert manifest.workers == 6
+        assert manifest.blas_threads_per_worker in ("2", "default")
+        assert len(records) == 12
+
+    def test_threads_derived_from_pool_size(self, fake_pool):
+        run_sweep(_small_config(trials_per_cell=2), workers=5)
+        assert fake_pool[0].kwargs["initargs"] == (12 // 5,)
+        run_sweep(_small_config(trials_per_cell=20), workers=60)
+        assert fake_pool[1].kwargs["initargs"] == (1,)  # never below one thread
+
+    def test_single_cell_runs_serially(self, fake_pool):
+        cfg = _small_config(m_grid=(64,), trials_per_cell=1)
+        _, manifest = run_sweep(cfg, workers=8)
+        assert fake_pool == []
+        assert (manifest.workers, manifest.blas_threads_per_worker) == (1, "default")
+
+    def test_default_threads_recorded_without_setter(self, fake_pool, monkeypatch):
+        monkeypatch.setattr(harness, "_loaded_blas_function", lambda names: None)
+        _, manifest = run_sweep(_small_config(), workers=2)
+        assert (manifest.workers, manifest.blas_threads_per_worker) == (2, "default")
+
+    def test_pin_without_library_returns_quietly(self, monkeypatch):
+        def no_maps(*args, **kwargs):
+            raise OSError("no /proc here")
+
+        monkeypatch.setattr(harness, "open", no_maps, raising=False)
+        assert harness._loaded_blas_function(harness._BLAS_SETTERS) is None
+        assert harness._pin_blas_threads(1) is None
+
+    def test_pin_without_symbol_returns_quietly(self, monkeypatch):
+        assert harness._loaded_blas_function(("no_such_blas_symbol",)) is None
+        monkeypatch.setattr(harness, "_BLAS_SETTERS", ("no_such_blas_symbol",))
+        assert harness._pin_blas_threads(1) is None
+
+    def test_workers_run_pinned_thread_count(self):
+        if harness._loaded_blas_function(_BLAS_GETTERS) is None:
+            pytest.skip("no OpenBLAS thread getter in this process")
+        expected = max(1, (os.cpu_count() or 1) // 2)
+        with ProcessPoolExecutor(
+            max_workers=2, initializer=harness._pin_blas_threads, initargs=(expected,)
+        ) as pool:
+            seen = list(pool.map(_worker_blas_threads, range(4)))
+        assert seen == [expected] * 4
+
+
 class TestSeedHygiene:
     def test_no_two_cells_share_a_substream(self):
         cfg = SweepConfig(
@@ -126,6 +217,14 @@ class TestManifest:
         with pytest.raises(InvalidArgumentError):
             run_from_manifest(manifest)
 
+    def test_env_fields(self):
+        serial = run_sweep(_small_config(), workers=1)[1]
+        assert (serial.workers, serial.blas_threads_per_worker) == (1, "default")
+        assert serial.blas
+        pooled = run_sweep(_small_config(), workers=2)[1]
+        assert pooled.workers == 2
+        assert pooled.blas_threads_per_worker in (str(max(1, (os.cpu_count() or 1) // 2)), "default")
+
     def test_metadata_present(self):
         manifest = build_manifest(_small_config())
         assert manifest.rng_algorithm == "pcg64-seedsequence"
@@ -154,6 +253,11 @@ class TestFitSlope:
     def test_mean_statistic(self):
         slope, _, _ = fit_slope(_synthetic_records(lambda m: 5.0 / m), "nbiht", error_stat="mean")
         assert abs(slope + 1.0) <= 1e-9
+
+    def test_constant_statistic_fits_flat(self):
+        # every run of an algorithm failing records error 2.0 in every cell
+        slope, _, r2 = fit_slope(_synthetic_records(lambda m: 2.0), "nbiht")
+        assert abs(slope) <= 1e-12 and r2 == 1.0
 
     def test_requires_three_distinct_m(self):
         with pytest.raises(InvalidArgumentError):

@@ -1,8 +1,10 @@
 """Persistence: CSV schema and round-trips, manifest text, SVG structure."""
 
+import warnings
+
 import pytest
 
-from onebitcs import InvalidArgumentError, SweepConfig, SweepRecord, run_sweep
+from onebitcs import InvalidArgumentError, SweepConfig, SweepRecord, run_from_manifest, run_sweep
 from onebitcs.report import (
     CSV_HEADER,
     emit_report,
@@ -75,6 +77,16 @@ class TestManifestFile:
         with pytest.raises(InvalidArgumentError):
             load_manifest(p)
 
+    @pytest.mark.parametrize("line", ["config.n = eight", "env.workers = two"])
+    def test_malformed_value_rejected(self, small_sweep, tmp_path, line):
+        _, manifest = small_sweep
+        path = write_manifest(manifest, tmp_path / "m.txt")
+        key = line.split(" = ")[0]
+        lines = [line if old.startswith(f"{key} = ") else old for old in path.read_text().splitlines()]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvalidArgumentError, match="malformed"):
+            load_manifest(path)
+
     def test_tampered_seed_rejected(self, small_sweep, tmp_path):
         _, manifest = small_sweep
         path = write_manifest(manifest, tmp_path / "m.txt")
@@ -101,6 +113,47 @@ class TestManifestFile:
             "constants.cb", "constants.cb_lower", "constants.c10",
         ):
             assert f"{key} = " in text, key
+
+
+    def test_env_keys(self, small_sweep, tmp_path):
+        _, manifest = small_sweep
+        path = write_manifest(manifest, tmp_path / "m.txt")
+        kv = dict(line.split(" = ", 1) for line in path.read_text().splitlines())
+        assert kv["env.blas"] == manifest.blas != ""
+        assert kv["env.workers"] == "1"
+        assert kv["env.blas_threads_per_worker"] == "default"
+        back = load_manifest(path)
+        assert (back.blas, back.workers, back.blas_threads_per_worker) == (
+            manifest.blas, 1, "default"
+        )
+
+    def test_manifest_without_env_keys_loads(self, small_sweep, tmp_path):
+        _, manifest = small_sweep
+        path = write_manifest(manifest, tmp_path / "m.txt")
+        lines = [line for line in path.read_text().splitlines() if not line.startswith("env.")]
+        path.write_text("\n".join(lines) + "\n")
+        back = load_manifest(path)
+        assert back.config == manifest.config
+        assert (back.blas, back.workers, back.blas_threads_per_worker) == ("unknown", 1, "default")
+
+    def test_numpy_version_mismatch_warns_once_and_reruns(self, small_sweep, tmp_path):
+        records, manifest = small_sweep
+        path = write_manifest(manifest, tmp_path / "m.txt")
+        text = path.read_text().replace(
+            f"numpy_version = {manifest.numpy_version}\n", "numpy_version = 0.0.0\n"
+        )
+        path.write_text(text)
+        with pytest.warns(RuntimeWarning, match="numpy 0.0.0") as caught:
+            again, _ = run_from_manifest(load_manifest(path))
+        assert len([w for w in caught if w.category is RuntimeWarning]) == 1
+        assert [r.comparable() for r in again] == [r.comparable() for r in records]
+
+    def test_matching_numpy_version_does_not_warn(self, small_sweep, tmp_path):
+        _, manifest = small_sweep
+        path = write_manifest(manifest, tmp_path / "m.txt")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            run_from_manifest(load_manifest(path))
 
 
 class TestSvg:
