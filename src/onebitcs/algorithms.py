@@ -14,6 +14,11 @@ Any iterate whose (quantized or linear) measurements already match the data is
 a fixed point of the corresponding step map; runs stop there, on iterate
 movement below stop_tol, on the iteration budget, or on a degenerate
 (all-zero) thresholded iterate.
+
+Each run takes sign(A x_k) on a contiguous copy of the columns of A on the
+iterate's support, reading from A only the columns that entered the support;
+the copy holds at most s columns, so a run's extra memory stays near 2*m*s
+doubles (the old and the new block while one replaces the other).
 """
 
 from __future__ import annotations
@@ -86,15 +91,40 @@ class IterateTrace:
         return self.errors_vs_truth[-1] if self.errors_vs_truth is not None else None
 
 
-def _signs(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # x is s-sparse in the hot loop; gathering its support keeps the forward
-    # product at m*s instead of m*N flops.
-    nz = np.flatnonzero(x)
-    if 0 < nz.size <= matrix.shape[1] // 8:
-        y = matrix[:, nz] @ x[nz]
-    else:
-        y = matrix @ x
-    return np.where(y > 0, 1.0, -1.0)
+class _ForwardSigns:
+    """sign(A x) for the iterates of one run, gathering A's support columns.
+
+    x is s-sparse in the hot loop, so the forward product is taken on the
+    F-ordered block A[:, nz] (m*s instead of m*N flops). The block of the last
+    support is kept, and only the columns that enter the support are read from
+    the row-major matrix; the block is laid out as numpy lays out A[:, nz], so
+    the product's bits do not depend on the cache.
+    """
+
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = matrix
+        self.cols = np.empty(0, dtype=np.intp)  # sorted support of the cached block
+        self.block = np.empty((matrix.shape[0], 0), order="F")
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        nz = np.flatnonzero(x)
+        if 0 < nz.size <= self.matrix.shape[1] // 8:
+            if not np.array_equal(nz, self.cols):
+                self.cols, self.block = nz, self._gather(nz)
+            y = self.block @ x[nz]
+        else:
+            self.cols, self.block = nz[:0], np.empty((self.matrix.shape[0], 0), order="F")
+            y = self.matrix @ x
+        return np.where(y > 0, 1.0, -1.0)
+
+    def _gather(self, nz: np.ndarray) -> np.ndarray:
+        # cached columns are contiguous copies; new ones are strided reads of A
+        cached = dict(zip(self.cols.tolist(), range(self.cols.size)))
+        block = np.empty((self.matrix.shape[0], nz.size), order="F")
+        for j, col in enumerate(nz.tolist()):
+            i = cached.get(col)
+            block[:, j] = self.matrix[:, col] if i is None else self.block[:, i]
+        return block
 
 
 def _sign_gradient(matrix: np.ndarray, bits: np.ndarray, signs: np.ndarray) -> np.ndarray:
@@ -145,7 +175,8 @@ def nbiht_step(
     x = as_vector(x_k)
     if x.shape != (matrix.shape[1],):
         raise InvalidArgumentError("iterate length does not match ensemble N")
-    x_new = _update(matrix, bits, x, _signs(matrix, x), tau, s, degenerate_policy, normalized=True)
+    signs = _ForwardSigns(matrix)(x)
+    x_new = _update(matrix, bits, x, signs, tau, s, degenerate_policy, normalized=True)
     return x.copy() if x_new is None else x_new
 
 
@@ -174,8 +205,9 @@ def _binary_descent(
     matrix, bits = _unwrap(A, b)
     truth_v = None if truth is None else as_vector(truth)
 
+    forward_signs = _ForwardSigns(matrix)
     x = _initial_iterate(A, b, cfg)
-    signs = _signs(matrix, x)
+    signs = forward_signs(x)
     iterates = [x]
     agreement = [1.0 - hamming_distance(signs, bits)]
     errors = None if truth_v is None else [float(np.linalg.norm(x - truth_v))]
@@ -189,7 +221,7 @@ def _binary_descent(
         if x_new is None:
             stop_reason = "degenerate"
             break
-        signs = _signs(matrix, x_new)
+        signs = forward_signs(x_new)
         iterates.append(x_new)
         agreement.append(1.0 - hamming_distance(signs, bits))
         if errors is not None:
@@ -224,9 +256,10 @@ def iht_run(A: MeasurementEnsemble, y, cfg: AlgorithmConfig, truth=None) -> Iter
     truth_v = None if truth is None else as_vector(truth)
     b = np.where(y > 0, 1.0, -1.0)
 
+    forward_signs = _ForwardSigns(matrix)
     x = _initial_iterate(A, BinaryObservation(bits=b), cfg)
     iterates = [x]
-    agreement = [1.0 - hamming_distance(_signs(matrix, x), b)]
+    agreement = [1.0 - hamming_distance(forward_signs(x), b)]
     errors = None if truth_v is None else [float(np.linalg.norm(x - truth_v))]
 
     stop_reason = "max_iters"
@@ -238,7 +271,7 @@ def iht_run(A: MeasurementEnsemble, y, cfg: AlgorithmConfig, truth=None) -> Iter
             stop_reason = "converged"  # fixed point
             break
         iterates.append(x_new)
-        agreement.append(1.0 - hamming_distance(_signs(matrix, x_new), b))
+        agreement.append(1.0 - hamming_distance(forward_signs(x_new), b))
         if errors is not None:
             errors.append(float(np.linalg.norm(x_new - truth_v)))
         x = x_new

@@ -394,6 +394,9 @@ def parse_and_dispatch(argv: list[str]) -> int:
     except OSError as exc:
         print(f"onebitcs: io failure: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # exit 1 is for validation only, so nothing else may escape with it
+        print(f"onebitcs: runtime failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

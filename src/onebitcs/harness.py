@@ -240,11 +240,11 @@ def solve(
         agreement = 1.0 - hamming_distance(sign_quantize(A.matrix @ estimate), b)
         return _sphere_error(estimate, x.values), 1, agreement, "one_shot"
     if algo == "iht":
-        trace = iht_run(A, lin, algo_cfg, truth=x)
+        trace = iht_run(A, lin, algo_cfg)
     elif algo == "nbiht":
-        trace = nbiht_run(A, b, algo_cfg, truth=x)
+        trace = nbiht_run(A, b, algo_cfg)
     else:
-        trace = biht_run(A, b, algo_cfg, truth=x)
+        trace = biht_run(A, b, algo_cfg)
     error = _sphere_error(trace.estimate, x.values)
     return error, trace.iterations_used, trace.sign_agreement[-1], trace.stop_reason
 
@@ -361,12 +361,16 @@ def run_from_manifest(
 def error_stat_by_m(
     records: list[SweepRecord], algorithm: str, error_stat: str = "median"
 ) -> list[tuple[int, float]]:
-    """(m, statistic) series for one algorithm, ordered by m."""
+    """(m, statistic) series for one algorithm, ordered by m.
+
+    Failed runs (``error:`` rows) carry a placeholder error and are left out,
+    so an m where every run failed has no point.
+    """
     if error_stat not in ("median", "mean"):
         raise InvalidArgumentError(f"unknown error_stat {error_stat!r}")
     by_m: dict[int, list[float]] = {}
     for rec in records:
-        if rec.algorithm == algorithm:
+        if rec.algorithm == algorithm and not rec.stop_reason.startswith("error:"):
             by_m.setdefault(rec.m, []).append(rec.final_l2_error)
     stat = np.median if error_stat == "median" else np.mean
     return [(m, float(stat(by_m[m]))) for m in sorted(by_m)]

@@ -260,7 +260,7 @@ def emit_report(
     error_stat: str = "median",
     theory_curve: list[tuple[float, float]] | None = None,
 ) -> dict[str, Path | None]:
-    """Write records.csv, manifest.txt, and (when records exist) plot.svg."""
+    """Write records.csv, manifest.txt, and (when some run succeeded) plot.svg."""
     out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -269,9 +269,9 @@ def emit_report(
             "manifest": write_manifest(manifest, out_dir / "manifest.txt"),
             "svg": None,
         }
-        if records:
-            algorithms = sorted({rec.algorithm for rec in records})
-            series = {a: [(float(m), v) for m, v in error_stat_by_m(records, a, error_stat)] for a in algorithms}
+        algorithms = sorted({rec.algorithm for rec in records})
+        series = {a: [(float(m), v) for m, v in error_stat_by_m(records, a, error_stat)] for a in algorithms}
+        if any(series.values()):
             annotations = []
             for algo in algorithms:
                 try:

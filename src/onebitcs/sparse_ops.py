@@ -26,10 +26,15 @@ def hard_threshold(v, s: int) -> np.ndarray:
     v = as_vector(v)
     if not 1 <= s <= v.size:
         raise InvalidArgumentError(f"need 1 <= s <= {v.size}, got s={s}")
-    # Stable sort on -|v|: equal magnitudes keep index order, so lowest index wins.
-    order = np.argsort(-np.abs(v), kind="stable")
+    # The s-th largest magnitude splits v: every entry above it is kept, and the
+    # lowest-index entries equal to it fill the rest (a stable sort on -|v|
+    # picks the same set). NaN counts as magnitude -1, so it comes last.
+    mags = np.abs(v)
+    mags[np.isnan(mags)] = -1.0
+    kth = np.partition(mags, v.size - s)[v.size - s]
+    above = np.flatnonzero(mags > kth)
+    keep = np.concatenate((above, np.flatnonzero(mags == kth)[: s - above.size]))
     out = np.zeros_like(v)
-    keep = order[:s]
     out[keep] = v[keep]
     return out
 

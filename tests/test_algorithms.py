@@ -20,6 +20,7 @@ from onebitcs import (
     one_shot_estimate,
     sparse_dual_norm,
 )
+from onebitcs.algorithms import _ForwardSigns
 from onebitcs.rng import generator_for, substream_seed
 from oracles import nbiht_step_scalar
 
@@ -88,6 +89,34 @@ class TestNbihtStep:
         x, A, b = _instance(3)
         with pytest.raises(InvalidArgumentError):
             nbiht_step(A, b, np.ones(5), DEFAULT_TAU, 2)
+
+
+class TestForwardSigns:
+    def test_signs_match_support_gather_bitwise(self):
+        n, m = 64, 48
+        matrix = gen_gaussian_matrix(substream_seed(4, 1), m, n).matrix
+        rng = generator_for(substream_seed(4, 2))
+        supports = [
+            [3, 10, 41],  # first support
+            [3, 10, 41],  # unchanged support, new values
+            [3, 20, 41, 63],  # partial overlap
+            [0, 5, 6, 7],  # disjoint
+            list(range(0, 60, 5)),  # 12 > N/8 columns: the dense product
+            [],  # the zero vector
+            [1, 5, 62],  # a gathered support after the dense branch
+            [5],  # one column
+        ]
+        forward_signs = _ForwardSigns(matrix)
+        for support in supports:
+            x = np.zeros(n)
+            x[support] = rng.standard_normal(len(support))
+            nz = np.flatnonzero(x)
+            expected = np.where(matrix[:, nz] @ x[nz] > 0, 1.0, -1.0)
+            assert np.array_equal(forward_signs(x).view(np.uint64), expected.view(np.uint64))
+            assert set(forward_signs.cols.tolist()) <= set(nz.tolist())
+            gathered = matrix[:, forward_signs.cols]
+            assert np.array_equal(forward_signs.block, gathered)
+            assert forward_signs.block.strides == gathered.strides  # the layout BLAS sees
 
 
 class TestNbihtRun:

@@ -66,6 +66,33 @@ class TestExitCodes:
         assert code == 2
         assert "runtime failure" in capsys.readouterr().err
 
+    def test_unexpected_exception_under_recover_exits_two(self, capsys, monkeypatch):
+        import onebitcs.cli as cli
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("synthetic fault")
+
+        monkeypatch.setattr(cli, "solve", boom)  # harness.solve, as recover calls it
+        code = parse_and_dispatch(["recover", "--n", "16", "--s", "2", "--m", "32", "--seed", "1"])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["onebitcs: runtime failure: RuntimeError: synthetic fault"]
+
+    def test_unexpected_exception_under_sweep_exits_two(self, tmp_path, capsys, monkeypatch):
+        import onebitcs.harness as harness
+
+        def boom(*args, **kwargs):
+            raise ZeroDivisionError("division by zero")
+
+        monkeypatch.setattr(harness, "solve", boom)
+        code = parse_and_dispatch(
+            ["sweep", "--n", "16", "--s", "2", "--m-grid", "32,64", "--trials", "1",
+             "--seed", "1", "--workers", "1", "--out-dir", str(tmp_path / "out")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["onebitcs: runtime failure: ZeroDivisionError: division by zero"]
+
     def test_unallocatable_size_is_runtime_failure(self, capsys):
         # 10^12 x 512 float64 exceeds the address space, so numpy refuses it at once
         assert parse_and_dispatch(["recover", "--m", "1000000000000", "--seed", "1"]) == 2
@@ -171,6 +198,21 @@ class TestSweep:
         assert parse_and_dispatch(self.ARGS + ["--out-dir", str(tmp_path / "out")]) == 0
         out = capsys.readouterr().out
         assert "nbiht: stop reasons converged=0 max_iters=0 degenerate=0 error=9" in out
+
+    def test_all_failed_algorithm_has_no_fit(self, tmp_path, capsys, monkeypatch):
+        import onebitcs.harness as harness
+        from onebitcs import DegenerateIterateError
+
+        def boom(*args, **kwargs):
+            raise DegenerateIterateError("synthetic collapse")
+
+        monkeypatch.setattr(harness, "nbiht_run", boom)
+        assert parse_and_dispatch(self.ARGS + ["--out-dir", str(tmp_path / "out")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("nbiht: no fit (")
+        assert lines[1].startswith("one_shot: slope = ")
+        svg = (tmp_path / "out" / "plot.svg").read_text()
+        assert 'id="series-one_shot"' in svg and 'id="series-nbiht"' not in svg
 
     def test_theory_overlay_flag(self, tmp_path):
         out = tmp_path / "overlay"

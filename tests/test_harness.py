@@ -1,8 +1,10 @@
 """Sweep execution: determinism, pairing, seed hygiene, pool set-up, slope fitting."""
 
+import dataclasses
 import os
 from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
 import pytest
 
 import onebitcs.harness as harness
@@ -255,7 +257,6 @@ class TestFitSlope:
         assert abs(slope + 1.0) <= 1e-9
 
     def test_constant_statistic_fits_flat(self):
-        # every run of an algorithm failing records error 2.0 in every cell
         slope, _, r2 = fit_slope(_synthetic_records(lambda m: 2.0), "nbiht")
         assert abs(slope) <= 1e-12 and r2 == 1.0
 
@@ -270,6 +271,25 @@ class TestFitSlope:
     def test_unknown_stat(self):
         with pytest.raises(InvalidArgumentError):
             fit_slope(_synthetic_records(lambda m: 1.0 / m), "nbiht", error_stat="max")
+
+    def test_failed_run_left_out_of_statistic(self):
+        records = [
+            dataclasses.replace(r, final_l2_error=r.final_l2_error * (1 + r.trial_index))
+            for r in _synthetic_records(lambda m: 10.0 / m, trials=4)
+        ]
+        failed = dataclasses.replace(records[4], final_l2_error=2.0, stop_reason="error: collapse")
+        records[4] = failed
+        ok_at_m = [r.final_l2_error for r in records if r.m == failed.m and r is not failed]
+        assert dict(error_stat_by_m(records, "nbiht"))[failed.m] == float(np.median(ok_at_m))
+
+    def test_all_failed_m_drops_out(self):
+        records = [
+            dataclasses.replace(r, final_l2_error=2.0, stop_reason="error: collapse") if r.m == 100 else r
+            for r in _synthetic_records(lambda m: 10.0 / m)
+        ]
+        assert [m for m, _ in error_stat_by_m(records, "nbiht")] == [1_000, 10_000]
+        with pytest.raises(InvalidArgumentError):
+            fit_slope(records, "nbiht")
 
     def test_filters_by_algorithm(self):
         mixed = _synthetic_records(lambda m: 10.0 / m) + _synthetic_records(

@@ -57,6 +57,19 @@ class TestHardThreshold:
         with pytest.raises(InvalidArgumentError):
             hard_threshold([1.0, 2.0, 3.0], s)
 
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_stable_sort_bitwise(self, data):
+        # few distinct magnitudes, both signs, signed zeros, infinities and NaN
+        special = st.sampled_from([0.0, -0.0, 1.5, -1.5, 3.0, -3.0, math.inf, -math.inf, math.nan, -math.nan])
+        values = data.draw(st.lists(special | st.floats(-4, 4), min_size=1, max_size=16))
+        v = np.array(values)
+        s = data.draw(st.just(v.size) | st.integers(1, v.size))
+        keep = np.argsort(-np.abs(v), kind="stable")[:s]
+        expected = np.zeros_like(v)
+        expected[keep] = v[keep]
+        assert np.array_equal(hard_threshold(v, s).view(np.uint64), expected.view(np.uint64))
+
 
 class TestNormalize:
     def test_three_four_five(self):
