@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .algorithms import DEFAULT_TAU
 from .errors import DegenerateIterateError, InvalidArgumentError, SamplingExhaustedError
-from .harness import ALGORITHMS, SweepConfig, cell_seed_table, draw_instance, fit_slope, run_sweep, solve
+from .harness import ALGORITHMS, SweepConfig, cell_seed_table, draw_instances, fit_slope, run_sweep, solve
 from .model import gen_sparse_signal
 from .probes import (
     RaicProbeConfig,
@@ -130,8 +130,8 @@ def build_parser() -> _Parser:
     sweep.add_argument("--value-rule", choices=("gaussian", "rademacher", "flat"),
                        help="signal value distribution")
     sweep.add_argument("--workers", type=int,
-                       help="worker processes (default: logical CPUs); each pool worker runs BLAS "
-                            "at max(1, cpus // workers) threads")
+                       help="worker processes (default: logical CPUs), at most one per trial; each "
+                            "pool worker runs BLAS at max(1, cpus // pool size) threads")
     sweep.add_argument("--out-dir", help="report output directory")
     sweep.add_argument("--theory-overlay", action="store_true", default=None,
                        help="overlay the first-iteration theory curve on the plot")
@@ -232,7 +232,7 @@ def _cmd_recover(args) -> int:
         support_rule=opts["support_rule"], value_rule=opts["value_rule"],
     )
     seeds = cell_seed_table(cfg, 0, 0)
-    instance = draw_instance(cfg, opts["m"], seeds)
+    _, instance = next(draw_instances(cfg, cfg.m_grid, seeds))
     error, iterations, agreement, reason = solve(
         cfg, opts["algo"], instance, seeds[f"init.{opts['algo']}"]
     )
@@ -283,6 +283,7 @@ def _cmd_sweep(args) -> int:
         mix = {reason: reasons.pop(reason, 0) for reason in ("converged", "max_iters", "degenerate", "error")}
         mix.update(sorted(reasons.items()))  # e.g. one_shot's single step
         print(f"{algo}: stop reasons " + " ".join(f"{reason}={count}" for reason, count in mix.items()))
+    print(f"stage seconds: draw={manifest.draw_s:.3f} solve={manifest.solve_s:.3f}")
     for kind, path in paths.items():
         if path is not None:
             print(f"{kind}: {path}")

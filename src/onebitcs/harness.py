@@ -1,10 +1,15 @@
 """Seeded Monte Carlo sweeps over m, slope fitting, and the run manifest.
 
-Each (m, trial) instance draws its signal, ensemble, and noise from substreams
-of the master seed, so every algorithm in a cell sees the same instance
-(paired comparison) and any execution order or worker count reproduces the
-same records bitwise. Records are canonically sorted by
-(algorithm, m, trial_index) before they are returned.
+Each (m, trial) cell draws its signal, ensemble, and noise from substreams of
+the master seed, named by the cell's seed table, so every algorithm in a cell
+sees the same instance (paired comparison) and any execution order or worker
+count reproduces the same records bitwise. Under manifest version 2 the
+tables depend on the trial only: a trial draws one ``max(m_grid)``-row matrix
+and every m runs on its first m rows, which numpy fills exactly as an m-row
+draw from the same stream, so the instances of a trial are nested across m.
+Under version 1, which old manifests replay, every cell has its own table.
+Records are canonically sorted by (algorithm, m, trial_index) before they are
+returned.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from .errors import DegenerateIterateError, InvalidArgumentError, SamplingExhaus
 from .model import (
     SUPPORT_RULES,
     VALUE_RULES,
+    MeasurementEnsemble,
     gen_gaussian_matrix,
     gen_sparse_signal,
     linear_measurements,
@@ -48,6 +54,14 @@ _ROLE_SIGNAL = 0
 _ROLE_MATRIX = 1
 _ROLE_NOISE = 2
 _ROLE_INIT_BASE = 3
+
+MANIFEST_VERSION = 2  # what run_sweep writes
+# rng.substream_rule by manifest version; version 1 manifests still replay
+_SUBSTREAM_RULES = {
+    1: SUBSTREAM_RULE,  # indices = (m_index * trials_per_cell + trial, role)
+    2: "seed = SeedSequence((master_seed, trial, role)).generate_state(1, uint64)[0]; "
+       "each trial draws max(m_grid) matrix rows and m runs on the first m",
+}
 
 # OpenBLAS thread setters, as numpy's own wheel (scipy-openblas) and a plain
 # OpenBLAS build export them, with and without the ILP64 suffix.
@@ -145,19 +159,26 @@ class RunManifest:
     constants: dict
     created_utc: str
     cell_seeds: dict  # (m, trial) -> {"signal": int, "matrix": int, "noise": int, "init.<algo>": int}
+    manifest_version: int = MANIFEST_VERSION
     blas: str = "unknown"  # name and version of the BLAS numpy was built against
-    workers: int = 1  # processes the cells ran in (the pool size, 1 when serial)
+    workers: int = 1  # processes the tasks ran in (the pool size, 1 when serial)
     blas_threads_per_worker: str = "default"  # pinned count, "default" when left to the BLAS
+    draw_s: float = 0.0  # seconds spent outside solve (instance draws), summed over tasks
+    solve_s: float = 0.0  # seconds spent in solve, summed over records
 
 
-def cell_seed_table(cfg: SweepConfig, m_index: int, trial: int) -> dict[str, int]:
+def cell_seed_table(
+    cfg: SweepConfig, m_index: int, trial: int, version: int = MANIFEST_VERSION
+) -> dict[str, int]:
     """Derived substream seeds for one (m, trial) instance.
 
     The instance streams depend only on (master_seed, instance index), so all
     algorithms in the cell share the drawn (x, A, noise); each algorithm gets
-    its own init stream at a role fixed by the canonical algorithm order.
+    its own init stream at a role fixed by the canonical algorithm order. The
+    instance index is the trial under manifest version 2, so every cell of a
+    trial shares one table, and m_index * trials_per_cell + trial under 1.
     """
-    instance = m_index * cfg.trials_per_cell + trial
+    instance = m_index * cfg.trials_per_cell + trial if version == 1 else trial
     seeds = {
         "signal": substream_seed(cfg.master_seed, instance, _ROLE_SIGNAL),
         "matrix": substream_seed(cfg.master_seed, instance, _ROLE_MATRIX),
@@ -177,22 +198,29 @@ def _blas_name() -> str:
         return "unknown"
 
 
-def build_manifest(cfg: SweepConfig, constants: ScheduleConstants | None = None) -> RunManifest:
+def build_manifest(
+    cfg: SweepConfig, constants: ScheduleConstants | None = None, version: int = MANIFEST_VERSION
+) -> RunManifest:
+    if version not in _SUBSTREAM_RULES:
+        raise InvalidArgumentError(
+            f"unknown manifest_version {version!r}; this build reads {sorted(_SUBSTREAM_RULES)}"
+        )
     constants = constants or ScheduleConstants()
     cells = {}
     for m_index, m in enumerate(cfg.m_grid):
         for trial in range(cfg.trials_per_cell):
-            cells[(m, trial)] = cell_seed_table(cfg, m_index, trial)
+            cells[(m, trial)] = cell_seed_table(cfg, m_index, trial, version)
     return RunManifest(
         config=cfg,
         rng_algorithm=RNG_ALGORITHM,
         gaussian_transform=GAUSSIAN_TRANSFORM,
-        substream_rule=SUBSTREAM_RULE,
+        substream_rule=_SUBSTREAM_RULES[version],
         numpy_version=np.__version__,
         package_version=_pkg_version,
         constants=dict(constants.as_dict(), c10_is_placeholder_derived=constants.c10_is_placeholder_derived),
         created_utc=_dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds"),
         cell_seeds=cells,
+        manifest_version=version,
         blas=_blas_name(),
     )
 
@@ -203,16 +231,21 @@ def _sphere_error(estimate: np.ndarray, truth: np.ndarray) -> float:
     return float(np.linalg.norm(unit - truth))
 
 
-def draw_instance(cfg: SweepConfig, m: int, seeds: dict[str, int]) -> tuple:
-    """Draw the (m, trial) instance addressed by a cell's seed table.
+def draw_instances(cfg: SweepConfig, ms: tuple[int, ...], seeds: dict[str, int]):
+    """Yield (m, instance) for each m of ``ms`` (increasing) from one seed table.
 
-    Returns (signal, ensemble, A x + eps, sign(A x + eps)); every algorithm in
-    the cell runs on this one draw.
+    The matrix is drawn once with ``ms[-1]`` rows; the instance at m uses a
+    view of its first m rows, which is bitwise the m-row draw from the same
+    stream, and draws its noise at m entries. An instance is
+    (signal, ensemble, A x + eps, sign(A x + eps)); every algorithm in the
+    cell runs on it.
     """
     x = gen_sparse_signal(seeds["signal"], cfg.n, cfg.s, cfg.support_rule, cfg.value_rule)
-    A = gen_gaussian_matrix(seeds["matrix"], m, cfg.n)
-    lin = linear_measurements(A, x, cfg.noise_std, seeds["noise"])
-    return x, A, lin, sign_quantize(lin)
+    rows = gen_gaussian_matrix(seeds["matrix"], ms[-1], cfg.n)
+    for m in ms:
+        A = MeasurementEnsemble(rows.matrix[:m], rows.seed)  # C-contiguous view, no copy
+        lin = linear_measurements(A, x, cfg.noise_std, seeds["noise"])
+        yield m, (x, A, lin, sign_quantize(lin))
 
 
 def solve(
@@ -249,19 +282,30 @@ def solve(
     return error, trace.iterations_used, trace.sign_agreement[-1], trace.stop_reason
 
 
-def _run_cell(cfg: SweepConfig, m: int, trial: int, seeds: dict[str, int]) -> list[SweepRecord]:
-    instance = draw_instance(cfg, m, seeds)
+def _run_task(
+    cfg: SweepConfig, cells: tuple[tuple[int, int], ...], seeds: dict[str, int]
+) -> tuple[list[SweepRecord], float]:
+    """Run the (m, trial) cells that share one seed table, ordered by m.
+
+    Returns their records and the task's seconds outside solve (the draws).
+    """
+    task_start = time.perf_counter()
     records = []
-    for algo in sorted(cfg.algorithms):
-        start = time.perf_counter()
-        try:
-            outcome = solve(cfg, algo, instance, seeds[f"init.{algo}"])
-        except (DegenerateIterateError, SamplingExhaustedError) as exc:
-            # a failed cell is recorded, never fatal to the sweep
-            outcome = (2.0, 0, 0.0, f"error: {exc}")
-        wall_ms = (time.perf_counter() - start) * 1e3
-        records.append(SweepRecord(algo, m, cfg.n, cfg.s, trial, *outcome, wall_time_ms=wall_ms))
-    return records
+    trial_of = dict(cells)
+    for m, instance in draw_instances(cfg, tuple(trial_of), seeds):
+        for algo in sorted(cfg.algorithms):
+            start = time.perf_counter()
+            try:
+                outcome = solve(cfg, algo, instance, seeds[f"init.{algo}"])
+            except (DegenerateIterateError, SamplingExhaustedError) as exc:
+                # a failed cell is recorded, never fatal to the sweep
+                outcome = (2.0, 0, 0.0, f"error: {exc}")
+            wall_ms = (time.perf_counter() - start) * 1e3
+            records.append(
+                SweepRecord(algo, m, cfg.n, cfg.s, trial_of[m], *outcome, wall_time_ms=wall_ms)
+            )
+    draw_s = time.perf_counter() - task_start - sum(r.wall_time_ms for r in records) / 1e3
+    return records, draw_s
 
 
 def _loaded_blas_function(names: tuple[str, ...]):
@@ -307,45 +351,59 @@ def run_sweep(
 ) -> tuple[list[SweepRecord], RunManifest]:
     """Execute all (algorithm, m, trial) cells; return sorted records + manifest.
 
-    With ``workers > 1`` the cells run in a pool of at most one process per
-    cell, and each worker's BLAS is pinned to ``max(1, cpus // pool size)``
+    Writes manifest version 2. A task is the group of cells that share one
+    seed table (a trial under version 2, a single cell under version 1): it
+    draws the matrix once, at its largest m, and runs every cell on a prefix.
+    With ``workers > 1`` the tasks run in a pool of at most one process per
+    task, so a version 2 sweep with fewer trials than workers uses a smaller
+    pool, and each worker's BLAS is pinned to ``max(1, cpus // pool size)``
     threads so that workers times threads does not exceed the CPU count. The
     serial path keeps the BLAS default.
     """
-    manifest = build_manifest(cfg, constants)
-    tasks = [
-        (cfg, m, trial, manifest.cell_seeds[(m, trial)])
-        for m in cfg.m_grid
-        for trial in range(cfg.trials_per_cell)
-    ]
+    return _execute(build_manifest(cfg, constants), workers)
+
+
+def _execute(manifest: RunManifest, workers: int) -> tuple[list[SweepRecord], RunManifest]:
+    cfg = manifest.config
+    # one task per distinct seed table, its cells in increasing m
+    groups: dict[tuple, list[tuple[int, int]]] = {}
+    for (m, trial), seeds in sorted(manifest.cell_seeds.items(), key=lambda cell: cell[0][::-1]):
+        groups.setdefault(tuple(sorted(seeds.items())), []).append((m, trial))
+    tasks = [(cfg, tuple(cells), dict(table)) for table, cells in groups.items()]
     pool_size = min(workers, len(tasks))
     if pool_size > 1:
         threads = max(1, (os.cpu_count() or 1) // pool_size)
         with ProcessPoolExecutor(
             max_workers=pool_size, initializer=_pin_blas_threads, initargs=(threads,)
         ) as pool:
-            per_cell = list(pool.map(_run_cell, *zip(*tasks), chunksize=1))
+            per_task = list(pool.map(_run_task, *zip(*tasks), chunksize=1))
         pinned = str(threads) if _loaded_blas_function(_BLAS_SETTERS) is not None else "default"
     else:
         pool_size, pinned = 1, "default"
-        per_cell = [_run_cell(*task) for task in tasks]
-    records = [rec for cell in per_cell for rec in cell]
+        per_task = [_run_task(*task) for task in tasks]
+    records = [rec for task_records, _ in per_task for rec in task_records]
     records.sort(key=lambda r: (r.algorithm, r.m, r.trial_index))
-    return records, dataclasses.replace(manifest, workers=pool_size, blas_threads_per_worker=pinned)
+    return records, dataclasses.replace(
+        manifest,
+        workers=pool_size,
+        blas_threads_per_worker=pinned,
+        draw_s=sum(draw_s for _, draw_s in per_task),
+        solve_s=sum(rec.wall_time_ms for rec in records) / 1e3,
+    )
 
 
 def run_from_manifest(
     manifest: RunManifest, workers: int = 1
 ) -> tuple[list[SweepRecord], RunManifest]:
-    """Re-execute a sweep from its manifest; records must match bitwise.
+    """Re-execute a sweep from its manifest, under its manifest version;
+    records must match bitwise.
 
     Warns (RuntimeWarning) when the manifest was written under another numpy
     version, whose Gaussian streams are not promised to be the same, and
     reruns anyway.
     """
-    cfg = manifest.config
-    rederived = build_manifest(cfg).cell_seeds
-    if rederived != manifest.cell_seeds:
+    fresh = build_manifest(manifest.config, version=manifest.manifest_version)
+    if fresh.cell_seeds != manifest.cell_seeds:
         raise InvalidArgumentError("manifest cell seeds do not match the declared config")
     if manifest.numpy_version != np.__version__:
         warnings.warn(
@@ -355,7 +413,7 @@ def run_from_manifest(
             RuntimeWarning,
             stacklevel=2,
         )
-    return run_sweep(cfg, workers=workers)
+    return _execute(fresh, workers)
 
 
 def error_stat_by_m(

@@ -77,7 +77,7 @@ def read_records_csv(path) -> list[SweepRecord]:
 def _manifest_lines(manifest: RunManifest) -> list[str]:
     cfg = manifest.config
     lines = [
-        "manifest_version = 1",
+        f"manifest_version = {manifest.manifest_version}",
         f"created_utc = {manifest.created_utc}",
         f"package_version = {manifest.package_version}",
         f"numpy_version = {manifest.numpy_version}",
@@ -87,6 +87,8 @@ def _manifest_lines(manifest: RunManifest) -> list[str]:
         f"env.blas = {manifest.blas}",
         f"env.workers = {manifest.workers}",
         f"env.blas_threads_per_worker = {manifest.blas_threads_per_worker}",
+        f"timing.draw_s = {manifest.draw_s!r}",
+        f"timing.solve_s = {manifest.solve_s!r}",
         f"config.n = {cfg.n}",
         f"config.s = {cfg.s}",
         f"config.m_grid = {','.join(str(m) for m in cfg.m_grid)}",
@@ -117,7 +119,10 @@ def write_manifest(manifest: RunManifest, path) -> Path:
 
 
 def load_manifest(path) -> RunManifest:
-    """Parse a manifest file back into a RunManifest (seeds are re-derived and checked)."""
+    """Parse a manifest file back into a RunManifest (seeds are re-derived and checked).
+
+    A manifest without ``manifest_version`` is read as version 1.
+    """
     path = Path(path)
     if not path.exists():
         raise InvalidArgumentError(f"manifest not found: {path}")
@@ -148,11 +153,14 @@ def load_manifest(path) -> RunManifest:
             value_rule=kv.get("config.value_rule", "gaussian"),
         )
         workers = int(kv.get("env.workers", 1))
+        version = int(kv.get("manifest_version", 1))
+        draw_s = float(kv.get("timing.draw_s", 0.0))
+        solve_s = float(kv.get("timing.solve_s", 0.0))
     except KeyError as exc:
         raise InvalidArgumentError(f"manifest {path} is missing key {exc}") from exc
     except ValueError as exc:
         raise InvalidArgumentError(f"manifest {path} has a malformed value: {exc}") from exc
-    manifest = build_manifest(cfg)
+    manifest = build_manifest(cfg, version=version)
     stored = {}
     for key, value in kv.items():
         if key.startswith("cell."):
@@ -170,9 +178,12 @@ def load_manifest(path) -> RunManifest:
         constants=manifest.constants,
         created_utc=kv.get("created_utc", manifest.created_utc),
         cell_seeds=manifest.cell_seeds,
+        manifest_version=version,
         blas=kv.get("env.blas", "unknown"),
         workers=workers,
         blas_threads_per_worker=kv.get("env.blas_threads_per_worker", "default"),
+        draw_s=draw_s,
+        solve_s=solve_s,
     )
 
 

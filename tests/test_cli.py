@@ -1,11 +1,12 @@
 """CLI: dispatch, exit codes, config merging, golden help text."""
 
+import re
 from pathlib import Path
 
 import pytest
 
 from onebitcs.cli import build_parser, parse_and_dispatch
-from onebitcs.harness import SweepConfig, run_sweep
+from onebitcs.harness import ALGORITHMS, SweepConfig, run_sweep
 
 DATA = Path(__file__).parent / "data"
 
@@ -147,6 +148,29 @@ class TestRecover:
         assert printed["stop_reason"] == rec.stop_reason
 
 
+    @pytest.mark.parametrize("noise", [0.0, 0.2])
+    def test_matches_sweep_record_at_every_m(self, noise, capsys):
+        # trial 0 of any sweep with this master seed: other m values, trials
+        # and algorithms in the grid do not change its instance
+        records, _ = run_sweep(SweepConfig(
+            n=64, s=3, m_grid=(128, 256, 512), algorithms=tuple(ALGORITHMS), trials_per_cell=2,
+            master_seed=11, max_iters=500, noise_std=noise,
+        ))
+        trial0 = {(r.algorithm, r.m): r for r in records if r.trial_index == 0}
+        for (algo, m), rec in sorted(trial0.items()):
+            args = ["recover", "--n", "64", "--s", "3", "--m", str(m), "--algo", algo, "--seed", "11"]
+            assert parse_and_dispatch(args + ["--noise-std", str(noise)]) == 0
+            printed = dict(
+                line.split(" = ", 1) for line in capsys.readouterr().out.splitlines()
+                if line.count(" = ") == 1
+            )
+            assert printed["final_l2_error"] == repr(rec.final_l2_error), (algo, m)
+            assert printed["iterations_used"] == str(rec.iterations_used), (algo, m)
+            assert printed["sign_agreement"] == repr(rec.sign_agreement), (algo, m)
+            assert printed["stop_reason"] == rec.stop_reason, (algo, m)
+        assert len(trial0) == 12
+
+
 class TestSweep:
     def test_end_to_end_writes_report_files(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -186,6 +210,20 @@ class TestSweep:
         assert [line.split(":")[0] for line in lines[:2]] == ["nbiht", "one_shot"]
         assert "slope" in lines[0] and "slope" in lines[1]
         assert len(nbiht) == 9
+
+    def test_stage_seconds_follow_stop_reasons(self, tmp_path, capsys):
+        from onebitcs.report import load_manifest, read_records_csv
+
+        out = tmp_path / "out"
+        assert parse_and_dispatch(self.ARGS + ["--out-dir", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(": ")[1].split()[:2] for line in lines[2:4]] == [["stop", "reasons"]] * 2
+        assert re.fullmatch(r"stage seconds: draw=\d+\.\d{3} solve=\d+\.\d{3}", lines[4]), lines[4]
+        assert lines[5].startswith("csv: ")
+        manifest = load_manifest(out / "manifest.txt")
+        assert lines[4] == f"stage seconds: draw={manifest.draw_s:.3f} solve={manifest.solve_s:.3f}"
+        solve_s = sum(r.wall_time_ms for r in read_records_csv(out / "records.csv")) / 1e3
+        assert manifest.solve_s == pytest.approx(solve_s)
 
     def test_stop_reason_mix_counts_error_rows(self, tmp_path, capsys, monkeypatch):
         import onebitcs.harness as harness

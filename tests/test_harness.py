@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -75,6 +76,36 @@ class TestRunSweep:
         assert all(r.stop_reason.startswith("error:") for r in records)
         assert all(0.0 <= r.final_l2_error <= 2.0 for r in records)
 
+    def test_trial_reads_prefixes_of_one_draw(self, monkeypatch):
+        calls = []
+        real = harness.gen_gaussian_matrix
+
+        def recording(seed, m, N):
+            calls.append((seed, m))
+            return real(seed, m, N)
+
+        monkeypatch.setattr(harness, "gen_gaussian_matrix", recording)
+        cfg = _small_config()
+        run_sweep(cfg)
+        assert sorted(m for _, m in calls) == [256] * cfg.trials_per_cell
+        assert len({seed for seed, _ in calls}) == cfg.trials_per_cell
+        calls.clear()
+        run_from_manifest(build_manifest(cfg, version=1))
+        assert sorted(m for _, m in calls) == sorted(cfg.m_grid * cfg.trials_per_cell)
+
+    def test_nested_instance_equals_direct_draw(self):
+        cfg = _small_config(noise_std=0.3)
+        seeds = cell_seed_table(cfg, 0, 1)
+        nested = dict(harness.draw_instances(cfg, cfg.m_grid, seeds))
+        for m in cfg.m_grid:
+            ((_, direct),) = harness.draw_instances(cfg, (m,), seeds)
+            x, A, lin, b = nested[m]
+            assert A.matrix.shape == (m, cfg.n) and A.matrix.flags.c_contiguous
+            assert A.matrix.tobytes() == direct[1].matrix.tobytes()
+            assert lin.tobytes() == direct[2].tobytes()
+            assert b.bits.tobytes() == direct[3].bits.tobytes()
+            assert np.shares_memory(A.matrix, nested[cfg.m_grid[-1]][1].matrix)
+
     def test_config_validation(self):
         with pytest.raises(InvalidArgumentError):
             _small_config(m_grid=(256, 128))
@@ -124,21 +155,29 @@ class TestPool:
         return _RecordingPool.created
 
     def test_pool_capped_at_cell_count(self, fake_pool):
-        cfg = _small_config(m_grid=(64, 128, 256), trials_per_cell=2)  # 6 cells
+        # the cap is the task count: one task per trial under version 2, one per cell under 1
+        cfg = _small_config(m_grid=(64, 128, 256), trials_per_cell=2)  # 6 cells in 2 trials
         records, manifest = run_sweep(cfg, workers=64)
-        (pool,) = fake_pool
+        v1_records, v1_manifest = run_from_manifest(build_manifest(cfg, version=1), workers=64)
+        pool, v1_pool = fake_pool
         assert pool.kwargs == {
+            "max_workers": 2, "initializer": harness._pin_blas_threads, "initargs": (6,),
+        }
+        assert v1_pool.kwargs == {
             "max_workers": 6, "initializer": harness._pin_blas_threads, "initargs": (2,),
         }
-        assert manifest.workers == 6
-        assert manifest.blas_threads_per_worker in ("2", "default")
-        assert len(records) == 12
+        assert (manifest.workers, v1_manifest.workers) == (2, 6)
+        assert manifest.blas_threads_per_worker in ("6", "default")
+        assert v1_manifest.blas_threads_per_worker in ("2", "default")
+        assert len(records) == len(v1_records) == 12
 
     def test_threads_derived_from_pool_size(self, fake_pool):
-        run_sweep(_small_config(trials_per_cell=2), workers=5)
+        run_sweep(_small_config(trials_per_cell=6), workers=5)
         assert fake_pool[0].kwargs["initargs"] == (12 // 5,)
         run_sweep(_small_config(trials_per_cell=20), workers=60)
         assert fake_pool[1].kwargs["initargs"] == (1,)  # never below one thread
+        run_from_manifest(build_manifest(_small_config(trials_per_cell=2), version=1), workers=5)
+        assert fake_pool[2].kwargs["initargs"] == (12 // 5,)  # 6 single-cell tasks
 
     def test_single_cell_runs_serially(self, fake_pool):
         cfg = _small_config(m_grid=(64,), trials_per_cell=1)
@@ -177,6 +216,8 @@ class TestPool:
 
 class TestSeedHygiene:
     def test_no_two_cells_share_a_substream(self):
+        # version 1: every (m, trial) cell has its own streams; version 2: every
+        # trial has its own streams, shared by all of its cells
         cfg = SweepConfig(
             n=8, s=2, m_grid=tuple(range(10, 1010, 10)), algorithms=("nbiht",),
             trials_per_cell=100, master_seed=7,
@@ -185,11 +226,19 @@ class TestSeedHygiene:
         count = 0
         for m_index in range(len(cfg.m_grid)):
             for trial in range(cfg.trials_per_cell):
-                seed = cell_seed_table(cfg, m_index, trial)["matrix"]
+                seed = cell_seed_table(cfg, m_index, trial, version=1)["matrix"]
                 first_draws.add(float(generator_for(seed).standard_normal()))
                 count += 1
         assert count == 10_000
         assert len(first_draws) == count
+
+        tables = [
+            [cell_seed_table(cfg, m_index, trial) for m_index in range(len(cfg.m_grid))]
+            for trial in range(cfg.trials_per_cell)
+        ]
+        assert all(table == per_m[0] for per_m in tables for table in per_m)
+        trial_draws = {float(generator_for(per_m[0]["matrix"]).standard_normal()) for per_m in tables}
+        assert len(trial_draws) == cfg.trials_per_cell
 
     def test_roles_distinct_within_cell(self):
         cfg = _small_config(algorithms=("nbiht", "biht", "iht", "one_shot"))
@@ -226,6 +275,13 @@ class TestManifest:
         pooled = run_sweep(_small_config(), workers=2)[1]
         assert pooled.workers == 2
         assert pooled.blas_threads_per_worker in (str(max(1, (os.cpu_count() or 1) // 2)), "default")
+
+    def test_stage_seconds_split_the_run(self):
+        start = time.perf_counter()
+        records, manifest = run_sweep(_small_config(), workers=1)
+        wall = time.perf_counter() - start
+        assert manifest.solve_s == pytest.approx(sum(r.wall_time_ms for r in records) / 1e3)
+        assert 0 < manifest.draw_s and manifest.draw_s + manifest.solve_s <= wall
 
     def test_metadata_present(self):
         manifest = build_manifest(_small_config())

@@ -61,6 +61,23 @@ class TestGaussianMatrix:
     def test_negative_seed_accepted_deterministically(self):
         assert np.array_equal(gen_gaussian_matrix(-3, 4, 4).matrix, gen_gaussian_matrix(-3, 4, 4).matrix)
 
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        n=st.integers(1, 64),
+        m=st.integers(1, 300),
+        extra=st.integers(0, 700),
+        sigma=st.floats(1e-3, 10.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_row_prefix_is_the_shorter_draw(self, seed, n, m, extra, sigma):
+        # sweeps draw max(m_grid) rows once and run each m on the first m rows
+        # (and m noise entries); this holds because numpy fills row by row
+        # from one stream, and is checked on every numpy the CI runs
+        full = gen_gaussian_matrix(seed, m + extra, n).matrix
+        assert full[:m].tobytes() == gen_gaussian_matrix(seed, m, n).matrix.tobytes()
+        noise = generator_for(seed).normal(0.0, sigma, m + extra)
+        assert noise[:m].tobytes() == generator_for(seed).normal(0.0, sigma, m).tobytes()
+
 
 class TestSparseSignal:
     def test_flat_first_s_is_half_vector(self):

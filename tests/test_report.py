@@ -1,9 +1,12 @@
 """Persistence: CSV schema and round-trips, manifest text, SVG structure."""
 
 import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import onebitcs.harness as harness
 from onebitcs import InvalidArgumentError, SweepConfig, SweepRecord, run_from_manifest, run_sweep
 from onebitcs.report import (
     CSV_HEADER,
@@ -154,6 +157,69 @@ class TestManifestFile:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             run_from_manifest(load_manifest(path))
+
+
+V1_SWEEP = Path(__file__).parent / "data" / "v1_sweep"
+
+
+def _with_version_line(src: Path, dst: Path, line: str | None) -> Path:
+    """Copy a manifest with its manifest_version line replaced (dropped when None)."""
+    lines = [
+        old if not old.startswith("manifest_version = ") else line
+        for old in src.read_text().splitlines()
+    ]
+    dst.write_text("\n".join(line for line in lines if line is not None) + "\n")
+    return dst
+
+
+class TestManifestVersions:
+    def test_sweep_writes_version_2(self, small_sweep, tmp_path):
+        _, manifest = small_sweep
+        text = write_manifest(manifest, tmp_path / "m.txt").read_text()
+        v1_rule = harness.build_manifest(manifest.config, version=1).substream_rule
+        assert "manifest_version = 2\n" in text
+        assert f"rng.substream_rule = {manifest.substream_rule}\n" in text
+        assert manifest.substream_rule != v1_rule
+        assert load_manifest(tmp_path / "m.txt").manifest_version == 2
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_v1_fixture_replays_bitwise(self, workers):
+        manifest = load_manifest(V1_SWEEP / "manifest.txt")
+        if manifest.numpy_version != np.__version__:
+            pytest.skip(f"fixture written with numpy {manifest.numpy_version}, running {np.__version__}")
+        if manifest.blas != harness._blas_name():
+            pytest.skip(f"fixture written with BLAS {manifest.blas}, running {harness._blas_name()}")
+        assert manifest.manifest_version == 1
+        stored = [r.comparable() for r in read_records_csv(V1_SWEEP / "records.csv")]
+        records, rerun = run_from_manifest(manifest, workers=workers)
+        assert [r.comparable() for r in records] == stored
+        assert rerun.manifest_version == 1 and rerun.substream_rule == manifest.substream_rule
+
+    def test_missing_version_loads_as_1(self, tmp_path):
+        path = _with_version_line(V1_SWEEP / "manifest.txt", tmp_path / "m.txt", None)
+        back = load_manifest(path)
+        assert back.manifest_version == 1
+        assert back.cell_seeds == load_manifest(V1_SWEEP / "manifest.txt").cell_seeds
+
+    @pytest.mark.parametrize("value,message", [("3", "unknown manifest_version 3"), ("two", "malformed")])
+    def test_unknown_version_rejected(self, tmp_path, value, message):
+        path = _with_version_line(
+            V1_SWEEP / "manifest.txt", tmp_path / "m.txt", f"manifest_version = {value}"
+        )
+        with pytest.raises(InvalidArgumentError, match=message):
+            load_manifest(path)
+
+    def test_timing_keys(self, small_sweep, tmp_path):
+        records, manifest = small_sweep
+        kv = dict(
+            line.split(" = ", 1)
+            for line in write_manifest(manifest, tmp_path / "m.txt").read_text().splitlines()
+        )
+        assert float(kv["timing.draw_s"]) == manifest.draw_s > 0
+        assert float(kv["timing.solve_s"]) == manifest.solve_s
+        assert manifest.solve_s == pytest.approx(sum(r.wall_time_ms for r in records) / 1e3)
+        back = load_manifest(tmp_path / "m.txt")
+        assert (back.draw_s, back.solve_s) == (manifest.draw_s, manifest.solve_s)
 
 
 class TestSvg:
