@@ -55,7 +55,6 @@ from .sparse_ops import (
     geodesic_distance,
     hamming_distance,
     hard_threshold,
-    l2_error,
     normalize,
     sparse_dual_norm,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "hamming_distance",
     "hard_threshold",
     "iht_run",
-    "l2_error",
     "linear_measurements",
     "measure",
     "nbiht_run",

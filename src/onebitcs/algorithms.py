@@ -10,10 +10,13 @@ baseline x_{k+1} = hard_threshold(x_k + (1/m) A^T (y - A x_k), s), and
 one_shot_estimate is the single gradient step from zero,
 normalize(hard_threshold((tau/m) A^T b, s)).
 
-Any iterate whose (quantized or linear) measurements already match the data is
-a fixed point of the corresponding step map; runs stop there, on iterate
-movement below stop_tol, on the iteration budget, or on a degenerate
-(all-zero) thresholded iterate.
+The three runs share one loop, _descend, and differ only in the step they
+pass it. Any iterate whose (quantized or linear) measurements already match
+the data is a fixed point of the corresponding step map; runs stop there, on
+iterate movement below stop_tol, on the iteration budget, or on a degenerate
+(all-zero) thresholded iterate. A run returns an IterateTrace: the final
+estimate plus one sign agreement (and, given the truth, one error) per
+iterate; no iterate vector is kept.
 
 Each run takes sign(A x_k) on a contiguous copy of the columns of A on the
 iterate's support, reading from A only the columns that entered the support;
@@ -24,7 +27,7 @@ doubles (the old and the new block while one replaces the other).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,11 +61,11 @@ class AlgorithmConfig:
     def __post_init__(self):
         if self.s < 1:
             raise InvalidArgumentError("s must be >= 1")
-        if not self.tau > 0:
-            raise InvalidArgumentError("tau must be positive")
+        if not 0 < self.tau < math.inf:
+            raise InvalidArgumentError("tau must be finite and positive")
         if self.max_iters < 1:
             raise InvalidArgumentError("max_iters must be >= 1")
-        if self.stop_tol < 0:
+        if not self.stop_tol >= 0:
             raise InvalidArgumentError("stop_tol must be nonnegative")
         if self.init not in INIT_MODES:
             raise InvalidArgumentError(f"unknown init {self.init!r}")
@@ -74,17 +77,21 @@ class AlgorithmConfig:
 
 @dataclass
 class IterateTrace:
-    """Per-iterate history of one run; all sequences share one length."""
+    """Outcome of one run: the final estimate and one scalar per iterate.
 
-    iterates: list[np.ndarray]
+    sign_agreement (and errors_vs_truth, when the truth was given) hold one
+    entry for the start and one per step taken; no iterate vector is kept, so
+    a run's memory is O(N + iterations).
+    """
+
+    estimate: np.ndarray  # unit for nbiht/biht, raw for iht
     sign_agreement: list[float]
     errors_vs_truth: list[float] | None
     stop_reason: str
-    estimate: np.ndarray = field(default=None)  # unit final for nbiht/biht, raw for iht
 
     @property
     def iterations_used(self) -> int:
-        return len(self.iterates) - 1
+        return len(self.sign_agreement) - 1
 
     @property
     def final_error(self) -> float | None:
@@ -195,34 +202,28 @@ def _initial_iterate(A: MeasurementEnsemble, b, cfg: AlgorithmConfig) -> np.ndar
     return gen_sparse_signal(cfg.init_seed, A.N, cfg.s).values.copy()
 
 
-def _binary_descent(
-    A: MeasurementEnsemble,
-    b,
-    cfg: AlgorithmConfig,
-    truth,
-    normalized: bool,
+def _descend(
+    A: MeasurementEnsemble, bits: np.ndarray, cfg: AlgorithmConfig, truth, step
 ) -> IterateTrace:
-    matrix, bits = _unwrap(A, b)
-    truth_v = None if truth is None else as_vector(truth)
+    """The loop every run shares: x_{k+1} = step(x_k, sign(A x_k)).
 
-    forward_signs = _ForwardSigns(matrix)
-    x = _initial_iterate(A, b, cfg)
+    step returns the next iterate, or a stop reason (a str) before anything is
+    recorded; the loop also stops on the budget or on movement below stop_tol.
+    """
+    truth_v = None if truth is None else as_vector(truth)
+    forward_signs = _ForwardSigns(A.matrix)
+    x = _initial_iterate(A, bits, cfg)
     signs = forward_signs(x)
-    iterates = [x]
     agreement = [1.0 - hamming_distance(signs, bits)]
     errors = None if truth_v is None else [float(np.linalg.norm(x - truth_v))]
 
     stop_reason = "max_iters"
     for _ in range(cfg.max_iters):
-        if np.array_equal(signs, bits):
-            stop_reason = "converged"  # sign consistency: fixed point of the step map
-            break
-        x_new = _update(matrix, bits, x, signs, cfg.tau, cfg.s, cfg.degenerate_policy, normalized)
-        if x_new is None:
-            stop_reason = "degenerate"
+        x_new = step(x, signs)
+        if isinstance(x_new, str):
+            stop_reason = x_new
             break
         signs = forward_signs(x_new)
-        iterates.append(x_new)
         agreement.append(1.0 - hamming_distance(signs, bits))
         if errors is not None:
             errors.append(float(np.linalg.norm(x_new - truth_v)))
@@ -232,18 +233,31 @@ def _binary_descent(
             stop_reason = "converged"
             break
 
-    estimate = x if normalized else (normalize(x) if np.any(x) else x)
-    return IterateTrace(iterates, agreement, errors, stop_reason, estimate)
+    return IterateTrace(x, agreement, errors, stop_reason)
+
+
+def _binary_run(A: MeasurementEnsemble, b, cfg: AlgorithmConfig, truth, normalized: bool):
+    matrix, bits = _unwrap(A, b)
+
+    def step(x, signs):
+        if np.array_equal(signs, bits):
+            return "converged"  # sign consistency: fixed point of the step map
+        x_new = _update(matrix, bits, x, signs, cfg.tau, cfg.s, cfg.degenerate_policy, normalized)
+        return "degenerate" if x_new is None else x_new
+
+    return _descend(A, bits, cfg, truth, step)
 
 
 def nbiht_run(A: MeasurementEnsemble, b, cfg: AlgorithmConfig, truth=None) -> IterateTrace:
-    """Run the normalized iteration; every trace entry is unit and s-sparse."""
-    return _binary_descent(A, b, cfg, truth, normalized=True)
+    """Run the normalized iteration; every iterate is unit and s-sparse."""
+    return _binary_run(A, b, cfg, truth, normalized=True)
 
 
 def biht_run(A: MeasurementEnsemble, b, cfg: AlgorithmConfig, truth=None) -> IterateTrace:
     """Run the unnormalized iteration; only the reported estimate is normalized."""
-    return _binary_descent(A, b, cfg, truth, normalized=False)
+    trace = _binary_run(A, b, cfg, truth, normalized=False)
+    trace.estimate = normalize(trace.estimate)  # never zero: degenerate steps are not taken
+    return trace
 
 
 def iht_run(A: MeasurementEnsemble, y, cfg: AlgorithmConfig, truth=None) -> IterateTrace:
@@ -252,34 +266,13 @@ def iht_run(A: MeasurementEnsemble, y, cfg: AlgorithmConfig, truth=None) -> Iter
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (matrix.shape[0],):
         raise InvalidArgumentError(f"measurement length {y.size} != ensemble m {matrix.shape[0]}")
-    m = matrix.shape[0]
-    truth_v = None if truth is None else as_vector(truth)
-    b = np.where(y > 0, 1.0, -1.0)
 
-    forward_signs = _ForwardSigns(matrix)
-    x = _initial_iterate(A, BinaryObservation(bits=b), cfg)
-    iterates = [x]
-    agreement = [1.0 - hamming_distance(forward_signs(x), b)]
-    errors = None if truth_v is None else [float(np.linalg.norm(x - truth_v))]
+    def step(x, _signs):
+        x_new = hard_threshold(x + matrix.T @ (y - matrix @ x) / matrix.shape[0], cfg.s)
+        # the norm, not array_equal: a step that keeps an inf entry moves by nan
+        return "converged" if float(np.linalg.norm(x_new - x)) == 0.0 else x_new
 
-    stop_reason = "max_iters"
-    for _ in range(cfg.max_iters):
-        residual = y - matrix @ x
-        x_new = hard_threshold(x + matrix.T @ residual / m, cfg.s)
-        movement = float(np.linalg.norm(x_new - x))
-        if movement == 0.0:
-            stop_reason = "converged"  # fixed point
-            break
-        iterates.append(x_new)
-        agreement.append(1.0 - hamming_distance(forward_signs(x_new), b))
-        if errors is not None:
-            errors.append(float(np.linalg.norm(x_new - truth_v)))
-        x = x_new
-        if movement < cfg.stop_tol:
-            stop_reason = "converged"
-            break
-
-    return IterateTrace(iterates, agreement, errors, stop_reason, estimate=x)
+    return _descend(A, np.where(y > 0, 1.0, -1.0), cfg, truth, step)
 
 
 def one_shot_estimate(A: MeasurementEnsemble, b, s: int, tau: float = DEFAULT_TAU) -> np.ndarray:

@@ -92,11 +92,3 @@ def hamming_distance(b1, b2) -> float:
         raise InvalidArgumentError("observations must share one length")
     return float(np.abs(a - b).sum() / (2.0 * a.size))
 
-
-def l2_error(x, y) -> float:
-    """Euclidean norm of x - y."""
-    x = as_vector(x)
-    y = as_vector(y)
-    if x.shape != y.shape:
-        raise InvalidArgumentError("vectors must share one length")
-    return float(np.linalg.norm(x - y))

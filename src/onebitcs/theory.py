@@ -111,9 +111,6 @@ class TheorySchedule:
     def r_nonincreasing(self) -> bool:
         return all(b <= a for a, b in zip(self.r, self.r[1:]))
 
-    def error_exponent_curve(self, k_max: int) -> list[tuple[int, float]]:
-        return [(k, error_exponent(k)) for k in range(k_max + 1)]
-
 
 def _radius(i: int, m: float, c10: float, c_nsm: float) -> float:
     # closed form for the level-i radius, i >= 1

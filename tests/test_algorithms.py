@@ -1,5 +1,7 @@
 """Reconstruction algorithms: step semantics, trace invariants, baselines."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,13 @@ def _instance(seed, n=16, s=3, m=24):
     x = gen_sparse_signal(substream_seed(seed, 0), n, s)
     A = gen_gaussian_matrix(substream_seed(seed, 1), m, n)
     return x, A, measure(A, x.values)
+
+
+def _assert_same_run(t1, t2):
+    assert np.array_equal(t1.estimate.view(np.uint64), t2.estimate.view(np.uint64))
+    assert t1.sign_agreement == t2.sign_agreement
+    assert t1.errors_vs_truth == t2.errors_vs_truth
+    assert t1.stop_reason == t2.stop_reason
 
 
 class TestNbihtStep:
@@ -121,27 +130,23 @@ class TestForwardSigns:
 
 class TestNbihtRun:
     def test_trace_entries_unit_and_sparse(self):
+        # the estimate after k steps is the k-th iterate
         x, A, b = _instance(4, n=32, s=4, m=128)
-        trace = nbiht_run(A, b, AlgorithmConfig(s=4, max_iters=40, init_seed=9), truth=x)
-        for it in trace.iterates:
-            assert np.count_nonzero(it) <= 4
-            assert abs(np.linalg.norm(it) - 1.0) <= 1e-10
+        for k in range(1, 41):
+            trace = nbiht_run(A, b, AlgorithmConfig(s=4, max_iters=k, init_seed=9), truth=x)
+            assert np.count_nonzero(trace.estimate) <= 4
+            assert abs(np.linalg.norm(trace.estimate) - 1.0) <= 1e-10
 
     def test_sequences_share_length(self):
         x, A, b = _instance(5, n=32, s=4, m=128)
         trace = nbiht_run(A, b, AlgorithmConfig(s=4, max_iters=30, init_seed=2), truth=x)
-        assert len(trace.iterates) == len(trace.sign_agreement) == len(trace.errors_vs_truth)
+        assert len(trace.sign_agreement) == len(trace.errors_vs_truth) == trace.iterations_used + 1
         assert trace.stop_reason in ("max_iters", "converged", "degenerate")
 
     def test_deterministic_traces(self):
         x, A, b = _instance(6, n=32, s=4, m=128)
         cfg = AlgorithmConfig(s=4, max_iters=30, init_seed=5)
-        t1 = nbiht_run(A, b, cfg, truth=x)
-        t2 = nbiht_run(A, b, cfg, truth=x)
-        assert len(t1.iterates) == len(t2.iterates)
-        for a, c in zip(t1.iterates, t2.iterates):
-            assert np.array_equal(a, c)
-        assert t1.errors_vs_truth == t2.errors_vs_truth
+        _assert_same_run(nbiht_run(A, b, cfg, truth=x), nbiht_run(A, b, cfg, truth=x))
 
     def test_truth_start_stops_immediately(self):
         x, A, b = _instance(7, n=32, s=4, m=256)
@@ -153,7 +158,8 @@ class TestNbihtRun:
         x, A, b = _instance(8, n=64, s=4, m=512)
         trace = nbiht_run(A, b, AlgorithmConfig(s=4, init="matched_filter", max_iters=50), truth=x)
         start = one_shot_estimate(A, b, 4)
-        assert np.allclose(trace.iterates[0], start, atol=1e-15)
+        provided = AlgorithmConfig(s=4, init="provided", init_vector=start, max_iters=50)
+        _assert_same_run(trace, nbiht_run(A, b, provided, truth=x))
 
     def test_sign_agreement_within_unit_interval(self):
         x, A, b = _instance(9, n=32, s=4, m=128)
@@ -166,10 +172,7 @@ class TestNbihtRun:
         b2 = measure(A, 5.0 * x.values)
         assert np.array_equal(b1.bits, b2.bits)
         cfg = AlgorithmConfig(s=4, max_iters=40, init_seed=3)
-        t1 = nbiht_run(A, b1, cfg)
-        t2 = nbiht_run(A, b2, cfg)
-        for a, c in zip(t1.iterates, t2.iterates):
-            assert np.array_equal(a, c)
+        _assert_same_run(nbiht_run(A, b1, cfg), nbiht_run(A, b2, cfg))
 
 
 class TestBihtRun:
@@ -181,15 +184,43 @@ class TestBihtRun:
 
     def test_iterates_sparse_but_not_normalized(self):
         x, A, b = _instance(12, n=48, s=5, m=96)
-        trace = biht_run(A, b, AlgorithmConfig(s=5, max_iters=30, init_seed=8), truth=x)
-        norms = [float(np.linalg.norm(it)) for it in trace.iterates]
-        assert all(np.count_nonzero(it) <= 5 for it in trace.iterates)
-        assert any(abs(n - 1.0) > 1e-6 for n in norms[1:])  # raw subgradient iterates drift off the sphere
+        start = gen_sparse_signal(substream_seed(12, 2), 48, 5).values
+        cfg = AlgorithmConfig(s=5, max_iters=1, init="provided", init_vector=start)
+        biht = biht_run(A, b, cfg, truth=x)
+        nbiht = nbiht_run(A, b, cfg, truth=x)
+        assert biht.iterations_used == nbiht.iterations_used == 1
+        # the same step, normalized only when reported ...
+        assert np.array_equal(biht.estimate, nbiht.estimate)
+        assert np.count_nonzero(biht.estimate) <= 5
+        # ... while the raw subgradient iterate the error was taken on is off the sphere
+        assert biht.errors_vs_truth[0] == nbiht.errors_vs_truth[0]
+        assert biht.errors_vs_truth[1] != nbiht.errors_vs_truth[1]
 
     def test_reported_estimate_is_unit(self):
         x, A, b = _instance(13, n=48, s=5, m=96)
         trace = biht_run(A, b, AlgorithmConfig(s=5, max_iters=30, init_seed=8), truth=x)
         assert abs(np.linalg.norm(trace.estimate) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("run", [nbiht_run, biht_run])
+class TestDegenerateRun:
+    # signs of A x0 are (1, -1) against b = (-1, 1): z = 1 + (0.5/2) * (-4) = 0
+    A = MeasurementEnsemble(matrix=np.array([[1.0], [-1.0]]), seed=0)
+    b = BinaryObservation(bits=np.array([-1.0, 1.0]))
+
+    def _cfg(self, policy):
+        return AlgorithmConfig(
+            s=1, tau=0.5, init="provided", init_vector=np.array([1.0]), degenerate_policy=policy
+        )
+
+    def test_keep_previous_stops(self, run):
+        trace = run(self.A, self.b, self._cfg("keep_previous"))
+        assert trace.stop_reason == "degenerate" and trace.iterations_used == 0
+        assert trace.estimate.tolist() == [1.0]
+
+    def test_fail_raises(self, run):
+        with pytest.raises(DegenerateIterateError):
+            run(self.A, self.b, self._cfg("fail"))
 
 
 class TestIhtRun:
@@ -270,6 +301,9 @@ class TestConfigValidation:
             dict(s=2, init="zeros"),
             dict(s=2, degenerate_policy="retry"),
             dict(s=2, init="provided"),
+            dict(s=2, tau=math.inf),
+            dict(s=2, tau=math.nan),
+            dict(s=2, stop_tol=math.nan),
         ],
     )
     def test_rejected(self, kwargs):

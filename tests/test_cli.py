@@ -53,6 +53,12 @@ class TestExitCodes:
             ["recover", "--n", "4", "--s", "9", "--m", "16", "--seed", "1"]
         ) == 1
 
+    def test_infinite_tau_is_validation_error(self, capsys):
+        assert parse_and_dispatch(
+            ["recover", "--seed", "1", "--n", "64", "--s", "2", "--m", "256", "--tau", "inf"]
+        ) == 1
+        assert "tau must be finite and positive" in capsys.readouterr().err
+
     def test_runtime_failure_exits_two(self, capsys, monkeypatch):
         import onebitcs.harness as harness
         from onebitcs import DegenerateIterateError

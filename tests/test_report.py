@@ -159,7 +159,8 @@ class TestManifestFile:
             run_from_manifest(load_manifest(path))
 
 
-V1_SWEEP = Path(__file__).parent / "data" / "v1_sweep"
+DATA = Path(__file__).parent / "data"
+V1_SWEEP = DATA / "v1_sweep"
 
 
 def _with_version_line(src: Path, dst: Path, line: str | None) -> Path:
@@ -183,17 +184,20 @@ class TestManifestVersions:
         assert load_manifest(tmp_path / "m.txt").manifest_version == 2
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_v1_fixture_replays_bitwise(self, workers):
-        manifest = load_manifest(V1_SWEEP / "manifest.txt")
+    @pytest.mark.parametrize("version", [1, 2], ids=["v1", "v2"])
+    def test_fixture_replays_bitwise(self, version, workers):
+        fixture = DATA / f"v{version}_sweep"
+        manifest = load_manifest(fixture / "manifest.txt")
         if manifest.numpy_version != np.__version__:
             pytest.skip(f"fixture written with numpy {manifest.numpy_version}, running {np.__version__}")
         if manifest.blas != harness._blas_name():
             pytest.skip(f"fixture written with BLAS {manifest.blas}, running {harness._blas_name()}")
-        assert manifest.manifest_version == 1
-        stored = [r.comparable() for r in read_records_csv(V1_SWEEP / "records.csv")]
+        assert manifest.manifest_version == version
+        stored = [r.comparable() for r in read_records_csv(fixture / "records.csv")]
         records, rerun = run_from_manifest(manifest, workers=workers)
         assert [r.comparable() for r in records] == stored
-        assert rerun.manifest_version == 1 and rerun.substream_rule == manifest.substream_rule
+        assert rerun.manifest_version == version
+        assert rerun.substream_rule == manifest.substream_rule
 
     def test_missing_version_loads_as_1(self, tmp_path):
         path = _with_version_line(V1_SWEEP / "manifest.txt", tmp_path / "m.txt", None)

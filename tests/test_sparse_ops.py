@@ -15,7 +15,6 @@ from onebitcs import (
     geodesic_distance,
     hamming_distance,
     hard_threshold,
-    l2_error,
     measure,
     normalize,
     sparse_dual_norm,
@@ -179,22 +178,6 @@ class TestHammingDistance:
         a = np.array([1.0, -1.0, 1.0, -1.0])
         b = np.array([1.0, 1.0, -1.0, -1.0])
         assert hamming_distance(a, b) == hamming_distance(b, a) == 0.5
-
-
-class TestL2Error:
-    def test_identical(self):
-        assert l2_error([1.0, 2.0], [1.0, 2.0]) == 0.0
-
-    def test_antipodal_units(self):
-        e = np.array([1.0, 0.0])
-        assert l2_error(e, -e) == 2.0
-
-    def test_orthogonal_units(self):
-        assert l2_error([1.0, 0.0], [0.0, 1.0]) == pytest.approx(math.sqrt(2), abs=1e-15)
-
-    def test_length_mismatch(self):
-        with pytest.raises(InvalidArgumentError):
-            l2_error([1.0], [1.0, 2.0])
 
 
 class TestHammingMeanMatchesGeodesic:

@@ -119,12 +119,6 @@ class TestScheduleSequences:
         sched = theory_schedule(1e100, 1024, 5)
         assert sched.L == 3 and len(sched.r) == 3
 
-    def test_exponent_curve_access(self):
-        sched = theory_schedule(1e100, 1024, 5)
-        curve = sched.error_exponent_curve(50)
-        assert curve[0] == (0, pytest.approx(0.4))
-        assert curve[-1][0] == 50
-
 
 class TestConstants:
     def test_default_c10_from_placeholders(self):
