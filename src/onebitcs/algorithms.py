@@ -18,10 +18,13 @@ iterate movement below stop_tol, on the iteration budget, or on a degenerate
 estimate plus one sign agreement (and, given the truth, one error) per
 iterate; no iterate vector is kept.
 
-Each run takes sign(A x_k) on a contiguous copy of the columns of A on the
-iterate's support, reading from A only the columns that entered the support;
-the copy holds at most s columns, so a run's extra memory stays near 2*m*s
-doubles (the old and the new block while one replaces the other).
+Each run takes the forward product A x_k, and from it sign(A x_k), on a
+contiguous copy of the columns of A on the iterate's support, reading from A
+only the columns that entered the support; the copy holds at most s columns,
+so a run's extra memory stays near 2*m*s doubles (the old and the new block
+while one replaces the other). The loop hands that product to the step: with
+``gathered_residual`` iht_run forms its residual y - A x_k from it, and
+otherwise from a dense A @ x_k, which rounds differently.
 """
 
 from __future__ import annotations
@@ -99,7 +102,7 @@ class IterateTrace:
 
 
 class _ForwardSigns:
-    """sign(A x) for the iterates of one run, gathering A's support columns.
+    """A x and sign(A x) for the iterates of one run, gathering A's support columns.
 
     x is s-sparse in the hot loop, so the forward product is taken on the
     F-ordered block A[:, nz] (m*s instead of m*N flops). The block of the last
@@ -113,16 +116,17 @@ class _ForwardSigns:
         self.cols = np.empty(0, dtype=np.intp)  # sorted support of the cached block
         self.block = np.empty((matrix.shape[0], 0), order="F")
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
+    def product(self, x: np.ndarray) -> np.ndarray:
         nz = np.flatnonzero(x)
         if 0 < nz.size <= self.matrix.shape[1] // 8:
             if not np.array_equal(nz, self.cols):
                 self.cols, self.block = nz, self._gather(nz)
-            y = self.block @ x[nz]
-        else:
-            self.cols, self.block = nz[:0], np.empty((self.matrix.shape[0], 0), order="F")
-            y = self.matrix @ x
-        return np.where(y > 0, 1.0, -1.0)
+            return self.block @ x[nz]
+        self.cols, self.block = nz[:0], np.empty((self.matrix.shape[0], 0), order="F")
+        return self.matrix @ x
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return _sign(self.product(x))
 
     def _gather(self, nz: np.ndarray) -> np.ndarray:
         # cached columns are contiguous copies; new ones are strided reads of A
@@ -132,6 +136,10 @@ class _ForwardSigns:
             i = cached.get(col)
             block[:, j] = self.matrix[:, col] if i is None else self.block[:, i]
         return block
+
+
+def _sign(y: np.ndarray) -> np.ndarray:
+    return np.where(y > 0, 1.0, -1.0)
 
 
 def _sign_gradient(matrix: np.ndarray, bits: np.ndarray, signs: np.ndarray) -> np.ndarray:
@@ -205,25 +213,27 @@ def _initial_iterate(A: MeasurementEnsemble, b, cfg: AlgorithmConfig) -> np.ndar
 def _descend(
     A: MeasurementEnsemble, bits: np.ndarray, cfg: AlgorithmConfig, truth, step
 ) -> IterateTrace:
-    """The loop every run shares: x_{k+1} = step(x_k, sign(A x_k)).
+    """The loop every run shares: x_{k+1} = step(x_k, sign(A x_k), A x_k).
 
     step returns the next iterate, or a stop reason (a str) before anything is
     recorded; the loop also stops on the budget or on movement below stop_tol.
     """
     truth_v = None if truth is None else as_vector(truth)
-    forward_signs = _ForwardSigns(A.matrix)
+    forward = _ForwardSigns(A.matrix)
     x = _initial_iterate(A, bits, cfg)
-    signs = forward_signs(x)
+    ax = forward.product(x)
+    signs = _sign(ax)
     agreement = [1.0 - hamming_distance(signs, bits)]
     errors = None if truth_v is None else [float(np.linalg.norm(x - truth_v))]
 
     stop_reason = "max_iters"
     for _ in range(cfg.max_iters):
-        x_new = step(x, signs)
+        x_new = step(x, signs, ax)
         if isinstance(x_new, str):
             stop_reason = x_new
             break
-        signs = forward_signs(x_new)
+        ax = forward.product(x_new)
+        signs = _sign(ax)
         agreement.append(1.0 - hamming_distance(signs, bits))
         if errors is not None:
             errors.append(float(np.linalg.norm(x_new - truth_v)))
@@ -239,7 +249,7 @@ def _descend(
 def _binary_run(A: MeasurementEnsemble, b, cfg: AlgorithmConfig, truth, normalized: bool):
     matrix, bits = _unwrap(A, b)
 
-    def step(x, signs):
+    def step(x, signs, _ax):
         if np.array_equal(signs, bits):
             return "converged"  # sign consistency: fixed point of the step map
         x_new = _update(matrix, bits, x, signs, cfg.tau, cfg.s, cfg.degenerate_policy, normalized)
@@ -260,19 +270,28 @@ def biht_run(A: MeasurementEnsemble, b, cfg: AlgorithmConfig, truth=None) -> Ite
     return trace
 
 
-def iht_run(A: MeasurementEnsemble, y, cfg: AlgorithmConfig, truth=None) -> IterateTrace:
-    """Classical hard-thresholding descent on linear measurements y = Ax."""
+def iht_run(
+    A: MeasurementEnsemble, y, cfg: AlgorithmConfig, truth=None, *, gathered_residual: bool = False
+) -> IterateTrace:
+    """Classical hard-thresholding descent on linear measurements y = Ax.
+
+    With ``gathered_residual`` the residual y - A x_k uses the forward product
+    the loop already took on the support columns (m*s flops); otherwise it
+    takes a dense A @ x_k (m*N flops), as manifest versions 1 and 2 recorded.
+    """
     matrix = A.matrix
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (matrix.shape[0],):
         raise InvalidArgumentError(f"measurement length {y.size} != ensemble m {matrix.shape[0]}")
 
-    def step(x, _signs):
-        x_new = hard_threshold(x + matrix.T @ (y - matrix @ x) / matrix.shape[0], cfg.s)
+    def step(x, _signs, ax):
+        if not gathered_residual:
+            ax = matrix @ x
+        x_new = hard_threshold(x + matrix.T @ (y - ax) / matrix.shape[0], cfg.s)
         # the norm, not array_equal: a step that keeps an inf entry moves by nan
         return "converged" if float(np.linalg.norm(x_new - x)) == 0.0 else x_new
 
-    return _descend(A, np.where(y > 0, 1.0, -1.0), cfg, truth, step)
+    return _descend(A, _sign(y), cfg, truth, step)
 
 
 def one_shot_estimate(A: MeasurementEnsemble, b, s: int, tau: float = DEFAULT_TAU) -> np.ndarray:

@@ -3,11 +3,15 @@
 Each (m, trial) cell draws its signal, ensemble, and noise from substreams of
 the master seed, named by the cell's seed table, so every algorithm in a cell
 sees the same instance (paired comparison) and any execution order or worker
-count reproduces the same records bitwise. Under manifest version 2 the
+count reproduces the same records bitwise. From manifest version 2 on the
 tables depend on the trial only: a trial draws one ``max(m_grid)``-row matrix
-and every m runs on its first m rows, which numpy fills exactly as an m-row
-draw from the same stream, so the instances of a trial are nested across m.
-Under version 1, which old manifests replay, every cell has its own table.
+and every m runs on its first m rows, which are bitwise an m-row draw from
+the same seed, so the instances of a trial are nested across m. Version 3,
+which run_sweep and recover write, draws that matrix in seeded 512-row blocks
+on as many threads as the process's share of the CPUs (the records do not
+depend on the thread count), and takes A x by support gather, for the
+measurements and for the IHT residual. Versions 1 (every cell its own table)
+and 2 (one stream per matrix, dense A x) replay as they were written.
 Records are canonically sorted by (algorithm, m, trial_index) before they are
 returned.
 """
@@ -55,12 +59,16 @@ _ROLE_MATRIX = 1
 _ROLE_NOISE = 2
 _ROLE_INIT_BASE = 3
 
-MANIFEST_VERSION = 2  # what run_sweep writes
-# rng.substream_rule by manifest version; version 1 manifests still replay
+MANIFEST_VERSION = 3  # what run_sweep and recover write
+# rng.substream_rule by manifest version; version 1 and 2 manifests still replay
 _SUBSTREAM_RULES = {
     1: SUBSTREAM_RULE,  # indices = (m_index * trials_per_cell + trial, role)
     2: "seed = SeedSequence((master_seed, trial, role)).generate_state(1, uint64)[0]; "
        "each trial draws max(m_grid) matrix rows and m runs on the first m",
+    3: "seed = SeedSequence((master_seed, trial, role)).generate_state(1, uint64)[0]; "
+       "each trial draws max(m_grid) matrix rows in 512-row blocks, block i from "
+       "SeedSequence(matrix seed, spawn_key=(i,)), and m runs on the first m; "
+       "A x by support gather",
 }
 
 # OpenBLAS thread setters, as numpy's own wheel (scipy-openblas) and a plain
@@ -71,6 +79,7 @@ _BLAS_SETTERS = (
     "openblas_set_num_threads64_",
     "openblas_set_num_threads",
 )
+_BLAS_GETTERS = tuple(name.replace("_set_", "_get_") for name in _BLAS_SETTERS)
 
 
 @dataclass(frozen=True)
@@ -162,7 +171,8 @@ class RunManifest:
     manifest_version: int = MANIFEST_VERSION
     blas: str = "unknown"  # name and version of the BLAS numpy was built against
     workers: int = 1  # processes the tasks ran in (the pool size, 1 when serial)
-    blas_threads_per_worker: str = "default"  # pinned count, "default" when left to the BLAS
+    blas_threads_per_worker: str = "default"  # threads each process's OpenBLAS ran, "default" if unknown
+    draw_threads: int = 1  # threads given to each matrix draw (1 under versions 1 and 2)
     draw_s: float = 0.0  # seconds spent outside solve (instance draws), summed over tasks
     solve_s: float = 0.0  # seconds spent in solve, summed over records
 
@@ -175,7 +185,7 @@ def cell_seed_table(
     The instance streams depend only on (master_seed, instance index), so all
     algorithms in the cell share the drawn (x, A, noise); each algorithm gets
     its own init stream at a role fixed by the canonical algorithm order. The
-    instance index is the trial under manifest version 2, so every cell of a
+    instance index is the trial from manifest version 2 on, so every cell of a
     trial shares one table, and m_index * trials_per_cell + trial under 1.
     """
     instance = m_index * cfg.trials_per_cell + trial if version == 1 else trial
@@ -231,27 +241,44 @@ def _sphere_error(estimate: np.ndarray, truth: np.ndarray) -> float:
     return float(np.linalg.norm(unit - truth))
 
 
-def draw_instances(cfg: SweepConfig, ms: tuple[int, ...], seeds: dict[str, int]):
+def _thread_share(pool_size: int) -> int:
+    """Threads per process when ``pool_size`` processes share the CPUs."""
+    return max(1, (os.cpu_count() or 1) // pool_size)
+
+
+def draw_instances(
+    cfg: SweepConfig,
+    ms: tuple[int, ...],
+    seeds: dict[str, int],
+    version: int = MANIFEST_VERSION,
+    threads: int | None = None,
+):
     """Yield (m, instance) for each m of ``ms`` (increasing) from one seed table.
 
     The matrix is drawn once with ``ms[-1]`` rows; the instance at m uses a
     view of its first m rows, which is bitwise the m-row draw from the same
-    stream, and draws its noise at m entries. An instance is
+    seed, and draws its noise at m entries. An instance is
     (signal, ensemble, A x + eps, sign(A x + eps)); every algorithm in the
-    cell runs on it.
+    cell runs on it. Under version 3 the matrix is drawn in 512-row blocks on
+    ``threads`` threads (every CPU when None) and A x is taken by support
+    gather; before it, from one stream with a dense A x.
     """
     x = gen_sparse_signal(seeds["signal"], cfg.n, cfg.s, cfg.support_rule, cfg.value_rule)
-    rows = gen_gaussian_matrix(seeds["matrix"], ms[-1], cfg.n)
+    blocked = version >= 3  # the one version branch of the draw
+    rows = gen_gaussian_matrix(
+        seeds["matrix"], ms[-1], cfg.n, blocked=blocked,
+        threads=_thread_share(1) if threads is None else threads,
+    )
     for m in ms:
         A = MeasurementEnsemble(rows.matrix[:m], rows.seed)  # C-contiguous view, no copy
-        lin = linear_measurements(A, x, cfg.noise_std, seeds["noise"])
+        lin = linear_measurements(A, x, cfg.noise_std, seeds["noise"], support_gather=blocked)
         yield m, (x, A, lin, sign_quantize(lin))
 
 
 def solve(
-    cfg: SweepConfig, algo: str, instance: tuple, init_seed: int
+    cfg: SweepConfig, algo: str, instance: tuple, init_seed: int, version: int = MANIFEST_VERSION
 ) -> tuple[float, int, float, str]:
-    """Run one algorithm on a drawn instance.
+    """Run one algorithm on a drawn instance under a manifest version.
 
     Returns (final_l2_error, iterations_used, sign_agreement, stop_reason),
     with the error measured after projecting the estimate onto the sphere.
@@ -273,7 +300,7 @@ def solve(
         agreement = 1.0 - hamming_distance(sign_quantize(A.matrix @ estimate), b)
         return _sphere_error(estimate, x.values), 1, agreement, "one_shot"
     if algo == "iht":
-        trace = iht_run(A, lin, algo_cfg)
+        trace = iht_run(A, lin, algo_cfg, gathered_residual=version >= 3)
     elif algo == "nbiht":
         trace = nbiht_run(A, b, algo_cfg)
     else:
@@ -283,23 +310,32 @@ def solve(
 
 
 def _run_task(
-    cfg: SweepConfig, cells: tuple[tuple[int, int], ...], seeds: dict[str, int]
+    cfg: SweepConfig,
+    cells: tuple[tuple[int, int], ...],
+    seeds: dict[str, int],
+    version: int,
+    threads: int,
 ) -> tuple[list[SweepRecord], float]:
     """Run the (m, trial) cells that share one seed table, ordered by m.
 
     Returns their records and the task's seconds outside solve (the draws).
+    A run that fails is recorded as an ``error:`` row; a failed draw raises.
     """
     task_start = time.perf_counter()
     records = []
     trial_of = dict(cells)
-    for m, instance in draw_instances(cfg, tuple(trial_of), seeds):
+    for m, instance in draw_instances(cfg, tuple(trial_of), seeds, version, threads):
         for algo in sorted(cfg.algorithms):
             start = time.perf_counter()
             try:
-                outcome = solve(cfg, algo, instance, seeds[f"init.{algo}"])
+                outcome = solve(cfg, algo, instance, seeds[f"init.{algo}"], version)
+            except InvalidArgumentError:
+                raise  # a rejected setting fails every run alike: a validation error
             except (DegenerateIterateError, SamplingExhaustedError) as exc:
                 # a failed cell is recorded, never fatal to the sweep
                 outcome = (2.0, 0, 0.0, f"error: {exc}")
+            except Exception as exc:
+                outcome = (2.0, 0, 0.0, f"error: {type(exc).__name__}: {exc}")
             wall_ms = (time.perf_counter() - start) * 1e3
             records.append(
                 SweepRecord(algo, m, cfg.n, cfg.s, trial_of[m], *outcome, wall_time_ms=wall_ms)
@@ -351,14 +387,16 @@ def run_sweep(
 ) -> tuple[list[SweepRecord], RunManifest]:
     """Execute all (algorithm, m, trial) cells; return sorted records + manifest.
 
-    Writes manifest version 2. A task is the group of cells that share one
-    seed table (a trial under version 2, a single cell under version 1): it
+    Writes manifest version 3. A task is the group of cells that share one
+    seed table (a trial from version 2 on, a single cell under version 1): it
     draws the matrix once, at its largest m, and runs every cell on a prefix.
     With ``workers > 1`` the tasks run in a pool of at most one process per
-    task, so a version 2 sweep with fewer trials than workers uses a smaller
-    pool, and each worker's BLAS is pinned to ``max(1, cpus // pool size)``
-    threads so that workers times threads does not exceed the CPU count. The
-    serial path keeps the BLAS default.
+    task, so a sweep with fewer trials than workers uses a smaller pool. Each
+    process gets ``max(1, cpus // pool size)`` threads, so that processes
+    times threads does not exceed the CPU count: pool workers pin their BLAS
+    to that count, and every process fills its version 3 matrix blocks on
+    that many threads. The serial path keeps the BLAS default and draws on
+    every CPU.
     """
     return _execute(build_manifest(cfg, constants), workers)
 
@@ -369,24 +407,27 @@ def _execute(manifest: RunManifest, workers: int) -> tuple[list[SweepRecord], Ru
     groups: dict[tuple, list[tuple[int, int]]] = {}
     for (m, trial), seeds in sorted(manifest.cell_seeds.items(), key=lambda cell: cell[0][::-1]):
         groups.setdefault(tuple(sorted(seeds.items())), []).append((m, trial))
-    tasks = [(cfg, tuple(cells), dict(table)) for table, cells in groups.items()]
-    pool_size = min(workers, len(tasks))
+    version = manifest.manifest_version
+    pool_size = max(1, min(workers, len(groups)))
+    threads = _thread_share(pool_size)
+    tasks = [(cfg, tuple(cells), dict(table), version, threads) for table, cells in groups.items()]
     if pool_size > 1:
-        threads = max(1, (os.cpu_count() or 1) // pool_size)
         with ProcessPoolExecutor(
             max_workers=pool_size, initializer=_pin_blas_threads, initargs=(threads,)
         ) as pool:
             per_task = list(pool.map(_run_task, *zip(*tasks), chunksize=1))
         pinned = str(threads) if _loaded_blas_function(_BLAS_SETTERS) is not None else "default"
     else:
-        pool_size, pinned = 1, "default"
         per_task = [_run_task(*task) for task in tasks]
+        getter = _loaded_blas_function(_BLAS_GETTERS)
+        pinned = "default" if getter is None else str(getter())
     records = [rec for task_records, _ in per_task for rec in task_records]
     records.sort(key=lambda r: (r.algorithm, r.m, r.trial_index))
     return records, dataclasses.replace(
         manifest,
         workers=pool_size,
         blas_threads_per_worker=pinned,
+        draw_threads=threads if version >= 3 else 1,
         draw_s=sum(draw_s for _, draw_s in per_task),
         solve_s=sum(rec.wall_time_ms for rec in records) / 1e3,
     )

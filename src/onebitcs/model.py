@@ -2,17 +2,24 @@
 
 Sign convention: sign(w) = +1 for w > 0 and -1 otherwise, including w = 0.
 All generated arrays are frozen (read-only) after construction; every
-constructor is a pure function of its seed and parameters.
+constructor is a pure function of its seed and parameters. The Gaussian
+ensemble comes either from one stream, row by row, or (``blocked``) in
+independently seeded 512-row blocks that threads may fill in any order; in
+both forms the first m rows of a taller draw are bitwise the m-row draw.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .rng import generator_for
+from .rng import block_generator, generator_for
+
+DRAW_BLOCK_ROWS = 512  # rows per seeded block of a blocked draw; fixed, so prefixes nest
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -122,11 +129,41 @@ class BinaryObservation:
         return self.bits.size
 
 
-def gen_gaussian_matrix(seed: int, m: int, N: int) -> MeasurementEnsemble:
-    """Draw an m x N standard Gaussian ensemble from the named generator."""
+def gen_gaussian_matrix(
+    seed: int, m: int, N: int, *, blocked: bool = False, threads: int = 1
+) -> MeasurementEnsemble:
+    """Draw an m x N standard Gaussian ensemble from the named generator.
+
+    By default every entry comes from one stream, row by row. With
+    ``blocked``, rows [512 i, 512 (i + 1)) come from their own stream,
+    ``rng.block_generator(seed, i)``, and up to ``threads`` threads fill the
+    blocks (never more than the blocks or the CPUs); the matrix does not
+    depend on the thread count. Either way the first m rows of a taller draw
+    are bitwise the m-row draw.
+    """
     if m < 1 or N < 1:
         raise InvalidArgumentError(f"matrix dimensions must be positive, got m={m}, N={N}")
-    matrix = generator_for(seed).standard_normal((m, N))
+    if threads < 1:
+        raise InvalidArgumentError(f"threads must be >= 1, got {threads}")
+    if not blocked:
+        return MeasurementEnsemble(matrix=generator_for(seed).standard_normal((m, N)), seed=int(seed))
+    # allocated before any block seed is derived, so a size that cannot be
+    # allocated fails at once
+    matrix = np.empty((m, N))
+    blocks = -(-m // DRAW_BLOCK_ROWS)
+    threads = min(threads, blocks, os.cpu_count() or 1)
+
+    def fill(first: int) -> None:
+        # blocks first, first + threads, ...; each block's seed is derived when it is filled
+        for i in range(first, blocks, threads):
+            rows = matrix[i * DRAW_BLOCK_ROWS:(i + 1) * DRAW_BLOCK_ROWS]
+            block_generator(seed, i).standard_normal(out=rows)  # releases the GIL
+
+    if threads == 1:
+        fill(0)
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(fill, range(threads)))  # re-raises a thread's exception
     return MeasurementEnsemble(matrix=matrix, seed=int(seed))
 
 
@@ -178,18 +215,30 @@ def sign_quantize(v) -> BinaryObservation:
 
 
 def linear_measurements(
-    A: MeasurementEnsemble, x, noise_std: float = 0.0, noise_seed: int = 0
+    A: MeasurementEnsemble,
+    x,
+    noise_std: float = 0.0,
+    noise_seed: int = 0,
+    *,
+    support_gather: bool = False,
 ) -> np.ndarray:
     """Pre-quantization measurements Ax + eps with eps ~ N(0, noise_std^2).
 
-    eps is identically zero when noise_std == 0 (no draw is consumed).
+    eps is identically zero when noise_std == 0 (no draw is consumed). With
+    ``support_gather`` the product is taken on the columns of A on the
+    support of x, A[:, nz] @ x[nz] (m*s instead of m*N flops); it equals the
+    dense product up to rounding, not bitwise.
     """
     x = as_vector(x)
     if x.shape != (A.N,):
         raise InvalidArgumentError(f"signal length {x.size} != ensemble N {A.N}")
     if noise_std < 0:
         raise InvalidArgumentError("noise_std must be nonnegative")
-    y = A.matrix @ x
+    if support_gather:
+        nz = np.flatnonzero(x)
+        y = A.matrix[:, nz] @ x[nz]
+    else:
+        y = A.matrix @ x
     if noise_std > 0:
         y = y + generator_for(noise_seed).normal(0.0, noise_std, size=A.m)
     return y

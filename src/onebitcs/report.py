@@ -87,6 +87,7 @@ def _manifest_lines(manifest: RunManifest) -> list[str]:
         f"env.blas = {manifest.blas}",
         f"env.workers = {manifest.workers}",
         f"env.blas_threads_per_worker = {manifest.blas_threads_per_worker}",
+        f"env.draw_threads = {manifest.draw_threads}",
         f"timing.draw_s = {manifest.draw_s!r}",
         f"timing.solve_s = {manifest.solve_s!r}",
         f"config.n = {cfg.n}",
@@ -153,6 +154,7 @@ def load_manifest(path) -> RunManifest:
             value_rule=kv.get("config.value_rule", "gaussian"),
         )
         workers = int(kv.get("env.workers", 1))
+        draw_threads = int(kv.get("env.draw_threads", 1))
         version = int(kv.get("manifest_version", 1))
         draw_s = float(kv.get("timing.draw_s", 0.0))
         solve_s = float(kv.get("timing.solve_s", 0.0))
@@ -182,6 +184,7 @@ def load_manifest(path) -> RunManifest:
         blas=kv.get("env.blas", "unknown"),
         workers=workers,
         blas_threads_per_worker=kv.get("env.blas_threads_per_worker", "default"),
+        draw_threads=draw_threads,
         draw_s=draw_s,
         solve_s=solve_s,
     )

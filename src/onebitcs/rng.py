@@ -4,7 +4,8 @@ Every randomized operation in this package draws from a numpy PCG64 generator
 seeded through SeedSequence. Independent substreams are derived from
 (master_seed, *indices) via the splitting rule below; the rule and the Gaussian
 sampling transform are recorded in run manifests so results stay reproducible
-across builds.
+across builds. A blocked matrix draw (manifest version 3) fills each row block
+from its own child of the matrix seed, ``block_generator(seed, i)``.
 """
 
 from __future__ import annotations
@@ -38,3 +39,14 @@ def generator_for(seed: int) -> np.random.Generator:
     """Build the package's named generator (PCG64) for a 64-bit seed."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(_as_entropy(seed))))
 
+
+
+def block_generator(seed: int, block: int) -> np.random.Generator:
+    """The generator of row block ``block`` of a blocked draw seeded by ``seed``.
+
+    Its SeedSequence is ``SeedSequence(entropy, spawn_key=(block,))``, the
+    child ``SeedSequence(entropy).spawn`` would make at that index, derived on
+    its own so that no block needs the seeds of the others.
+    """
+    sequence = np.random.SeedSequence(_as_entropy(seed), spawn_key=(int(block),))
+    return np.random.Generator(np.random.PCG64(sequence))

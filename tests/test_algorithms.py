@@ -15,6 +15,7 @@ from onebitcs import (
     biht_run,
     gen_gaussian_matrix,
     gen_sparse_signal,
+    hard_threshold,
     iht_run,
     measure,
     nbiht_run,
@@ -248,6 +249,28 @@ class TestIhtRun:
         x, A, _ = _instance(15)
         with pytest.raises(InvalidArgumentError):
             iht_run(A, np.ones(A.m + 1), AlgorithmConfig(s=2))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_gathered_residual_matches_reference_step(self, seed):
+        # the residual uses A[:, nz] @ x[nz], the product sign(A x) was taken from
+        n, s, m = 256, 4, 200
+        x, A, _ = _instance(700 + seed, n=n, s=s, m=m)
+        matrix = A.matrix
+        y = matrix @ x.values + 0.05 * generator_for(substream_seed(700, seed)).standard_normal(m)
+        cfg = AlgorithmConfig(s=s, max_iters=60, stop_tol=0.0, init_seed=substream_seed(701, seed))
+        trace = iht_run(A, y, cfg, gathered_residual=True)
+
+        xk = gen_sparse_signal(cfg.init_seed, n, s).values.copy()
+        for iterations in range(cfg.max_iters):
+            nz = np.flatnonzero(xk)
+            x_new = hard_threshold(xk + matrix.T @ (y - matrix[:, nz] @ xk[nz]) / m, s)
+            if float(np.linalg.norm(x_new - xk)) == 0.0:
+                break
+            xk = x_new
+        else:
+            iterations = cfg.max_iters
+        assert trace.estimate.tobytes() == xk.tobytes()
+        assert trace.iterations_used == iterations
 
 
 class TestOneShot:

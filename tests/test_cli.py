@@ -86,12 +86,13 @@ class TestExitCodes:
         assert err == ["onebitcs: runtime failure: RuntimeError: synthetic fault"]
 
     def test_unexpected_exception_under_sweep_exits_two(self, tmp_path, capsys, monkeypatch):
+        # a failed run is an error row, but a failed draw fails the sweep
         import onebitcs.harness as harness
 
         def boom(*args, **kwargs):
             raise ZeroDivisionError("division by zero")
 
-        monkeypatch.setattr(harness, "solve", boom)
+        monkeypatch.setattr(harness, "gen_sparse_signal", boom)
         code = parse_and_dispatch(
             ["sweep", "--n", "16", "--s", "2", "--m-grid", "32,64", "--trials", "1",
              "--seed", "1", "--workers", "1", "--out-dir", str(tmp_path / "out")]
@@ -242,6 +243,30 @@ class TestSweep:
         assert parse_and_dispatch(self.ARGS + ["--out-dir", str(tmp_path / "out")]) == 0
         out = capsys.readouterr().out
         assert "nbiht: stop reasons converged=0 max_iters=0 degenerate=0 error=9" in out
+
+    def test_unexpected_run_failure_is_recorded(self, tmp_path, capsys, monkeypatch):
+        import onebitcs.harness as harness
+        from onebitcs.report import read_records_csv
+
+        real_solve = harness.solve
+
+        def solve(cfg, algo, *args):
+            if algo == "nbiht":
+                raise ValueError("synthetic fault")
+            return real_solve(cfg, algo, *args)
+
+        monkeypatch.setattr(harness, "solve", solve)
+        out = tmp_path / "out"
+        assert parse_and_dispatch(self.ARGS + ["--out-dir", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("nbiht: no fit (")
+        assert lines[1].startswith("one_shot: slope = ")
+        assert lines[2] == "nbiht: stop reasons converged=0 max_iters=0 degenerate=0 error=9"
+        records = read_records_csv(out / "records.csv")
+        assert {r.stop_reason for r in records if r.algorithm == "nbiht"} == {
+            "error: ValueError: synthetic fault"
+        }
+        assert len(records) == 18
 
     def test_all_failed_algorithm_has_no_fit(self, tmp_path, capsys, monkeypatch):
         import onebitcs.harness as harness

@@ -80,31 +80,53 @@ class TestRunSweep:
         calls = []
         real = harness.gen_gaussian_matrix
 
-        def recording(seed, m, N):
-            calls.append((seed, m))
-            return real(seed, m, N)
+        def recording(seed, m, N, **kwargs):
+            calls.append((seed, m, kwargs["blocked"]))
+            return real(seed, m, N, **kwargs)
 
         monkeypatch.setattr(harness, "gen_gaussian_matrix", recording)
         cfg = _small_config()
         run_sweep(cfg)
-        assert sorted(m for _, m in calls) == [256] * cfg.trials_per_cell
-        assert len({seed for seed, _ in calls}) == cfg.trials_per_cell
+        assert sorted(m for _, m, _ in calls) == [256] * cfg.trials_per_cell
+        assert len({seed for seed, _, _ in calls}) == cfg.trials_per_cell
+        assert all(blocked for _, _, blocked in calls)
+        calls.clear()
+        run_from_manifest(build_manifest(cfg, version=2))
+        assert sorted(m for _, m, _ in calls) == [256] * cfg.trials_per_cell
+        assert not any(blocked for _, _, blocked in calls)
         calls.clear()
         run_from_manifest(build_manifest(cfg, version=1))
-        assert sorted(m for _, m in calls) == sorted(cfg.m_grid * cfg.trials_per_cell)
+        assert sorted(m for _, m, _ in calls) == sorted(cfg.m_grid * cfg.trials_per_cell)
 
     def test_nested_instance_equals_direct_draw(self):
         cfg = _small_config(noise_std=0.3)
         seeds = cell_seed_table(cfg, 0, 1)
-        nested = dict(harness.draw_instances(cfg, cfg.m_grid, seeds))
-        for m in cfg.m_grid:
-            ((_, direct),) = harness.draw_instances(cfg, (m,), seeds)
-            x, A, lin, b = nested[m]
-            assert A.matrix.shape == (m, cfg.n) and A.matrix.flags.c_contiguous
-            assert A.matrix.tobytes() == direct[1].matrix.tobytes()
-            assert lin.tobytes() == direct[2].tobytes()
-            assert b.bits.tobytes() == direct[3].bits.tobytes()
-            assert np.shares_memory(A.matrix, nested[cfg.m_grid[-1]][1].matrix)
+        for version in (2, 3):
+            nested = dict(harness.draw_instances(cfg, cfg.m_grid, seeds, version))
+            for m in cfg.m_grid:
+                ((_, direct),) = harness.draw_instances(cfg, (m,), seeds, version)
+                x, A, lin, b = nested[m]
+                assert A.matrix.shape == (m, cfg.n) and A.matrix.flags.c_contiguous
+                assert A.matrix.tobytes() == direct[1].matrix.tobytes()
+                assert lin.tobytes() == direct[2].tobytes()
+                assert b.bits.tobytes() == direct[3].bits.tobytes()
+                assert np.shares_memory(A.matrix, nested[cfg.m_grid[-1]][1].matrix)
+
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_measurements_by_version(self, version):
+        # version 3 takes A x on the signal's support columns, earlier versions densely
+        cfg = _small_config(n=512, s=4, m_grid=(600, 1100))  # rows across a draw block boundary
+        seeds = cell_seed_table(cfg, 0, 0)
+        for m, (x, A, lin, b) in harness.draw_instances(cfg, cfg.m_grid, seeds, version):
+            nz = np.flatnonzero(x.values)
+            expected = A.matrix[:, nz] @ x.values[nz] if version == 3 else A.matrix @ x.values
+            assert lin.tobytes() == expected.tobytes()
+            assert np.array_equal(b.bits, np.where(expected > 0, 1.0, -1.0))
+
+    def test_rejected_setting_raises_instead_of_rows(self):
+        # an infinite tau fails every run alike: a validation error, not error rows
+        with pytest.raises(InvalidArgumentError, match="tau"):
+            run_sweep(_small_config(tau=float("inf")))
 
     def test_config_validation(self):
         with pytest.raises(InvalidArgumentError):
@@ -139,11 +161,8 @@ class _RecordingPool:
         return map(fn, *iterables)
 
 
-_BLAS_GETTERS = tuple(name.replace("_set_", "_get_") for name in harness._BLAS_SETTERS)
-
-
 def _worker_blas_threads(_):
-    return harness._loaded_blas_function(_BLAS_GETTERS)()
+    return harness._loaded_blas_function(harness._BLAS_GETTERS)()
 
 
 class TestPool:
@@ -183,7 +202,27 @@ class TestPool:
         cfg = _small_config(m_grid=(64,), trials_per_cell=1)
         _, manifest = run_sweep(cfg, workers=8)
         assert fake_pool == []
-        assert (manifest.workers, manifest.blas_threads_per_worker) == (1, "default")
+        assert (manifest.workers, manifest.blas_threads_per_worker) == (1, _serial_blas_threads())
+
+    def test_draw_threads_are_the_process_share(self, fake_pool, monkeypatch):
+        # 12 CPUs: every one on the serial path, 12 // pool size in a pool;
+        # versions 1 and 2 draw one stream
+        given = []
+        real = harness.gen_gaussian_matrix
+
+        def recording(seed, m, N, **kwargs):
+            given.append(kwargs["threads"])
+            return real(seed, m, N, **kwargs)
+
+        monkeypatch.setattr(harness, "gen_gaussian_matrix", recording)
+        cfg = _small_config(trials_per_cell=2)
+        manifests = [
+            run_sweep(cfg, workers=1)[1],
+            run_sweep(cfg, workers=2)[1],
+            run_from_manifest(build_manifest(cfg, version=2), workers=1)[1],
+        ]
+        assert given == [12] * 2 + [6] * 2 + [12] * 2
+        assert [m.draw_threads for m in manifests] == [12, 6, 1]
 
     def test_default_threads_recorded_without_setter(self, fake_pool, monkeypatch):
         monkeypatch.setattr(harness, "_loaded_blas_function", lambda names: None)
@@ -204,7 +243,7 @@ class TestPool:
         assert harness._pin_blas_threads(1) is None
 
     def test_workers_run_pinned_thread_count(self):
-        if harness._loaded_blas_function(_BLAS_GETTERS) is None:
+        if harness._loaded_blas_function(harness._BLAS_GETTERS) is None:
             pytest.skip("no OpenBLAS thread getter in this process")
         expected = max(1, (os.cpu_count() or 1) // 2)
         with ProcessPoolExecutor(
@@ -212,6 +251,11 @@ class TestPool:
         ) as pool:
             seen = list(pool.map(_worker_blas_threads, range(4)))
         assert seen == [expected] * 4
+
+
+def _serial_blas_threads():
+    getter = harness._loaded_blas_function(harness._BLAS_GETTERS)
+    return "default" if getter is None else str(getter())
 
 
 class TestSeedHygiene:
@@ -270,11 +314,13 @@ class TestManifest:
 
     def test_env_fields(self):
         serial = run_sweep(_small_config(), workers=1)[1]
-        assert (serial.workers, serial.blas_threads_per_worker) == (1, "default")
+        assert (serial.workers, serial.blas_threads_per_worker) == (1, _serial_blas_threads())
+        assert serial.draw_threads == (os.cpu_count() or 1)
         assert serial.blas
         pooled = run_sweep(_small_config(), workers=2)[1]
-        assert pooled.workers == 2
-        assert pooled.blas_threads_per_worker in (str(max(1, (os.cpu_count() or 1) // 2)), "default")
+        share = max(1, (os.cpu_count() or 1) // 2)
+        assert (pooled.workers, pooled.draw_threads) == (2, share)
+        assert pooled.blas_threads_per_worker in (str(share), "default")
 
     def test_stage_seconds_split_the_run(self):
         start = time.perf_counter()

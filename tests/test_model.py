@@ -1,10 +1,15 @@
 """Measurement model: generators, quantizer, determinism, scale invariance."""
 
+import os
+from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import onebitcs.model as model
 from onebitcs import (
     BinaryObservation,
     InvalidArgumentError,
@@ -19,6 +24,7 @@ from onebitcs import (
     sign_quantize,
     substream_seed,
 )
+from onebitcs.rng import block_generator
 
 
 class TestGaussianMatrix:
@@ -77,6 +83,76 @@ class TestGaussianMatrix:
         assert full[:m].tobytes() == gen_gaussian_matrix(seed, m, n).matrix.tobytes()
         noise = generator_for(seed).normal(0.0, sigma, m + extra)
         assert noise[:m].tobytes() == generator_for(seed).normal(0.0, sigma, m).tobytes()
+
+
+_SEEDS = st.integers(0, 2**64 - 1)
+
+
+class TestBlockedGaussianMatrix:
+    @given(
+        seed=_SEEDS,
+        n=st.integers(1, 6),
+        m=st.one_of(st.integers(1, 511), st.just(512), st.integers(513, 1100)),
+        extra=st.one_of(st.integers(0, 600), st.integers(2000, 4000)),
+    )
+    @example(seed=1, n=3, m=100, extra=20)  # m < 512, one block
+    @example(seed=2, n=3, m=512, extra=1)  # m = 512, the block boundary itself
+    @example(seed=3, n=3, m=600, extra=700)  # m across a block boundary
+    @example(seed=4, n=2, m=7, extra=5000)  # M >> m
+    @settings(max_examples=40, deadline=None)
+    def test_row_prefix_is_the_shorter_draw(self, seed, n, m, extra):
+        # nested ensembles and recover rely on it under manifest version 3
+        full = gen_gaussian_matrix(seed, m + extra, n, blocked=True).matrix
+        assert full[:m].tobytes() == gen_gaussian_matrix(seed, m, n, blocked=True).matrix.tobytes()
+
+    @given(seed=_SEEDS, n=st.integers(1, 6), m=st.integers(1, 2100))
+    @example(seed=5, n=4, m=2100)  # five blocks over three threads
+    @settings(max_examples=25, deadline=None)
+    def test_thread_count_does_not_change_the_draw(self, seed, n, m):
+        with mock.patch.object(os, "cpu_count", return_value=4):  # let 3 threads run on any host
+            draws = [
+                gen_gaussian_matrix(seed, m, n, blocked=True, threads=threads).matrix.tobytes()
+                for threads in (1, 2, 3)
+            ]
+        assert draws[0] == draws[1] == draws[2]
+
+    def test_blocks_follow_the_spawn_rule(self):
+        seed, n = 2**64 - 5, 3
+        matrix = gen_gaussian_matrix(seed, 1100, n, blocked=True).matrix
+        children = np.random.SeedSequence(seed).spawn(3)
+        for i, rows in enumerate((512, 512, 76)):
+            block = matrix[512 * i:512 * i + rows]
+            spawned = np.random.Generator(np.random.PCG64(children[i])).standard_normal((rows, n))
+            assert block.tobytes() == spawned.tobytes()
+            assert block.tobytes() == block_generator(seed, i).standard_normal((rows, n)).tobytes()
+        assert gen_gaussian_matrix(seed, 1100, n).matrix.tobytes() != matrix.tobytes()
+
+    def test_threads_capped_at_blocks_and_cpus(self, monkeypatch):
+        started = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(model, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        gen_gaussian_matrix(1, 5000, 2, blocked=True, threads=10**6)  # 10 blocks, 3 CPUs
+        gen_gaussian_matrix(1, 1000, 2, blocked=True, threads=10**6)  # 2 blocks
+        gen_gaussian_matrix(1, 500, 2, blocked=True, threads=10**6)  # 1 block: no pool
+        assert started == [3, 2]
+
+    def test_unallocatable_size_derives_no_block_seed(self, monkeypatch):
+        def derived(*args):
+            raise AssertionError("a block seed was derived before the matrix was allocated")
+
+        monkeypatch.setattr(model, "block_generator", derived)
+        with pytest.raises(MemoryError):  # 10^12 x 512 float64 exceeds the address space
+            gen_gaussian_matrix(1, 10**12, 512, blocked=True, threads=2)
+
+    def test_threads_must_be_positive(self):
+        with pytest.raises(InvalidArgumentError):
+            gen_gaussian_matrix(1, 5, 5, blocked=True, threads=0)
 
 
 class TestSparseSignal:
@@ -185,6 +261,16 @@ class TestMeasure:
         A = gen_gaussian_matrix(13, 50, 10)
         x = gen_sparse_signal(14, 10, 2).values
         assert np.array_equal(linear_measurements(A, x), A.matrix @ x)
+
+    def test_support_gather_product(self):
+        A = gen_gaussian_matrix(13, 300, 400)
+        x = gen_sparse_signal(14, 400, 5).values
+        nz = np.flatnonzero(x)
+        gathered = linear_measurements(A, x, 0.5, 15, support_gather=True)
+        dense = linear_measurements(A, x, 0.5, 15)
+        noise = generator_for(15).normal(0.0, 0.5, 300)
+        assert gathered.tobytes() == (A.matrix[:, nz] @ x[nz] + noise).tobytes()
+        assert np.allclose(gathered, dense, rtol=0, atol=1e-12)
 
     def test_dimension_mismatch(self):
         A = gen_gaussian_matrix(1, 5, 4)

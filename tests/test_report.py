@@ -124,10 +124,11 @@ class TestManifestFile:
         kv = dict(line.split(" = ", 1) for line in path.read_text().splitlines())
         assert kv["env.blas"] == manifest.blas != ""
         assert kv["env.workers"] == "1"
-        assert kv["env.blas_threads_per_worker"] == "default"
+        assert kv["env.blas_threads_per_worker"] == manifest.blas_threads_per_worker != ""
+        assert kv["env.draw_threads"] == str(manifest.draw_threads)
         back = load_manifest(path)
-        assert (back.blas, back.workers, back.blas_threads_per_worker) == (
-            manifest.blas, 1, "default"
+        assert (back.blas, back.workers, back.blas_threads_per_worker, back.draw_threads) == (
+            manifest.blas, 1, manifest.blas_threads_per_worker, manifest.draw_threads
         )
 
     def test_manifest_without_env_keys_loads(self, small_sweep, tmp_path):
@@ -137,7 +138,9 @@ class TestManifestFile:
         path.write_text("\n".join(lines) + "\n")
         back = load_manifest(path)
         assert back.config == manifest.config
-        assert (back.blas, back.workers, back.blas_threads_per_worker) == ("unknown", 1, "default")
+        assert (back.blas, back.workers, back.blas_threads_per_worker, back.draw_threads) == (
+            "unknown", 1, "default", 1
+        )
 
     def test_numpy_version_mismatch_warns_once_and_reruns(self, small_sweep, tmp_path):
         records, manifest = small_sweep
@@ -174,17 +177,18 @@ def _with_version_line(src: Path, dst: Path, line: str | None) -> Path:
 
 
 class TestManifestVersions:
-    def test_sweep_writes_version_2(self, small_sweep, tmp_path):
+    def test_sweep_writes_version_3(self, small_sweep, tmp_path):
         _, manifest = small_sweep
         text = write_manifest(manifest, tmp_path / "m.txt").read_text()
-        v1_rule = harness.build_manifest(manifest.config, version=1).substream_rule
-        assert "manifest_version = 2\n" in text
+        older_rules = {harness.build_manifest(manifest.config, version=v).substream_rule for v in (1, 2)}
+        assert "manifest_version = 3\n" in text
         assert f"rng.substream_rule = {manifest.substream_rule}\n" in text
-        assert manifest.substream_rule != v1_rule
-        assert load_manifest(tmp_path / "m.txt").manifest_version == 2
+        assert "512-row blocks" in manifest.substream_rule
+        assert manifest.substream_rule not in older_rules
+        assert load_manifest(tmp_path / "m.txt").manifest_version == 3
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("version", [1, 2], ids=["v1", "v2"])
+    @pytest.mark.parametrize("version", [1, 2, 3], ids=["v1", "v2", "v3"])
     def test_fixture_replays_bitwise(self, version, workers):
         fixture = DATA / f"v{version}_sweep"
         manifest = load_manifest(fixture / "manifest.txt")
@@ -205,7 +209,7 @@ class TestManifestVersions:
         assert back.manifest_version == 1
         assert back.cell_seeds == load_manifest(V1_SWEEP / "manifest.txt").cell_seeds
 
-    @pytest.mark.parametrize("value,message", [("3", "unknown manifest_version 3"), ("two", "malformed")])
+    @pytest.mark.parametrize("value,message", [("4", "unknown manifest_version 4"), ("two", "malformed")])
     def test_unknown_version_rejected(self, tmp_path, value, message):
         path = _with_version_line(
             V1_SWEEP / "manifest.txt", tmp_path / "m.txt", f"manifest_version = {value}"
