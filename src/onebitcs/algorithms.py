@@ -22,9 +22,9 @@ Each run takes the forward product A x_k, and from it sign(A x_k), on a
 contiguous copy of the columns of A on the iterate's support, reading from A
 only the columns that entered the support; the copy holds at most s columns,
 so a run's extra memory stays near 2*m*s doubles (the old and the new block
-while one replaces the other). The loop hands that product to the step: with
-``gathered_residual`` iht_run forms its residual y - A x_k from it, and
-otherwise from a dense A @ x_k, which rounds differently.
+while one replaces the other). The loop hands that product to the step, and
+iht_run forms its residual y - A x_k from it (m*s flops, not m*N for a dense
+A @ x_k, which rounds differently).
 """
 
 from __future__ import annotations
@@ -270,14 +270,11 @@ def biht_run(A: MeasurementEnsemble, b, cfg: AlgorithmConfig, truth=None) -> Ite
     return trace
 
 
-def iht_run(
-    A: MeasurementEnsemble, y, cfg: AlgorithmConfig, truth=None, *, gathered_residual: bool = False
-) -> IterateTrace:
+def iht_run(A: MeasurementEnsemble, y, cfg: AlgorithmConfig, truth=None) -> IterateTrace:
     """Classical hard-thresholding descent on linear measurements y = Ax.
 
-    With ``gathered_residual`` the residual y - A x_k uses the forward product
-    the loop already took on the support columns (m*s flops); otherwise it
-    takes a dense A @ x_k (m*N flops), as manifest versions 1 and 2 recorded.
+    The residual y - A x_k uses the forward product the loop already took on
+    the support columns.
     """
     matrix = A.matrix
     y = np.asarray(y, dtype=np.float64)
@@ -285,8 +282,6 @@ def iht_run(
         raise InvalidArgumentError(f"measurement length {y.size} != ensemble m {matrix.shape[0]}")
 
     def step(x, _signs, ax):
-        if not gathered_residual:
-            ax = matrix @ x
         x_new = hard_threshold(x + matrix.T @ (y - ax) / matrix.shape[0], cfg.s)
         # the norm, not array_equal: a step that keeps an inf entry moves by nan
         return "converged" if float(np.linalg.norm(x_new - x)) == 0.0 else x_new

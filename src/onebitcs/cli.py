@@ -191,7 +191,10 @@ _FLOAT_KEYS = {"tau", "stop_tol", "noise_std", "raic_r_lb", "raic_r_ub", "raic_n
 
 def _coerce(key: str, value: str):
     if key in _BOOL_KEYS:
-        return value.strip().lower() in ("1", "true", "yes", "on")
+        state = configparser.ConfigParser.BOOLEAN_STATES.get(value.strip().lower())
+        if state is None:
+            raise ValueError(f"not a boolean: {value!r}")
+        return state
     if key in _STR_KEYS:
         return value.strip()
     if key in _FLOAT_KEYS:
@@ -208,7 +211,10 @@ def _effective(args: argparse.Namespace, command: str) -> dict:
         if key not in effective:
             raise InvalidArgumentError(f"unknown config key {key!r} in section [{command}]")
         target = "m_theory" if (command == "theory" and key == "m") else key
-        effective[key] = _coerce(target, raw)
+        try:
+            effective[key] = _coerce(target, raw)
+        except ValueError as exc:
+            raise InvalidArgumentError(f"bad value {raw!r} for key {key!r} in section [{command}]") from exc
     for key in effective:
         given = getattr(args, key, None)
         if given is not None:
@@ -231,7 +237,7 @@ def _cmd_recover(args) -> int:
         max_iters=opts["max_iters"], stop_tol=opts["stop_tol"], init=opts["init"],
         support_rule=opts["support_rule"], value_rule=opts["value_rule"],
     )
-    seeds = cell_seed_table(cfg, 0, 0)
+    seeds = cell_seed_table(cfg, 0)
     _, instance = next(draw_instances(cfg, cfg.m_grid, seeds))
     error, iterations, agreement, reason = solve(
         cfg, opts["algo"], instance, seeds[f"init.{opts['algo']}"]
@@ -259,7 +265,7 @@ def _cmd_sweep(args) -> int:
         tau=opts["tau"], max_iters=opts["max_iters"], stop_tol=opts["stop_tol"],
         init=opts["init"], support_rule=opts["support_rule"], value_rule=opts["value_rule"],
     )
-    records, manifest = run_sweep(cfg, workers=max(1, int(opts["workers"])))
+    records, manifest = run_sweep(cfg, workers=int(opts["workers"]))
     theory_curve = None
     if opts["theory_overlay"]:
         curve = []

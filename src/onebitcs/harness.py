@@ -1,17 +1,16 @@
 """Seeded Monte Carlo sweeps over m, slope fitting, and the run manifest.
 
-Each (m, trial) cell draws its signal, ensemble, and noise from substreams of
-the master seed, named by the cell's seed table, so every algorithm in a cell
+Each trial draws its signal, ensemble, and noise from substreams of the
+master seed, named by the trial's seed table, so every algorithm in a cell
 sees the same instance (paired comparison) and any execution order or worker
-count reproduces the same records bitwise. From manifest version 2 on the
-tables depend on the trial only: a trial draws one ``max(m_grid)``-row matrix
-and every m runs on its first m rows, which are bitwise an m-row draw from
-the same seed, so the instances of a trial are nested across m. Version 3,
-which run_sweep and recover write, draws that matrix in seeded 512-row blocks
-on as many threads as the process's share of the CPUs (the records do not
-depend on the thread count), and takes A x by support gather, for the
-measurements and for the IHT residual. Versions 1 (every cell its own table)
-and 2 (one stream per matrix, dense A x) replay as they were written.
+count reproduces the same records bitwise. A trial draws one
+``max(m_grid)``-row matrix in seeded 512-row blocks, on as many threads as
+the process's share of the CPUs (the records do not depend on the thread
+count), and every m runs on its first m rows, which are bitwise an m-row draw
+from the same seed, so the instances of a trial are nested across m. A x is
+taken by support gather, for the measurements and for the IHT residual.
+This build writes and replays manifest version 3 only; a change that moves
+records bumps the version and replaces this path instead of forking it.
 Records are canonically sorted by (algorithm, m, trial_index) before they are
 returned.
 """
@@ -48,7 +47,7 @@ from .model import (
     linear_measurements,
     sign_quantize,
 )
-from .rng import GAUSSIAN_TRANSFORM, RNG_ALGORITHM, SUBSTREAM_RULE, substream_seed
+from .rng import GAUSSIAN_TRANSFORM, RNG_ALGORITHM, substream_seed
 from .sparse_ops import hamming_distance
 from .theory import ScheduleConstants
 
@@ -59,17 +58,13 @@ _ROLE_MATRIX = 1
 _ROLE_NOISE = 2
 _ROLE_INIT_BASE = 3
 
-MANIFEST_VERSION = 3  # what run_sweep and recover write
-# rng.substream_rule by manifest version; version 1 and 2 manifests still replay
-_SUBSTREAM_RULES = {
-    1: SUBSTREAM_RULE,  # indices = (m_index * trials_per_cell + trial, role)
-    2: "seed = SeedSequence((master_seed, trial, role)).generate_state(1, uint64)[0]; "
-       "each trial draws max(m_grid) matrix rows and m runs on the first m",
-    3: "seed = SeedSequence((master_seed, trial, role)).generate_state(1, uint64)[0]; "
-       "each trial draws max(m_grid) matrix rows in 512-row blocks, block i from "
-       "SeedSequence(matrix seed, spawn_key=(i,)), and m runs on the first m; "
-       "A x by support gather",
-}
+MANIFEST_VERSION = 3  # the one version run_sweep and recover write and replay
+_SUBSTREAM_RULE = (  # recorded as rng.substream_rule
+    "seed = SeedSequence((master_seed, trial, role)).generate_state(1, uint64)[0]; "
+    "each trial draws max(m_grid) matrix rows in 512-row blocks, block i from "
+    "SeedSequence(matrix seed, spawn_key=(i,)), and m runs on the first m; "
+    "A x by support gather"
+)
 
 # OpenBLAS thread setters, as numpy's own wheel (scipy-openblas) and a plain
 # OpenBLAS build export them, with and without the ILP64 suffix.
@@ -172,31 +167,27 @@ class RunManifest:
     blas: str = "unknown"  # name and version of the BLAS numpy was built against
     workers: int = 1  # processes the tasks ran in (the pool size, 1 when serial)
     blas_threads_per_worker: str = "default"  # threads each process's OpenBLAS ran, "default" if unknown
-    draw_threads: int = 1  # threads given to each matrix draw (1 under versions 1 and 2)
+    draw_threads: int = 1  # threads given to each matrix draw
     draw_s: float = 0.0  # seconds spent outside solve (instance draws), summed over tasks
     solve_s: float = 0.0  # seconds spent in solve, summed over records
 
 
-def cell_seed_table(
-    cfg: SweepConfig, m_index: int, trial: int, version: int = MANIFEST_VERSION
-) -> dict[str, int]:
-    """Derived substream seeds for one (m, trial) instance.
+def cell_seed_table(cfg: SweepConfig, trial: int) -> dict[str, int]:
+    """Derived substream seeds for the instances of one trial.
 
-    The instance streams depend only on (master_seed, instance index), so all
-    algorithms in the cell share the drawn (x, A, noise); each algorithm gets
-    its own init stream at a role fixed by the canonical algorithm order. The
-    instance index is the trial from manifest version 2 on, so every cell of a
-    trial shares one table, and m_index * trials_per_cell + trial under 1.
+    The streams depend only on (master_seed, trial), so every cell of the
+    trial, and every algorithm in a cell, shares the drawn (x, A, noise); each
+    algorithm gets its own init stream at a role fixed by the canonical
+    algorithm order.
     """
-    instance = m_index * cfg.trials_per_cell + trial if version == 1 else trial
     seeds = {
-        "signal": substream_seed(cfg.master_seed, instance, _ROLE_SIGNAL),
-        "matrix": substream_seed(cfg.master_seed, instance, _ROLE_MATRIX),
-        "noise": substream_seed(cfg.master_seed, instance, _ROLE_NOISE),
+        "signal": substream_seed(cfg.master_seed, trial, _ROLE_SIGNAL),
+        "matrix": substream_seed(cfg.master_seed, trial, _ROLE_MATRIX),
+        "noise": substream_seed(cfg.master_seed, trial, _ROLE_NOISE),
     }
     for algo in cfg.algorithms:
         role = _ROLE_INIT_BASE + ALGORITHMS.index(algo)
-        seeds[f"init.{algo}"] = substream_seed(cfg.master_seed, instance, role)
+        seeds[f"init.{algo}"] = substream_seed(cfg.master_seed, trial, role)
     return seeds
 
 
@@ -208,29 +199,29 @@ def _blas_name() -> str:
         return "unknown"
 
 
-def build_manifest(
-    cfg: SweepConfig, constants: ScheduleConstants | None = None, version: int = MANIFEST_VERSION
-) -> RunManifest:
-    if version not in _SUBSTREAM_RULES:
+def require_manifest_version(version) -> None:
+    """Reject any manifest version but the one this build writes."""
+    if version != MANIFEST_VERSION:
         raise InvalidArgumentError(
-            f"unknown manifest_version {version!r}; this build reads {sorted(_SUBSTREAM_RULES)}"
+            f"unknown manifest_version {version!r}; this build writes and replays "
+            f"version {MANIFEST_VERSION} only"
         )
+
+
+def build_manifest(cfg: SweepConfig, constants: ScheduleConstants | None = None) -> RunManifest:
     constants = constants or ScheduleConstants()
-    cells = {}
-    for m_index, m in enumerate(cfg.m_grid):
-        for trial in range(cfg.trials_per_cell):
-            cells[(m, trial)] = cell_seed_table(cfg, m_index, trial, version)
+    tables = [cell_seed_table(cfg, trial) for trial in range(cfg.trials_per_cell)]
+    cells = {(m, trial): dict(table) for m in cfg.m_grid for trial, table in enumerate(tables)}
     return RunManifest(
         config=cfg,
         rng_algorithm=RNG_ALGORITHM,
         gaussian_transform=GAUSSIAN_TRANSFORM,
-        substream_rule=_SUBSTREAM_RULES[version],
+        substream_rule=_SUBSTREAM_RULE,
         numpy_version=np.__version__,
         package_version=_pkg_version,
         constants=dict(constants.as_dict(), c10_is_placeholder_derived=constants.c10_is_placeholder_derived),
         created_utc=_dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds"),
         cell_seeds=cells,
-        manifest_version=version,
         blas=_blas_name(),
     )
 
@@ -247,38 +238,30 @@ def _thread_share(pool_size: int) -> int:
 
 
 def draw_instances(
-    cfg: SweepConfig,
-    ms: tuple[int, ...],
-    seeds: dict[str, int],
-    version: int = MANIFEST_VERSION,
-    threads: int | None = None,
+    cfg: SweepConfig, ms: tuple[int, ...], seeds: dict[str, int], threads: int | None = None
 ):
     """Yield (m, instance) for each m of ``ms`` (increasing) from one seed table.
 
-    The matrix is drawn once with ``ms[-1]`` rows; the instance at m uses a
-    view of its first m rows, which is bitwise the m-row draw from the same
-    seed, and draws its noise at m entries. An instance is
-    (signal, ensemble, A x + eps, sign(A x + eps)); every algorithm in the
-    cell runs on it. Under version 3 the matrix is drawn in 512-row blocks on
-    ``threads`` threads (every CPU when None) and A x is taken by support
-    gather; before it, from one stream with a dense A x.
+    The matrix is drawn once with ``ms[-1]`` rows, in 512-row blocks on
+    ``threads`` threads (every CPU when None); the instance at m uses a view
+    of its first m rows, which is bitwise the m-row draw from the same seed,
+    and draws its noise at m entries. An instance is
+    (signal, ensemble, A x + eps, sign(A x + eps)), with A x taken by support
+    gather; every algorithm in the cell runs on it.
     """
     x = gen_sparse_signal(seeds["signal"], cfg.n, cfg.s, cfg.support_rule, cfg.value_rule)
-    blocked = version >= 3  # the one version branch of the draw
     rows = gen_gaussian_matrix(
-        seeds["matrix"], ms[-1], cfg.n, blocked=blocked,
+        seeds["matrix"], ms[-1], cfg.n, blocked=True,
         threads=_thread_share(1) if threads is None else threads,
     )
     for m in ms:
         A = MeasurementEnsemble(rows.matrix[:m], rows.seed)  # C-contiguous view, no copy
-        lin = linear_measurements(A, x, cfg.noise_std, seeds["noise"], support_gather=blocked)
+        lin = linear_measurements(A, x, cfg.noise_std, seeds["noise"], support_gather=True)
         yield m, (x, A, lin, sign_quantize(lin))
 
 
-def solve(
-    cfg: SweepConfig, algo: str, instance: tuple, init_seed: int, version: int = MANIFEST_VERSION
-) -> tuple[float, int, float, str]:
-    """Run one algorithm on a drawn instance under a manifest version.
+def solve(cfg: SweepConfig, algo: str, instance: tuple, init_seed: int) -> tuple[float, int, float, str]:
+    """Run one algorithm on a drawn instance.
 
     Returns (final_l2_error, iterations_used, sign_agreement, stop_reason),
     with the error measured after projecting the estimate onto the sphere.
@@ -300,7 +283,7 @@ def solve(
         agreement = 1.0 - hamming_distance(sign_quantize(A.matrix @ estimate), b)
         return _sphere_error(estimate, x.values), 1, agreement, "one_shot"
     if algo == "iht":
-        trace = iht_run(A, lin, algo_cfg, gathered_residual=version >= 3)
+        trace = iht_run(A, lin, algo_cfg)
     elif algo == "nbiht":
         trace = nbiht_run(A, b, algo_cfg)
     else:
@@ -310,25 +293,20 @@ def solve(
 
 
 def _run_task(
-    cfg: SweepConfig,
-    cells: tuple[tuple[int, int], ...],
-    seeds: dict[str, int],
-    version: int,
-    threads: int,
+    cfg: SweepConfig, trial: int, seeds: dict[str, int], threads: int
 ) -> tuple[list[SweepRecord], float]:
-    """Run the (m, trial) cells that share one seed table, ordered by m.
+    """Run every cell of one trial, in increasing m, from the trial's seed table.
 
     Returns their records and the task's seconds outside solve (the draws).
     A run that fails is recorded as an ``error:`` row; a failed draw raises.
     """
     task_start = time.perf_counter()
     records = []
-    trial_of = dict(cells)
-    for m, instance in draw_instances(cfg, tuple(trial_of), seeds, version, threads):
+    for m, instance in draw_instances(cfg, cfg.m_grid, seeds, threads):
         for algo in sorted(cfg.algorithms):
             start = time.perf_counter()
             try:
-                outcome = solve(cfg, algo, instance, seeds[f"init.{algo}"], version)
+                outcome = solve(cfg, algo, instance, seeds[f"init.{algo}"])
             except InvalidArgumentError:
                 raise  # a rejected setting fails every run alike: a validation error
             except (DegenerateIterateError, SamplingExhaustedError) as exc:
@@ -338,7 +316,7 @@ def _run_task(
                 outcome = (2.0, 0, 0.0, f"error: {type(exc).__name__}: {exc}")
             wall_ms = (time.perf_counter() - start) * 1e3
             records.append(
-                SweepRecord(algo, m, cfg.n, cfg.s, trial_of[m], *outcome, wall_time_ms=wall_ms)
+                SweepRecord(algo, m, cfg.n, cfg.s, trial, *outcome, wall_time_ms=wall_ms)
             )
     draw_s = time.perf_counter() - task_start - sum(r.wall_time_ms for r in records) / 1e3
     return records, draw_s
@@ -387,30 +365,30 @@ def run_sweep(
 ) -> tuple[list[SweepRecord], RunManifest]:
     """Execute all (algorithm, m, trial) cells; return sorted records + manifest.
 
-    Writes manifest version 3. A task is the group of cells that share one
-    seed table (a trial from version 2 on, a single cell under version 1): it
-    draws the matrix once, at its largest m, and runs every cell on a prefix.
-    With ``workers > 1`` the tasks run in a pool of at most one process per
-    task, so a sweep with fewer trials than workers uses a smaller pool. Each
-    process gets ``max(1, cpus // pool size)`` threads, so that processes
-    times threads does not exceed the CPU count: pool workers pin their BLAS
-    to that count, and every process fills its version 3 matrix blocks on
-    that many threads. The serial path keeps the BLAS default and draws on
-    every CPU.
+    Writes manifest version 3. A task is one trial: it draws the matrix once,
+    at the largest m, and runs every cell on a prefix. With ``workers > 1``
+    the tasks run in a pool of at most one process per trial, so a sweep with
+    fewer trials than workers uses a smaller pool. Each process gets
+    ``max(1, cpus // pool size)`` threads, so that processes times threads
+    does not exceed the CPU count: pool workers pin their BLAS to that count,
+    and every process fills its matrix blocks on that many threads. The
+    serial path keeps the BLAS default and draws on every CPU. ``workers``
+    below 1 is rejected.
     """
     return _execute(build_manifest(cfg, constants), workers)
 
 
 def _execute(manifest: RunManifest, workers: int) -> tuple[list[SweepRecord], RunManifest]:
+    if workers < 1:
+        raise InvalidArgumentError(f"workers must be >= 1, got {workers}")
     cfg = manifest.config
-    # one task per distinct seed table, its cells in increasing m
-    groups: dict[tuple, list[tuple[int, int]]] = {}
-    for (m, trial), seeds in sorted(manifest.cell_seeds.items(), key=lambda cell: cell[0][::-1]):
-        groups.setdefault(tuple(sorted(seeds.items())), []).append((m, trial))
-    version = manifest.manifest_version
-    pool_size = max(1, min(workers, len(groups)))
+    pool_size = min(workers, cfg.trials_per_cell)
     threads = _thread_share(pool_size)
-    tasks = [(cfg, tuple(cells), dict(table), version, threads) for table, cells in groups.items()]
+    first_m = cfg.m_grid[0]
+    tasks = [
+        (cfg, trial, manifest.cell_seeds[(first_m, trial)], threads)
+        for trial in range(cfg.trials_per_cell)
+    ]
     if pool_size > 1:
         with ProcessPoolExecutor(
             max_workers=pool_size, initializer=_pin_blas_threads, initargs=(threads,)
@@ -427,7 +405,7 @@ def _execute(manifest: RunManifest, workers: int) -> tuple[list[SweepRecord], Ru
         manifest,
         workers=pool_size,
         blas_threads_per_worker=pinned,
-        draw_threads=threads if version >= 3 else 1,
+        draw_threads=threads,
         draw_s=sum(draw_s for _, draw_s in per_task),
         solve_s=sum(rec.wall_time_ms for rec in records) / 1e3,
     )
@@ -436,14 +414,15 @@ def _execute(manifest: RunManifest, workers: int) -> tuple[list[SweepRecord], Ru
 def run_from_manifest(
     manifest: RunManifest, workers: int = 1
 ) -> tuple[list[SweepRecord], RunManifest]:
-    """Re-execute a sweep from its manifest, under its manifest version;
-    records must match bitwise.
+    """Re-execute a sweep from its manifest; records must match bitwise.
 
-    Warns (RuntimeWarning) when the manifest was written under another numpy
-    version, whose Gaussian streams are not promised to be the same, and
-    reruns anyway.
+    Only a manifest of the version this build writes replays, on at least
+    one worker. Warns (RuntimeWarning) when the manifest was written under
+    another numpy version, whose Gaussian streams are not promised to be the
+    same, and reruns anyway.
     """
-    fresh = build_manifest(manifest.config, version=manifest.manifest_version)
+    require_manifest_version(manifest.manifest_version)
+    fresh = build_manifest(manifest.config)
     if fresh.cell_seeds != manifest.cell_seeds:
         raise InvalidArgumentError("manifest cell seeds do not match the declared config")
     if manifest.numpy_version != np.__version__:

@@ -14,7 +14,15 @@ import math
 from pathlib import Path
 
 from .errors import InvalidArgumentError
-from .harness import RunManifest, SweepConfig, SweepRecord, build_manifest, error_stat_by_m, fit_slope
+from .harness import (
+    RunManifest,
+    SweepConfig,
+    SweepRecord,
+    build_manifest,
+    error_stat_by_m,
+    fit_slope,
+    require_manifest_version,
+)
 
 CSV_HEADER = (
     "algorithm,m,N,s,trial_index,final_l2_error,iterations_used,"
@@ -122,7 +130,8 @@ def write_manifest(manifest: RunManifest, path) -> Path:
 def load_manifest(path) -> RunManifest:
     """Parse a manifest file back into a RunManifest (seeds are re-derived and checked).
 
-    A manifest without ``manifest_version`` is read as version 1.
+    Only the manifest version this build writes loads; another, or none, is
+    rejected.
     """
     path = Path(path)
     if not path.exists():
@@ -155,19 +164,23 @@ def load_manifest(path) -> RunManifest:
         )
         workers = int(kv.get("env.workers", 1))
         draw_threads = int(kv.get("env.draw_threads", 1))
-        version = int(kv.get("manifest_version", 1))
+        version = int(kv["manifest_version"])
         draw_s = float(kv.get("timing.draw_s", 0.0))
         solve_s = float(kv.get("timing.solve_s", 0.0))
     except KeyError as exc:
         raise InvalidArgumentError(f"manifest {path} is missing key {exc}") from exc
     except ValueError as exc:
         raise InvalidArgumentError(f"manifest {path} has a malformed value: {exc}") from exc
-    manifest = build_manifest(cfg, version=version)
+    require_manifest_version(version)
+    manifest = build_manifest(cfg)
     stored = {}
     for key, value in kv.items():
         if key.startswith("cell."):
-            m, trial, role = key[len("cell."):].split(".", 2)
-            stored.setdefault((int(m), int(trial)), {})[role] = int(value)
+            try:
+                m, trial, role = key[len("cell."):].split(".", 2)
+                stored.setdefault((int(m), int(trial)), {})[role] = int(value)
+            except ValueError as exc:
+                raise InvalidArgumentError(f"manifest {path} has a malformed line: {key} = {value}") from exc
     if stored and stored != manifest.cell_seeds:
         raise InvalidArgumentError(f"stored cell seeds in {path} disagree with the config")
     return RunManifest(

@@ -2,10 +2,10 @@
 
 Every randomized operation in this package draws from a numpy PCG64 generator
 seeded through SeedSequence. Independent substreams are derived from
-(master_seed, *indices) via the splitting rule below; the rule and the Gaussian
-sampling transform are recorded in run manifests so results stay reproducible
-across builds. A blocked matrix draw (manifest version 3) fills each row block
-from its own child of the matrix seed, ``block_generator(seed, i)``.
+(master_seed, *indices) by ``substream_seed``; the generator and the Gaussian
+sampling transform are named in run manifests, beside the sweep's substream
+rule, so results stay reproducible across builds. A blocked matrix draw fills
+each row block from its own child of the matrix seed, ``block_generator(seed, i)``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import numpy as np
 # Names recorded in manifests.
 RNG_ALGORITHM = "pcg64-seedsequence"
 GAUSSIAN_TRANSFORM = "ziggurat (numpy Generator.standard_normal)"
-SUBSTREAM_RULE = "seed = SeedSequence((master_seed, *indices)).generate_state(1, uint64)[0]"
 
 _U64 = np.uint64(2**64 - 1)
 

@@ -258,7 +258,7 @@ class TestIhtRun:
         matrix = A.matrix
         y = matrix @ x.values + 0.05 * generator_for(substream_seed(700, seed)).standard_normal(m)
         cfg = AlgorithmConfig(s=s, max_iters=60, stop_tol=0.0, init_seed=substream_seed(701, seed))
-        trace = iht_run(A, y, cfg, gathered_residual=True)
+        trace = iht_run(A, y, cfg)
 
         xk = gen_sparse_signal(cfg.init_seed, n, s).values.copy()
         for iterations in range(cfg.max_iters):

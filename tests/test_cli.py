@@ -53,6 +53,16 @@ class TestExitCodes:
             ["recover", "--n", "4", "--s", "9", "--m", "16", "--seed", "1"]
         ) == 1
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_is_validation_error(self, workers, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert parse_and_dispatch(
+            ["sweep", "--n", "16", "--s", "2", "--m-grid", "32", "--trials", "1",
+             "--seed", "1", "--workers", workers, "--out-dir", str(out)]
+        ) == 1
+        assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_infinite_tau_is_validation_error(self, capsys):
         assert parse_and_dispatch(
             ["recover", "--seed", "1", "--n", "64", "--s", "2", "--m", "256", "--tau", "inf"]
@@ -311,6 +321,14 @@ class TestConfigFile:
         cfg.write_text("[recover]\nwarp_speed = 9\nseed = 1\n")
         assert parse_and_dispatch(["recover", "--config", str(cfg)]) == 1
         assert "warp_speed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [("trials", "ten"), ("theory_overlay", "ture")])
+    def test_unparsable_config_value_is_validation_error(self, key, value, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[sweep]\n{key} = {value}\nseed = 1\n")
+        assert parse_and_dispatch(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"'{value}'" in err and f"'{key}'" in err and "[sweep]" in err
 
     def test_seed_from_config_satisfies_requirement(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

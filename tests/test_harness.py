@@ -90,38 +90,37 @@ class TestRunSweep:
         assert sorted(m for _, m, _ in calls) == [256] * cfg.trials_per_cell
         assert len({seed for seed, _, _ in calls}) == cfg.trials_per_cell
         assert all(blocked for _, _, blocked in calls)
-        calls.clear()
-        run_from_manifest(build_manifest(cfg, version=2))
-        assert sorted(m for _, m, _ in calls) == [256] * cfg.trials_per_cell
-        assert not any(blocked for _, _, blocked in calls)
-        calls.clear()
-        run_from_manifest(build_manifest(cfg, version=1))
-        assert sorted(m for _, m, _ in calls) == sorted(cfg.m_grid * cfg.trials_per_cell)
 
     def test_nested_instance_equals_direct_draw(self):
         cfg = _small_config(noise_std=0.3)
-        seeds = cell_seed_table(cfg, 0, 1)
-        for version in (2, 3):
-            nested = dict(harness.draw_instances(cfg, cfg.m_grid, seeds, version))
-            for m in cfg.m_grid:
-                ((_, direct),) = harness.draw_instances(cfg, (m,), seeds, version)
-                x, A, lin, b = nested[m]
-                assert A.matrix.shape == (m, cfg.n) and A.matrix.flags.c_contiguous
-                assert A.matrix.tobytes() == direct[1].matrix.tobytes()
-                assert lin.tobytes() == direct[2].tobytes()
-                assert b.bits.tobytes() == direct[3].bits.tobytes()
-                assert np.shares_memory(A.matrix, nested[cfg.m_grid[-1]][1].matrix)
+        seeds = cell_seed_table(cfg, 1)
+        nested = dict(harness.draw_instances(cfg, cfg.m_grid, seeds))
+        for m in cfg.m_grid:
+            ((_, direct),) = harness.draw_instances(cfg, (m,), seeds)
+            x, A, lin, b = nested[m]
+            assert A.matrix.shape == (m, cfg.n) and A.matrix.flags.c_contiguous
+            assert A.matrix.tobytes() == direct[1].matrix.tobytes()
+            assert lin.tobytes() == direct[2].tobytes()
+            assert b.bits.tobytes() == direct[3].bits.tobytes()
+            assert np.shares_memory(A.matrix, nested[cfg.m_grid[-1]][1].matrix)
 
-    @pytest.mark.parametrize("version", [2, 3])
-    def test_measurements_by_version(self, version):
-        # version 3 takes A x on the signal's support columns, earlier versions densely
+    def test_measurements_by_support_gather(self):
+        # A x is taken on the signal's support columns, which rounds unlike a dense product
         cfg = _small_config(n=512, s=4, m_grid=(600, 1100))  # rows across a draw block boundary
-        seeds = cell_seed_table(cfg, 0, 0)
-        for m, (x, A, lin, b) in harness.draw_instances(cfg, cfg.m_grid, seeds, version):
+        seeds = cell_seed_table(cfg, 0)
+        for m, (x, A, lin, b) in harness.draw_instances(cfg, cfg.m_grid, seeds):
             nz = np.flatnonzero(x.values)
-            expected = A.matrix[:, nz] @ x.values[nz] if version == 3 else A.matrix @ x.values
+            expected = A.matrix[:, nz] @ x.values[nz]
             assert lin.tobytes() == expected.tobytes()
             assert np.array_equal(b.bits, np.where(expected > 0, 1.0, -1.0))
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers):
+        cfg = _small_config()
+        with pytest.raises(InvalidArgumentError, match=f"workers must be >= 1, got {workers}"):
+            run_sweep(cfg, workers=workers)
+        with pytest.raises(InvalidArgumentError, match=f"workers must be >= 1, got {workers}"):
+            run_from_manifest(build_manifest(cfg), workers=workers)
 
     def test_rejected_setting_raises_instead_of_rows(self):
         # an infinite tau fails every run alike: a validation error, not error rows
@@ -174,29 +173,22 @@ class TestPool:
         return _RecordingPool.created
 
     def test_pool_capped_at_cell_count(self, fake_pool):
-        # the cap is the task count: one task per trial under version 2, one per cell under 1
+        # the cap is the task count: one task per trial
         cfg = _small_config(m_grid=(64, 128, 256), trials_per_cell=2)  # 6 cells in 2 trials
         records, manifest = run_sweep(cfg, workers=64)
-        v1_records, v1_manifest = run_from_manifest(build_manifest(cfg, version=1), workers=64)
-        pool, v1_pool = fake_pool
+        (pool,) = fake_pool
         assert pool.kwargs == {
             "max_workers": 2, "initializer": harness._pin_blas_threads, "initargs": (6,),
         }
-        assert v1_pool.kwargs == {
-            "max_workers": 6, "initializer": harness._pin_blas_threads, "initargs": (2,),
-        }
-        assert (manifest.workers, v1_manifest.workers) == (2, 6)
+        assert manifest.workers == 2
         assert manifest.blas_threads_per_worker in ("6", "default")
-        assert v1_manifest.blas_threads_per_worker in ("2", "default")
-        assert len(records) == len(v1_records) == 12
+        assert len(records) == 12
 
     def test_threads_derived_from_pool_size(self, fake_pool):
         run_sweep(_small_config(trials_per_cell=6), workers=5)
         assert fake_pool[0].kwargs["initargs"] == (12 // 5,)
         run_sweep(_small_config(trials_per_cell=20), workers=60)
         assert fake_pool[1].kwargs["initargs"] == (1,)  # never below one thread
-        run_from_manifest(build_manifest(_small_config(trials_per_cell=2), version=1), workers=5)
-        assert fake_pool[2].kwargs["initargs"] == (12 // 5,)  # 6 single-cell tasks
 
     def test_single_cell_runs_serially(self, fake_pool):
         cfg = _small_config(m_grid=(64,), trials_per_cell=1)
@@ -205,8 +197,7 @@ class TestPool:
         assert (manifest.workers, manifest.blas_threads_per_worker) == (1, _serial_blas_threads())
 
     def test_draw_threads_are_the_process_share(self, fake_pool, monkeypatch):
-        # 12 CPUs: every one on the serial path, 12 // pool size in a pool;
-        # versions 1 and 2 draw one stream
+        # 12 CPUs: every one on the serial path, 12 // pool size in a pool
         given = []
         real = harness.gen_gaussian_matrix
 
@@ -219,10 +210,9 @@ class TestPool:
         manifests = [
             run_sweep(cfg, workers=1)[1],
             run_sweep(cfg, workers=2)[1],
-            run_from_manifest(build_manifest(cfg, version=2), workers=1)[1],
         ]
-        assert given == [12] * 2 + [6] * 2 + [12] * 2
-        assert [m.draw_threads for m in manifests] == [12, 6, 1]
+        assert given == [12] * 2 + [6] * 2
+        assert [m.draw_threads for m in manifests] == [12, 6]
 
     def test_default_threads_recorded_without_setter(self, fake_pool, monkeypatch):
         monkeypatch.setattr(harness, "_loaded_blas_function", lambda names: None)
@@ -260,33 +250,19 @@ def _serial_blas_threads():
 
 class TestSeedHygiene:
     def test_no_two_cells_share_a_substream(self):
-        # version 1: every (m, trial) cell has its own streams; version 2: every
-        # trial has its own streams, shared by all of its cells
+        # every trial has its own streams, shared by all of its cells
         cfg = SweepConfig(
-            n=8, s=2, m_grid=tuple(range(10, 1010, 10)), algorithms=("nbiht",),
-            trials_per_cell=100, master_seed=7,
+            n=8, s=2, m_grid=(10, 20), algorithms=("nbiht",), trials_per_cell=10_000, master_seed=7,
         )
-        first_draws = set()
-        count = 0
-        for m_index in range(len(cfg.m_grid)):
-            for trial in range(cfg.trials_per_cell):
-                seed = cell_seed_table(cfg, m_index, trial, version=1)["matrix"]
-                first_draws.add(float(generator_for(seed).standard_normal()))
-                count += 1
-        assert count == 10_000
-        assert len(first_draws) == count
-
-        tables = [
-            [cell_seed_table(cfg, m_index, trial) for m_index in range(len(cfg.m_grid))]
+        first_draws = {
+            float(generator_for(cell_seed_table(cfg, trial)["matrix"]).standard_normal())
             for trial in range(cfg.trials_per_cell)
-        ]
-        assert all(table == per_m[0] for per_m in tables for table in per_m)
-        trial_draws = {float(generator_for(per_m[0]["matrix"]).standard_normal()) for per_m in tables}
-        assert len(trial_draws) == cfg.trials_per_cell
+        }
+        assert len(first_draws) == cfg.trials_per_cell
 
     def test_roles_distinct_within_cell(self):
         cfg = _small_config(algorithms=("nbiht", "biht", "iht", "one_shot"))
-        seeds = cell_seed_table(cfg, 0, 0)
+        seeds = cell_seed_table(cfg, 0)
         assert len(set(seeds.values())) == len(seeds)
 
 
@@ -295,14 +271,20 @@ class TestManifest:
         cfg = _small_config()
         manifest = build_manifest(cfg)
         assert set(manifest.cell_seeds) == {(m, t) for m in cfg.m_grid for t in range(3)}
-        for seeds in manifest.cell_seeds.values():
+        for (_, trial), seeds in manifest.cell_seeds.items():
             assert {"signal", "matrix", "noise", "init.nbiht", "init.one_shot"} == set(seeds)
+            assert seeds == cell_seed_table(cfg, trial)  # every m of a trial shares its table
 
     def test_run_from_manifest_reproduces(self):
         cfg = _small_config()
         records, manifest = run_sweep(cfg)
         again, _ = run_from_manifest(manifest, workers=2)
         assert [r.comparable() for r in again] == [r.comparable() for r in records]
+
+    def test_other_version_not_replayed(self):
+        manifest = dataclasses.replace(build_manifest(_small_config()), manifest_version=2)
+        with pytest.raises(InvalidArgumentError, match="unknown manifest_version 2"):
+            run_from_manifest(manifest)
 
     def test_tampered_seeds_rejected(self):
         cfg = _small_config()

@@ -76,9 +76,10 @@ class TestGaussianMatrix:
     )
     @settings(max_examples=60, deadline=None)
     def test_row_prefix_is_the_shorter_draw(self, seed, n, m, extra, sigma):
-        # sweeps draw max(m_grid) rows once and run each m on the first m rows
-        # (and m noise entries); this holds because numpy fills row by row
-        # from one stream, and is checked on every numpy the CI runs
+        # a blocked draw fills each of its blocks this way, and a sweep's noise
+        # at m is the first m entries of the trial's noise stream; this holds
+        # because numpy fills row by row from one stream, and is checked on
+        # every numpy the CI runs
         full = gen_gaussian_matrix(seed, m + extra, n).matrix
         assert full[:m].tobytes() == gen_gaussian_matrix(seed, m, n).matrix.tobytes()
         noise = generator_for(seed).normal(0.0, sigma, m + extra)
