@@ -21,7 +21,16 @@ from pathlib import Path
 
 from .algorithms import DEFAULT_TAU
 from .errors import DegenerateIterateError, InvalidArgumentError, SamplingExhaustedError
-from .harness import ALGORITHMS, SweepConfig, cell_seed_table, draw_instances, fit_slope, run_sweep, solve
+from .harness import (
+    ALGORITHMS,
+    SweepConfig,
+    cell_seed_table,
+    draw_instances,
+    fit_slope,
+    require_memory,
+    run_sweep,
+    solve,
+)
 from .model import gen_sparse_signal
 from .probes import (
     RaicProbeConfig,
@@ -131,7 +140,8 @@ def build_parser() -> _Parser:
                        help="signal value distribution")
     sweep.add_argument("--workers", type=int,
                        help="worker processes (default: logical CPUs), at most one per trial; each "
-                            "pool worker runs BLAS at max(1, cpus // pool size) threads")
+                            "process draws its matrices on a share of max(1, cpus // pool size) "
+                            "threads and runs BLAS at one thread fewer (at least one)")
     sweep.add_argument("--out-dir", help="report output directory")
     sweep.add_argument("--theory-overlay", action="store_true", default=None,
                        help="overlay the first-iteration theory curve on the plot")
@@ -237,6 +247,7 @@ def _cmd_recover(args) -> int:
         max_iters=opts["max_iters"], stop_tol=opts["stop_tol"], init=opts["init"],
         support_rule=opts["support_rule"], value_rule=opts["value_rule"],
     )
+    require_memory(cfg, 1)
     seeds = cell_seed_table(cfg, 0)
     _, instance = next(draw_instances(cfg, cfg.m_grid, seeds))
     error, iterations, agreement, reason = solve(
@@ -303,8 +314,8 @@ def _cmd_probe(args) -> int:
     n, s, m, trials = opts["n"], opts["s"], opts["m"], opts["trials"]
     if name == "unbiased":
         y = gen_sparse_signal(seed, n, s)
-        dev = check_unbiasedness(y.values, m, max(1, trials), seed)
-        print(f"max coordinate deviation = {dev!r} (n={n} s={s} m={m} trials={max(1, trials)})")
+        dev = check_unbiasedness(y.values, m, trials, seed)
+        print(f"max coordinate deviation = {dev!r} (n={n} s={s} m={m} trials={trials})")
     elif name == "embedding":
         gap = check_embedding(n, s, m, pairs=trials, seed=seed)
         print(f"max |hamming - geodesic| = {gap!r} (n={n} s={s} m={m} pairs={trials})")
@@ -320,22 +331,24 @@ def _cmd_probe(args) -> int:
             f"(annulus [{cfg.r_lb}, {cfg.r_ub}], samples={cfg.samples})"
         )
     elif name == "width":
-        est = gaussian_width_estimate(n, s, trials=max(100, trials), seed=seed)
+        est = gaussian_width_estimate(n, s, trials=trials, seed=seed)
         ref = math.sqrt(2 * s * math.log(n / s)) if n > s else float("nan")
         ratio = est / ref if ref and not math.isnan(ref) else float("nan")
-        print(f"width estimate = {est!r} (n={n} s={s} trials={max(100, trials)})")
+        print(f"width estimate = {est!r} (n={n} s={s} trials={trials})")
         print(f"reference sqrt(2 s log(n/s)) = {ref!r} ratio = {ratio!r}")
     elif name == "projection":
         worst = projection_inequality_check(samples=trials, N=n, s=s, seed=seed)
         print(f"max violation = {worst!r} (samples={trials}, nonpositive up to rounding)")
     else:
+        if trials < 1:
+            raise InvalidArgumentError(f"trials must be >= 1, got {trials}")
         rng = generator_for(seed)
         worst = 0.0
-        for _ in range(max(1, trials)):
+        for _ in range(trials):
             x = normalize(rng.standard_normal(n))
             y = normalize(rng.standard_normal(n))
             worst = max(worst, *decomposition_check(rng.standard_normal(n), x, y))
-        print(f"max decomposition residual = {worst!r} (triples={max(1, trials)})")
+        print(f"max decomposition residual = {worst!r} (triples={trials})")
     return 0
 
 

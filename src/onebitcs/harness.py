@@ -4,11 +4,16 @@ Each trial draws its signal, ensemble, and noise from substreams of the
 master seed, named by the trial's seed table, so every algorithm in a cell
 sees the same instance (paired comparison) and any execution order or worker
 count reproduces the same records bitwise. A trial draws one
-``max(m_grid)``-row matrix in seeded 512-row blocks, on as many threads as
-the process's share of the CPUs (the records do not depend on the thread
-count), and every m runs on its first m rows, which are bitwise an m-row draw
-from the same seed, so the instances of a trial are nested across m. A x is
-taken by support gather, for the measurements and for the IHT residual.
+``max(m_grid)``-row matrix in seeded 512-row blocks, and every m runs on its
+first m rows, which are bitwise an m-row draw from the same seed, so the
+instances of a trial are nested across m. The draw is streamed: helper
+threads (the process's share of the CPUs, less the solver thread) fill the
+blocks in index order while the smaller m are solved, and the solver thread
+fills or waits for only the blocks below the next m; the records do not
+depend on the thread count. Every sweep process runs OpenBLAS at one thread
+fewer than its share of the CPUs, and at least one.
+A x is taken by support gather, for the measurements and for the IHT
+residual.
 This build writes and replays manifest version 3 only; a change that moves
 records bumps the version and replaces this path instead of forking it.
 Records are canonically sorted by (algorithm, m, trial_index) before they are
@@ -17,6 +22,7 @@ returned.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import dataclasses
 import datetime as _dt
@@ -41,8 +47,9 @@ from .errors import DegenerateIterateError, InvalidArgumentError, SamplingExhaus
 from .model import (
     SUPPORT_RULES,
     VALUE_RULES,
+    BlockFiller,
     MeasurementEnsemble,
-    gen_gaussian_matrix,
+    gen_gaussian_matrix,  # noqa: F401  sweeps stream through BlockFiller; benchmarks/tracing.py wraps this name
     gen_sparse_signal,
     linear_measurements,
     sign_quantize,
@@ -167,8 +174,8 @@ class RunManifest:
     blas: str = "unknown"  # name and version of the BLAS numpy was built against
     workers: int = 1  # processes the tasks ran in (the pool size, 1 when serial)
     blas_threads_per_worker: str = "default"  # threads each process's OpenBLAS ran, "default" if unknown
-    draw_threads: int = 1  # threads given to each matrix draw
-    draw_s: float = 0.0  # seconds spent outside solve (instance draws), summed over tasks
+    draw_threads: int = 1  # threads given to each matrix draw, the solver thread included
+    draw_s: float = 0.0  # solver-thread seconds outside solve (drawing or waiting for rows), summed
     solve_s: float = 0.0  # seconds spent in solve, summed over records
 
 
@@ -237,27 +244,42 @@ def _thread_share(pool_size: int) -> int:
     return max(1, (os.cpu_count() or 1) // pool_size)
 
 
+def require_memory(cfg: SweepConfig, processes: int) -> None:
+    """Reject a run whose ``processes`` matrices of ``max(m_grid)`` rows exceed physical memory."""
+    need = processes * cfg.m_grid[-1] * cfg.n * 8
+    try:
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name here
+        return
+    if need > have:
+        raise InvalidArgumentError(
+            f"{processes} process(es) x {cfg.m_grid[-1]} x {cfg.n} float64 matrix entries "
+            f"need {need / 2**30:.3g} GiB, more than the {have / 2**30:.3g} GiB of physical memory"
+        )
+
+
 def draw_instances(
     cfg: SweepConfig, ms: tuple[int, ...], seeds: dict[str, int], threads: int | None = None
 ):
     """Yield (m, instance) for each m of ``ms`` (increasing) from one seed table.
 
     The matrix is drawn once with ``ms[-1]`` rows, in 512-row blocks on
-    ``threads`` threads (every CPU when None); the instance at m uses a view
-    of its first m rows, which is bitwise the m-row draw from the same seed,
-    and draws its noise at m entries. An instance is
+    ``threads`` threads (every CPU when None): the helpers fill ahead while
+    the caller works on an instance, and the rows of the next m are
+    completed before it is yielded. The instance at m uses a view of the
+    first m rows, which is bitwise the m-row draw from the same seed, and
+    draws its noise at m entries. An instance is
     (signal, ensemble, A x + eps, sign(A x + eps)), with A x taken by support
-    gather; every algorithm in the cell runs on it.
+    gather; every algorithm in the cell runs on it. Closing the generator
+    joins the helpers.
     """
     x = gen_sparse_signal(seeds["signal"], cfg.n, cfg.s, cfg.support_rule, cfg.value_rule)
-    rows = gen_gaussian_matrix(
-        seeds["matrix"], ms[-1], cfg.n, blocked=True,
-        threads=_thread_share(1) if threads is None else threads,
-    )
-    for m in ms:
-        A = MeasurementEnsemble(rows.matrix[:m], rows.seed)  # C-contiguous view, no copy
-        lin = linear_measurements(A, x, cfg.noise_std, seeds["noise"], support_gather=True)
-        yield m, (x, A, lin, sign_quantize(lin))
+    threads = _thread_share(1) if threads is None else threads
+    with BlockFiller(seeds["matrix"], ms[-1], cfg.n, threads) as filler:
+        for m in ms:
+            A = MeasurementEnsemble(filler.rows(m), seeds["matrix"])  # C-contiguous view, no copy
+            lin = linear_measurements(A, x, cfg.noise_std, seeds["noise"], support_gather=True)
+            yield m, (x, A, lin, sign_quantize(lin))
 
 
 def solve(cfg: SweepConfig, algo: str, instance: tuple, init_seed: int) -> tuple[float, int, float, str]:
@@ -297,27 +319,30 @@ def _run_task(
 ) -> tuple[list[SweepRecord], float]:
     """Run every cell of one trial, in increasing m, from the trial's seed table.
 
-    Returns their records and the task's seconds outside solve (the draws).
+    Returns their records and the task's seconds outside solve (drawing, or
+    waiting for the rows of the next m).
     A run that fails is recorded as an ``error:`` row; a failed draw raises.
     """
     task_start = time.perf_counter()
     records = []
-    for m, instance in draw_instances(cfg, cfg.m_grid, seeds, threads):
-        for algo in sorted(cfg.algorithms):
-            start = time.perf_counter()
-            try:
-                outcome = solve(cfg, algo, instance, seeds[f"init.{algo}"])
-            except InvalidArgumentError:
-                raise  # a rejected setting fails every run alike: a validation error
-            except (DegenerateIterateError, SamplingExhaustedError) as exc:
-                # a failed cell is recorded, never fatal to the sweep
-                outcome = (2.0, 0, 0.0, f"error: {exc}")
-            except Exception as exc:
-                outcome = (2.0, 0, 0.0, f"error: {type(exc).__name__}: {exc}")
-            wall_ms = (time.perf_counter() - start) * 1e3
-            records.append(
-                SweepRecord(algo, m, cfg.n, cfg.s, trial, *outcome, wall_time_ms=wall_ms)
-            )
+    # closed on the way out, so a raising solve joins the draw's helpers at once
+    with contextlib.closing(draw_instances(cfg, cfg.m_grid, seeds, threads)) as instances:
+        for m, instance in instances:
+            for algo in sorted(cfg.algorithms):
+                start = time.perf_counter()
+                try:
+                    outcome = solve(cfg, algo, instance, seeds[f"init.{algo}"])
+                except InvalidArgumentError:
+                    raise  # a rejected setting fails every run alike: a validation error
+                except (DegenerateIterateError, SamplingExhaustedError) as exc:
+                    # a failed cell is recorded, never fatal to the sweep
+                    outcome = (2.0, 0, 0.0, f"error: {exc}")
+                except Exception as exc:
+                    outcome = (2.0, 0, 0.0, f"error: {type(exc).__name__}: {exc}")
+                wall_ms = (time.perf_counter() - start) * 1e3
+                records.append(
+                    SweepRecord(algo, m, cfg.n, cfg.s, trial, *outcome, wall_time_ms=wall_ms)
+                )
     draw_s = time.perf_counter() - task_start - sum(r.wall_time_ms for r in records) / 1e3
     return records, draw_s
 
@@ -348,7 +373,7 @@ def _loaded_blas_function(names: tuple[str, ...]):
 
 
 def _pin_blas_threads(n: int) -> None:
-    """Pool initializer: run this worker's OpenBLAS at ``n`` threads.
+    """Run this process's OpenBLAS at ``n`` threads (a pool initializer).
 
     Without an OpenBLAS setter (MKL, Accelerate, another platform) it does
     nothing; it never raises, because a failed initializer breaks the pool.
@@ -369,11 +394,14 @@ def run_sweep(
     at the largest m, and runs every cell on a prefix. With ``workers > 1``
     the tasks run in a pool of at most one process per trial, so a sweep with
     fewer trials than workers uses a smaller pool. Each process gets
-    ``max(1, cpus // pool size)`` threads, so that processes times threads
-    does not exceed the CPU count: pool workers pin their BLAS to that count,
-    and every process fills its matrix blocks on that many threads. The
-    serial path keeps the BLAS default and draws on every CPU. ``workers``
-    below 1 is rejected.
+    a share of ``max(1, cpus // pool size)`` threads for its matrix draws, so
+    that processes times threads does not exceed the CPU count, and runs
+    OpenBLAS at one thread fewer than its share (at least one): pool workers
+    are pinned at start, and the serial path sets this process's OpenBLAS
+    thread count, which is process-wide, for the sweep's duration and
+    restores it afterwards. ``workers`` below 1, and a
+    pool whose matrices of ``max(m_grid)`` rows exceed physical memory
+    together, are rejected.
     """
     return _execute(build_manifest(cfg, constants), workers)
 
@@ -383,7 +411,12 @@ def _execute(manifest: RunManifest, workers: int) -> tuple[list[SweepRecord], Ru
         raise InvalidArgumentError(f"workers must be >= 1, got {workers}")
     cfg = manifest.config
     pool_size = min(workers, cfg.trials_per_cell)
+    require_memory(cfg, pool_size)
     threads = _thread_share(pool_size)
+    # one BLAS thread fewer than the share: at a share of 2 a second OpenBLAS
+    # thread busy-waits between the solvers' small calls on the core the draw
+    # helper fills blocks on
+    blas_threads = max(1, threads - 1)
     first_m = cfg.m_grid[0]
     tasks = [
         (cfg, trial, manifest.cell_seeds[(first_m, trial)], threads)
@@ -391,14 +424,19 @@ def _execute(manifest: RunManifest, workers: int) -> tuple[list[SweepRecord], Ru
     ]
     if pool_size > 1:
         with ProcessPoolExecutor(
-            max_workers=pool_size, initializer=_pin_blas_threads, initargs=(threads,)
+            max_workers=pool_size, initializer=_pin_blas_threads, initargs=(blas_threads,)
         ) as pool:
             per_task = list(pool.map(_run_task, *zip(*tasks), chunksize=1))
-        pinned = str(threads) if _loaded_blas_function(_BLAS_SETTERS) is not None else "default"
     else:
-        per_task = [_run_task(*task) for task in tasks]
         getter = _loaded_blas_function(_BLAS_GETTERS)
-        pinned = "default" if getter is None else str(getter())
+        before = None if getter is None else getter()
+        _pin_blas_threads(blas_threads)
+        try:
+            per_task = [_run_task(*task) for task in tasks]
+        finally:
+            if before is not None:
+                _pin_blas_threads(before)
+    pinned = "default" if _loaded_blas_function(_BLAS_SETTERS) is None else str(blas_threads)
     records = [rec for task_records, _ in per_task for rec in task_records]
     records.sort(key=lambda r: (r.algorithm, r.m, r.trial_index))
     return records, dataclasses.replace(

@@ -3,9 +3,11 @@
 Sign convention: sign(w) = +1 for w > 0 and -1 otherwise, including w = 0.
 All generated arrays are frozen (read-only) after construction; every
 constructor is a pure function of its seed and parameters. The Gaussian
-ensemble comes either from one stream, row by row, or (``blocked``) in
-independently seeded 512-row blocks that threads may fill in any order; in
-both forms the first m rows of a taller draw are bitwise the m-row draw.
+ensemble comes either from one stream, row by row (``gen_gaussian_matrix``),
+or in independently seeded 512-row blocks, which ``BlockFiller`` fills in
+index order on helper threads and the calling thread, handing out row
+prefixes as soon as their blocks are filled; in both forms the first m rows
+of a taller draw are bitwise the m-row draw.
 """
 
 from __future__ import annotations
@@ -129,42 +131,79 @@ class BinaryObservation:
         return self.bits.size
 
 
-def gen_gaussian_matrix(
-    seed: int, m: int, N: int, *, blocked: bool = False, threads: int = 1
-) -> MeasurementEnsemble:
+class BlockFiller:
+    """The m x N blocked draw from ``seed``, filled in block order as its rows are asked for.
+
+    Rows [512 i, 512 (i + 1)) come from their own stream,
+    ``rng.block_generator(seed, i)``. The matrix is allocated at once and
+    every block is queued, in index order, on ``threads - 1`` helper threads
+    (never more than the blocks or the CPUs allow). ``rows(k)`` fills, on the
+    calling thread, every block below row k that no helper has started, waits
+    for the ones the helpers are filling, and returns the first k rows,
+    re-raising a helper's exception. A block's bits depend only on (seed, i),
+    so the matrix does not depend on the thread count or on which thread
+    filled what. ``close`` (or leaving a ``with`` block) drops the queued
+    blocks and joins the helpers; no block is filled after it returns.
+    """
+
+    def __init__(self, seed: int, m: int, N: int, threads: int = 1):
+        if m < 1 or N < 1:
+            raise InvalidArgumentError(f"matrix dimensions must be positive, got m={m}, N={N}")
+        if threads < 1:
+            raise InvalidArgumentError(f"threads must be >= 1, got {threads}")
+        # allocated before any block seed is derived, so a size that cannot be
+        # allocated fails at once
+        self._matrix = np.empty((m, N))
+        self._seed = seed
+        self._ready = 0  # leading blocks known to be filled
+        self._closed = False
+        blocks = -(-m // DRAW_BLOCK_ROWS)
+        helpers = min(threads, blocks, os.cpu_count() or 1) - 1
+        self._helpers = ThreadPoolExecutor(helpers) if helpers else None
+        self._queued = [self._helpers.submit(self._fill, i) for i in range(blocks)] if helpers else []
+
+    def __enter__(self) -> BlockFiller:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def _fill(self, i: int) -> None:
+        rows = self._matrix[i * DRAW_BLOCK_ROWS:(i + 1) * DRAW_BLOCK_ROWS]
+        block_generator(self._seed, i).standard_normal(out=rows)  # releases the GIL
+
+    def rows(self, k: int) -> np.ndarray:
+        """The first ``k`` rows, filled (a view of the matrix, no copy)."""
+        if not 1 <= k <= self._matrix.shape[0]:
+            raise InvalidArgumentError(f"need 1 <= k <= {self._matrix.shape[0]}, got {k}")
+        if self._closed:
+            raise InvalidArgumentError("the draw is closed")
+        need = -(-k // DRAW_BLOCK_ROWS)
+        for i in range(self._ready, need):
+            if not self._queued or self._queued[i].cancel():
+                self._fill(i)  # no helper has started it
+        for block in self._queued[self._ready:need]:
+            if not block.cancelled():
+                block.result()  # waits for the helper; raises its exception
+        self._ready = max(self._ready, need)
+        return self._matrix[:k]
+
+    def close(self) -> None:
+        """Drop the blocks no helper has started and join the helpers."""
+        self._closed = True
+        if self._helpers is not None:
+            self._helpers.shutdown(wait=True, cancel_futures=True)
+
+
+def gen_gaussian_matrix(seed: int, m: int, N: int) -> MeasurementEnsemble:
     """Draw an m x N standard Gaussian ensemble from the named generator.
 
-    By default every entry comes from one stream, row by row. With
-    ``blocked``, rows [512 i, 512 (i + 1)) come from their own stream,
-    ``rng.block_generator(seed, i)``, and up to ``threads`` threads fill the
-    blocks (never more than the blocks or the CPUs); the matrix does not
-    depend on the thread count. Either way the first m rows of a taller draw
-    are bitwise the m-row draw.
+    Every entry comes from one stream, row by row, so the first m rows of a
+    taller draw are bitwise the m-row draw.
     """
     if m < 1 or N < 1:
         raise InvalidArgumentError(f"matrix dimensions must be positive, got m={m}, N={N}")
-    if threads < 1:
-        raise InvalidArgumentError(f"threads must be >= 1, got {threads}")
-    if not blocked:
-        return MeasurementEnsemble(matrix=generator_for(seed).standard_normal((m, N)), seed=int(seed))
-    # allocated before any block seed is derived, so a size that cannot be
-    # allocated fails at once
-    matrix = np.empty((m, N))
-    blocks = -(-m // DRAW_BLOCK_ROWS)
-    threads = min(threads, blocks, os.cpu_count() or 1)
-
-    def fill(first: int) -> None:
-        # blocks first, first + threads, ...; each block's seed is derived when it is filled
-        for i in range(first, blocks, threads):
-            rows = matrix[i * DRAW_BLOCK_ROWS:(i + 1) * DRAW_BLOCK_ROWS]
-            block_generator(seed, i).standard_normal(out=rows)  # releases the GIL
-
-    if threads == 1:
-        fill(0)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, range(threads)))  # re-raises a thread's exception
-    return MeasurementEnsemble(matrix=matrix, seed=int(seed))
+    return MeasurementEnsemble(matrix=generator_for(seed).standard_normal((m, N)), seed=int(seed))
 
 
 SUPPORT_RULES = ("uniform_random", "first_s")

@@ -111,11 +111,13 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["onebitcs: runtime failure: ZeroDivisionError: division by zero"]
 
-    def test_unallocatable_size_is_runtime_failure(self, capsys):
-        # 10^12 x 512 float64 exceeds the address space, so numpy refuses it at once
-        assert parse_and_dispatch(["recover", "--m", "1000000000000", "--seed", "1"]) == 2
+    def test_unallocatable_size_is_validation_error(self, capsys):
+        # 10^12 x 512 float64 exceeds any physical memory, so it is refused before the draw
+        assert parse_and_dispatch(["recover", "--m", "1000000000000", "--seed", "1"]) == 1
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("onebitcs: runtime failure: ")
+        assert len(err) == 1
+        assert err[0].startswith("onebitcs: error: 1 process(es) x 1000000000000 x 512 float64")
+        assert "need 3.81e+06 GiB, more than the" in err[0]
 
 
 class TestRecover:
@@ -369,6 +371,31 @@ class TestProbeAndTheory:
         )
         assert code == 0
         assert "annulus [0.2, 0.4]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name, argv", [
+        ("unbiased", ["--m", "100", "--trials", "99"]),  # 9,900 < 10^4 measurements
+        ("unbiased", ["--m", "10000", "--trials", "0"]),  # one trial would have enough
+        ("embedding", ["--trials", "0"]),
+        ("raic", ["--trials", "0"]),
+        ("width", ["--trials", "99"]),
+        ("projection", ["--trials", "-5"]),
+        ("decomposition", ["--trials", "0"]),
+    ])
+    def test_probe_rejected_trial_count_is_validation_error(self, name, argv, capsys):
+        # each probe runs the count asked or none at all; none rounds it up
+        assert parse_and_dispatch(["probe", name, "--n", "16", "--s", "2", *argv, "--seed", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("onebitcs: error: ")
+
+    @pytest.mark.parametrize("name, argv, printed", [
+        ("unbiased", ["--m", "100", "--trials", "100"], "trials=100)"),
+        ("width", ["--trials", "101"], "trials=101)"),
+        ("decomposition", ["--trials", "1"], "triples=1)"),
+    ])
+    def test_probe_runs_the_trial_count_asked(self, name, argv, printed, capsys):
+        assert parse_and_dispatch(["probe", name, "--n", "16", "--s", "2", *argv, "--seed", "1"]) == 0
+        assert printed in capsys.readouterr().out
 
     def test_probe_unknown_name(self, capsys):
         assert parse_and_dispatch(["probe", "zeta", "--seed", "1"]) == 1

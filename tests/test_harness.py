@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import onebitcs.harness as harness
+import onebitcs.model as model
 from onebitcs import DegenerateIterateError, InvalidArgumentError, SweepConfig, SweepRecord, fit_slope, run_sweep
 from onebitcs.harness import build_manifest, cell_seed_table, error_stat_by_m, run_from_manifest
 from onebitcs.rng import generator_for
@@ -78,18 +80,62 @@ class TestRunSweep:
 
     def test_trial_reads_prefixes_of_one_draw(self, monkeypatch):
         calls = []
-        real = harness.gen_gaussian_matrix
+        real = harness.BlockFiller
 
-        def recording(seed, m, N, **kwargs):
-            calls.append((seed, m, kwargs["blocked"]))
-            return real(seed, m, N, **kwargs)
+        def recording(seed, m, N, threads):
+            calls.append((seed, m))
+            return real(seed, m, N, threads)
 
-        monkeypatch.setattr(harness, "gen_gaussian_matrix", recording)
+        monkeypatch.setattr(harness, "BlockFiller", recording)
         cfg = _small_config()
         run_sweep(cfg)
-        assert sorted(m for _, m, _ in calls) == [256] * cfg.trials_per_cell
-        assert len({seed for seed, _, _ in calls}) == cfg.trials_per_cell
-        assert all(blocked for _, _, blocked in calls)
+        # one blocked draw per trial, at the largest m
+        assert sorted(m for _, m in calls) == [256] * cfg.trials_per_cell
+        assert len({seed for seed, _ in calls}) == cfg.trials_per_cell
+
+    def test_closed_stream_joins_its_helpers(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)  # let 3 helpers run on any host
+        real = model.block_generator
+        taken = []
+
+        def slow(seed, i):
+            taken.append(i)
+            if threading.current_thread() is not threading.main_thread():
+                time.sleep(0.02)
+            return real(seed, i)
+
+        monkeypatch.setattr(model, "block_generator", slow)
+        cfg = _small_config(n=4, s=1, m_grid=(64, 512 * 40))
+        start = threading.active_count()
+        stream = harness.draw_instances(cfg, cfg.m_grid, cell_seed_table(cfg, 0), threads=4)
+        m, _ = next(stream)
+        assert m == 64 and threading.active_count() == start + 3
+        stream.close()
+        assert threading.active_count() == start
+        filled = len(taken)
+        time.sleep(0.05)
+        assert len(taken) == filled < 40  # nothing after the close, and not the whole draw
+
+    def test_raising_task_joins_the_draw_helpers(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)  # let 3 helpers run on any host
+        real = model.block_generator
+
+        def slow(seed, i):
+            if threading.current_thread() is not threading.main_thread():
+                time.sleep(0.02)
+            return real(seed, i)
+
+        def boom(*args, **kwargs):
+            raise InvalidArgumentError("rejected in the task")
+
+        monkeypatch.setattr(model, "block_generator", slow)
+        monkeypatch.setattr(harness, "nbiht_run", boom)
+        cfg = _small_config(n=4, s=1, m_grid=(64, 512 * 40))
+        start = threading.active_count()
+        with pytest.raises(InvalidArgumentError, match="rejected in the task") as raised:
+            harness._run_task(cfg, 0, cell_seed_table(cfg, 0), 4)
+        # the exception (and its traceback) is still held here
+        assert raised.value is not None and threading.active_count() == start
 
     def test_nested_instance_equals_direct_draw(self):
         cfg = _small_config(noise_std=0.3)
@@ -113,6 +159,15 @@ class TestRunSweep:
             expected = A.matrix[:, nz] @ x.values[nz]
             assert lin.tobytes() == expected.tobytes()
             assert np.array_equal(b.bits, np.where(expected > 0, 1.0, -1.0))
+
+    def test_matrices_beyond_physical_memory_rejected(self, monkeypatch):
+        # a 256 x 32 float64 matrix per process is 64 KiB, against 96 KiB of memory
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 24}
+        monkeypatch.setattr(os, "sysconf", lambda name: pages[name])
+        cfg = _small_config()
+        run_sweep(cfg, workers=1)
+        with pytest.raises(InvalidArgumentError, match=r"2 process\(es\) x 256 x 32 .* need 0\.000122 GiB"):
+            run_sweep(cfg, workers=2)
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_rejected(self, workers):
@@ -178,34 +233,36 @@ class TestPool:
         records, manifest = run_sweep(cfg, workers=64)
         (pool,) = fake_pool
         assert pool.kwargs == {
-            "max_workers": 2, "initializer": harness._pin_blas_threads, "initargs": (6,),
-        }
+            "max_workers": 2, "initializer": harness._pin_blas_threads, "initargs": (5,),
+        }  # a share of 12 // 2 = 6 threads, BLAS at one fewer
         assert manifest.workers == 2
-        assert manifest.blas_threads_per_worker in ("6", "default")
+        assert manifest.blas_threads_per_worker == _pinned(5)
         assert len(records) == 12
 
     def test_threads_derived_from_pool_size(self, fake_pool):
-        run_sweep(_small_config(trials_per_cell=6), workers=5)
-        assert fake_pool[0].kwargs["initargs"] == (12 // 5,)
-        run_sweep(_small_config(trials_per_cell=20), workers=60)
-        assert fake_pool[1].kwargs["initargs"] == (1,)  # never below one thread
+        _, manifest = run_sweep(_small_config(trials_per_cell=6), workers=5)
+        assert manifest.draw_threads == 12 // 5
+        _, manifest = run_sweep(_small_config(trials_per_cell=20), workers=60)
+        assert manifest.draw_threads == 1  # never below one thread
+        # BLAS at one thread fewer than the share, never below one
+        assert [pool.kwargs["initargs"] for pool in fake_pool] == [(12 // 5 - 1,), (1,)]
 
     def test_single_cell_runs_serially(self, fake_pool):
         cfg = _small_config(m_grid=(64,), trials_per_cell=1)
         _, manifest = run_sweep(cfg, workers=8)
         assert fake_pool == []
-        assert (manifest.workers, manifest.blas_threads_per_worker) == (1, _serial_blas_threads())
+        assert (manifest.workers, manifest.blas_threads_per_worker) == (1, _pinned(11))
 
     def test_draw_threads_are_the_process_share(self, fake_pool, monkeypatch):
         # 12 CPUs: every one on the serial path, 12 // pool size in a pool
         given = []
-        real = harness.gen_gaussian_matrix
+        real = harness.BlockFiller
 
-        def recording(seed, m, N, **kwargs):
-            given.append(kwargs["threads"])
-            return real(seed, m, N, **kwargs)
+        def recording(seed, m, N, threads):
+            given.append(threads)
+            return real(seed, m, N, threads)
 
-        monkeypatch.setattr(harness, "gen_gaussian_matrix", recording)
+        monkeypatch.setattr(harness, "BlockFiller", recording)
         cfg = _small_config(trials_per_cell=2)
         manifests = [
             run_sweep(cfg, workers=1)[1],
@@ -243,9 +300,48 @@ class TestPool:
         assert seen == [expected] * 4
 
 
-def _serial_blas_threads():
-    getter = harness._loaded_blas_function(harness._BLAS_GETTERS)
-    return "default" if getter is None else str(getter())
+def _pinned(threads: int) -> str:
+    """What env.blas_threads_per_worker must read: ``threads`` whenever an OpenBLAS setter is found."""
+    return "default" if harness._loaded_blas_function(harness._BLAS_SETTERS) is None else str(threads)
+
+
+class TestSerialBlasThreads:
+    @pytest.fixture
+    def blas_at_two(self):
+        getter = harness._loaded_blas_function(harness._BLAS_GETTERS)
+        if getter is None or harness._loaded_blas_function(harness._BLAS_SETTERS) is None:
+            pytest.skip("no OpenBLAS thread getter and setter in this process")
+        before = getter()
+        harness._pin_blas_threads(2)
+        try:
+            if getter() != 2:
+                pytest.skip("this OpenBLAS cannot run 2 threads")
+            yield getter
+        finally:
+            harness._pin_blas_threads(before)
+
+    def test_one_thread_during_the_sweep_and_restored(self, blas_at_two, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a share of 2: BLAS at one thread
+        seen = []
+        real = harness.nbiht_run
+
+        def recording(*args, **kwargs):
+            seen.append(blas_at_two())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "nbiht_run", recording)
+        run_sweep(_small_config(), workers=1)
+        assert seen and set(seen) == {1}
+        assert blas_at_two() == 2
+
+    def test_restored_when_a_task_raises(self, blas_at_two, monkeypatch):
+        def boom(*args, **kwargs):
+            raise InvalidArgumentError("rejected in the task")
+
+        monkeypatch.setattr(harness, "nbiht_run", boom)
+        with pytest.raises(InvalidArgumentError, match="rejected in the task"):
+            run_sweep(_small_config(), workers=1)
+        assert blas_at_two() == 2
 
 
 class TestSeedHygiene:
@@ -296,13 +392,14 @@ class TestManifest:
 
     def test_env_fields(self):
         serial = run_sweep(_small_config(), workers=1)[1]
-        assert (serial.workers, serial.blas_threads_per_worker) == (1, _serial_blas_threads())
-        assert serial.draw_threads == (os.cpu_count() or 1)
+        cpus = os.cpu_count() or 1
+        assert (serial.workers, serial.blas_threads_per_worker) == (1, _pinned(max(1, cpus - 1)))
+        assert serial.draw_threads == cpus
         assert serial.blas
         pooled = run_sweep(_small_config(), workers=2)[1]
-        share = max(1, (os.cpu_count() or 1) // 2)
+        share = max(1, cpus // 2)
         assert (pooled.workers, pooled.draw_threads) == (2, share)
-        assert pooled.blas_threads_per_worker in (str(share), "default")
+        assert pooled.blas_threads_per_worker == _pinned(max(1, share - 1))
 
     def test_stage_seconds_split_the_run(self):
         start = time.perf_counter()

@@ -1,7 +1,9 @@
 """Measurement model: generators, quantizer, determinism, scale invariance."""
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+import sys
+import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -89,6 +91,21 @@ class TestGaussianMatrix:
 _SEEDS = st.integers(0, 2**64 - 1)
 
 
+def _blocked(seed: int, m: int, n: int, threads: int = 1) -> np.ndarray:
+    """The m x n blocked draw, filled by BlockFiller on up to ``threads`` threads."""
+    with model.BlockFiller(seed, m, n, threads) as filler:
+        return filler.rows(m)
+
+
+def _reference_blocks(seed: int, m: int, n: int) -> np.ndarray:
+    """The blocked draw built block by block on one thread, without BlockFiller."""
+    blocks = [
+        block_generator(seed, i).standard_normal((min(512, m - 512 * i), n))
+        for i in range(-(-m // 512))
+    ]
+    return np.vstack(blocks)
+
+
 class TestBlockedGaussianMatrix:
     @given(
         seed=_SEEDS,
@@ -103,23 +120,19 @@ class TestBlockedGaussianMatrix:
     @settings(max_examples=40, deadline=None)
     def test_row_prefix_is_the_shorter_draw(self, seed, n, m, extra):
         # nested ensembles and recover rely on it under manifest version 3
-        full = gen_gaussian_matrix(seed, m + extra, n, blocked=True).matrix
-        assert full[:m].tobytes() == gen_gaussian_matrix(seed, m, n, blocked=True).matrix.tobytes()
+        assert _blocked(seed, m + extra, n)[:m].tobytes() == _blocked(seed, m, n).tobytes()
 
     @given(seed=_SEEDS, n=st.integers(1, 6), m=st.integers(1, 2100))
     @example(seed=5, n=4, m=2100)  # five blocks over three threads
     @settings(max_examples=25, deadline=None)
     def test_thread_count_does_not_change_the_draw(self, seed, n, m):
         with mock.patch.object(os, "cpu_count", return_value=4):  # let 3 threads run on any host
-            draws = [
-                gen_gaussian_matrix(seed, m, n, blocked=True, threads=threads).matrix.tobytes()
-                for threads in (1, 2, 3)
-            ]
+            draws = [_blocked(seed, m, n, threads).tobytes() for threads in (1, 2, 3)]
         assert draws[0] == draws[1] == draws[2]
 
     def test_blocks_follow_the_spawn_rule(self):
         seed, n = 2**64 - 5, 3
-        matrix = gen_gaussian_matrix(seed, 1100, n, blocked=True).matrix
+        matrix = _blocked(seed, 1100, n)
         children = np.random.SeedSequence(seed).spawn(3)
         for i, rows in enumerate((512, 512, 76)):
             block = matrix[512 * i:512 * i + rows]
@@ -129,19 +142,18 @@ class TestBlockedGaussianMatrix:
         assert gen_gaussian_matrix(seed, 1100, n).matrix.tobytes() != matrix.tobytes()
 
     def test_threads_capped_at_blocks_and_cpus(self, monkeypatch):
-        started = []
+        sizes = []
+        real = model.ThreadPoolExecutor
 
-        class Recording(ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                started.append(max_workers)
-                super().__init__(max_workers=max_workers)
+        def recording(max_workers):
+            sizes.append(max_workers)
+            return real(max_workers)
 
-        monkeypatch.setattr(model, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(model, "ThreadPoolExecutor", recording)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        gen_gaussian_matrix(1, 5000, 2, blocked=True, threads=10**6)  # 10 blocks, 3 CPUs
-        gen_gaussian_matrix(1, 1000, 2, blocked=True, threads=10**6)  # 2 blocks
-        gen_gaussian_matrix(1, 500, 2, blocked=True, threads=10**6)  # 1 block: no pool
-        assert started == [3, 2]
+        for m in (5000, 1000, 500):  # 10 blocks on 3 CPUs, 2 blocks, 1 block
+            _blocked(1, m, 2, threads=10**6)
+        assert sizes == [2, 1]  # helpers besides the calling thread; none for one block
 
     def test_unallocatable_size_derives_no_block_seed(self, monkeypatch):
         def derived(*args):
@@ -149,11 +161,111 @@ class TestBlockedGaussianMatrix:
 
         monkeypatch.setattr(model, "block_generator", derived)
         with pytest.raises(MemoryError):  # 10^12 x 512 float64 exceeds the address space
-            gen_gaussian_matrix(1, 10**12, 512, blocked=True, threads=2)
+            model.BlockFiller(1, 10**12, 512, threads=2)
 
     def test_threads_must_be_positive(self):
         with pytest.raises(InvalidArgumentError):
-            gen_gaussian_matrix(1, 5, 5, blocked=True, threads=0)
+            model.BlockFiller(1, 5, 5, threads=0)
+
+
+class TestBlockFiller:
+    M, N = 2100, 3  # five blocks, the last one short
+
+    @pytest.mark.parametrize("threads", [1, 2, 4])  # 0, 1 and 3 helpers
+    @pytest.mark.parametrize("slow_helper", [False, True])
+    def test_every_prefix_is_the_blocked_draw(self, threads, slow_helper, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)  # let 3 helpers run on any host
+        if slow_helper:
+            real = model.block_generator
+            slowed = []
+
+            def sleepy(seed, i):
+                # one helper sleeps before each block it fills, so the calling
+                # thread both fills blocks itself and waits for held ones
+                on_helper = threading.current_thread() is not threading.main_thread()
+                if on_helper and (not slowed or slowed[0] == threading.get_ident()):
+                    slowed[:] = [threading.get_ident()]
+                    time.sleep(0.02)
+                return real(seed, i)
+
+            monkeypatch.setattr(model, "block_generator", sleepy)
+        reference = _reference_blocks(11, self.M, self.N)
+        with model.BlockFiller(11, self.M, self.N, threads) as filler:
+            for k in [*range(1, self.M + 1, 97), 511, 512, 513, 1024, 1025, self.M]:
+                assert filler.rows(k).tobytes() == reference[:k].tobytes()
+
+    def test_helper_exception_raised_on_caller(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        real = model.block_generator
+        raised = threading.Event()
+        caller, seen = [], []
+
+        def failing(seed, i):
+            if threading.get_ident() not in caller:
+                raised.set()
+                raise RuntimeError("helper failed")
+            assert raised.wait(timeout=10)  # the caller fills only after a helper failed
+            return real(seed, i)
+
+        def ask():
+            caller.append(threading.get_ident())
+            try:
+                with model.BlockFiller(3, self.M, self.N, threads=2) as filler:
+                    filler.rows(self.M)
+            except RuntimeError as exc:
+                seen.append(exc)
+
+        monkeypatch.setattr(model, "block_generator", failing)
+        start = threading.active_count()
+        asker = threading.Thread(target=ask, daemon=True)  # a hang must not hold the suite
+        asker.start()
+        asker.join(timeout=10)
+        assert not asker.is_alive()
+        assert [str(exc) for exc in seen] == ["helper failed"]
+        assert threading.active_count() == start
+
+    def test_each_block_filled_once_under_contention(self, monkeypatch):
+        # more helpers than cores and a short switch interval, so a lost update
+        # of the next-block counter would fill a block twice or never
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        real = model.block_generator
+        taken = []
+
+        def counting(seed, i):
+            taken.append(i)
+            return real(seed, i)
+
+        monkeypatch.setattr(model, "block_generator", counting)
+        m = 512 * 64
+        reference = _reference_blocks(5, m, 1)
+        same = []
+
+        def stream():
+            with model.BlockFiller(5, m, 1, threads=8) as filler:
+                same.extend(
+                    filler.rows(k).tobytes() == reference[:k].tobytes() for k in range(1, m + 1, 1001)
+                )
+                same.append(filler.rows(m).tobytes() == reference.tobytes())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            streamer = threading.Thread(target=stream, daemon=True)  # a hang must not hold the suite
+            streamer.start()
+            streamer.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not streamer.is_alive()
+        assert same and all(same)
+        assert sorted(taken) == list(range(64))
+
+    def test_rows_outside_the_draw_rejected(self):
+        with model.BlockFiller(1, 10, 2) as filler:
+            for k in (0, 11):
+                with pytest.raises(InvalidArgumentError):
+                    filler.rows(k)
+        with pytest.raises(InvalidArgumentError, match="closed"):
+            filler.rows(5)
 
 
 class TestSparseSignal:
