@@ -47,7 +47,6 @@ from .probes import (
     decomposition_check,
     gaussian_width_estimate,
     projection_inequality_check,
-    raic_level_sweep,
     raic_probe,
 )
 from .rng import generator_for, substream_seed
@@ -99,7 +98,6 @@ __all__ = [
     "normalize",
     "one_shot_estimate",
     "projection_inequality_check",
-    "raic_level_sweep",
     "raic_probe",
     "run_from_manifest",
     "run_sweep",

@@ -6,7 +6,8 @@ Every flag has a config-file equivalent (INI sections named after the
 subcommand, keys named like the flags with dashes as underscores); explicit
 flags override file values. Randomized commands require a seed, from the
 flag or the config file, never from the wall clock. Exit codes: 0 success,
-1 validation error, 2 runtime failure.
+1 validation error, 2 runtime failure. Every command runs OpenBLAS at one
+thread fewer than the CPUs, and at least one, restoring the count on exit.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .errors import DegenerateIterateError, InvalidArgumentError, SamplingExhaus
 from .harness import (
     ALGORITHMS,
     SweepConfig,
+    blas_threads,
     cell_seed_table,
     draw_instances,
     fit_slope,
@@ -402,9 +404,10 @@ def parse_and_dispatch(argv: list[str]) -> int:
         "theory": _cmd_theory,
     }
     try:
-        if args.command == "selftest":
-            return 2 if run_selftest() else 0
-        return handlers[args.command](args)
+        with blas_threads():
+            if args.command == "selftest":
+                return 2 if run_selftest() else 0
+            return handlers[args.command](args)
     except InvalidArgumentError as exc:
         print(f"onebitcs: error: {exc}", file=sys.stderr)
         return 1

@@ -10,10 +10,12 @@ instances of a trial are nested across m. The draw is streamed: helper
 threads (the process's share of the CPUs, less the solver thread) fill the
 blocks in index order while the smaller m are solved, and the solver thread
 fills or waits for only the blocks below the next m; the records do not
-depend on the thread count. Every sweep process runs OpenBLAS at one thread
-fewer than its share of the CPUs, and at least one.
-A x is taken by support gather, for the measurements and for the IHT
-residual.
+depend on the thread count. Every process runs OpenBLAS at one thread fewer
+than its share of the CPUs, and at least one (``blas_threads``): pool workers
+are pinned at start, and the serial sweep and every CLI command set the
+count for their duration and restore it afterwards.
+A x is taken by support gather, for the measurements, the one-shot
+agreement and the IHT residual.
 This build writes and replays manifest version 3 only; a change that moves
 records bumps the version and replaces this path instead of forking it.
 Records are canonically sorted by (algorithm, m, trial_index) before they are
@@ -244,6 +246,17 @@ def _thread_share(pool_size: int) -> int:
     return max(1, (os.cpu_count() or 1) // pool_size)
 
 
+def _blas_thread_count(pool_size: int) -> int:
+    """OpenBLAS threads per process when ``pool_size`` processes share the CPUs.
+
+    One fewer than the share, and at least one: between small BLAS calls an
+    extra OpenBLAS thread busy-waits on a core, which in a sweep is the one a
+    draw helper fills blocks on, and in a command without helpers is CPU
+    time spent for nothing. Only shares of 1 and 2 have been measured.
+    """
+    return max(1, _thread_share(pool_size) - 1)
+
+
 def require_memory(cfg: SweepConfig, processes: int) -> None:
     """Reject a run whose ``processes`` matrices of ``max(m_grid)`` rows exceed physical memory."""
     need = processes * cfg.m_grid[-1] * cfg.n * 8
@@ -278,7 +291,7 @@ def draw_instances(
     with BlockFiller(seeds["matrix"], ms[-1], cfg.n, threads) as filler:
         for m in ms:
             A = MeasurementEnsemble(filler.rows(m), seeds["matrix"])  # C-contiguous view, no copy
-            lin = linear_measurements(A, x, cfg.noise_std, seeds["noise"], support_gather=True)
+            lin = linear_measurements(A, x, cfg.noise_std, seeds["noise"])
             yield m, (x, A, lin, sign_quantize(lin))
 
 
@@ -302,7 +315,7 @@ def solve(cfg: SweepConfig, algo: str, instance: tuple, init_seed: int) -> tuple
     )
     if algo == "one_shot":
         estimate = one_shot_estimate(A, b, cfg.s, cfg.tau)
-        agreement = 1.0 - hamming_distance(sign_quantize(A.matrix @ estimate), b)
+        agreement = 1.0 - hamming_distance(sign_quantize(linear_measurements(A, estimate)), b)
         return _sphere_error(estimate, x.values), 1, agreement, "one_shot"
     if algo == "iht":
         trace = iht_run(A, lin, algo_cfg)
@@ -383,6 +396,25 @@ def _pin_blas_threads(n: int) -> None:
         setter(ctypes.c_int(n))
 
 
+@contextlib.contextmanager
+def blas_threads():
+    """Run this process's OpenBLAS at ``_blas_thread_count(1)`` threads inside the block.
+
+    The count is process-wide; the one in force before is restored on the
+    way out, also when the block raises. Yields the count set. Without an
+    OpenBLAS getter and setter nothing is set or restored.
+    """
+    count = _blas_thread_count(1)
+    getter = _loaded_blas_function(_BLAS_GETTERS)
+    before = None if getter is None else getter()
+    _pin_blas_threads(count)
+    try:
+        yield count
+    finally:
+        if before is not None:
+            _pin_blas_threads(before)
+
+
 def run_sweep(
     cfg: SweepConfig,
     workers: int = 1,
@@ -413,10 +445,7 @@ def _execute(manifest: RunManifest, workers: int) -> tuple[list[SweepRecord], Ru
     pool_size = min(workers, cfg.trials_per_cell)
     require_memory(cfg, pool_size)
     threads = _thread_share(pool_size)
-    # one BLAS thread fewer than the share: at a share of 2 a second OpenBLAS
-    # thread busy-waits between the solvers' small calls on the core the draw
-    # helper fills blocks on
-    blas_threads = max(1, threads - 1)
+    blas_count = _blas_thread_count(pool_size)
     first_m = cfg.m_grid[0]
     tasks = [
         (cfg, trial, manifest.cell_seeds[(first_m, trial)], threads)
@@ -424,19 +453,13 @@ def _execute(manifest: RunManifest, workers: int) -> tuple[list[SweepRecord], Ru
     ]
     if pool_size > 1:
         with ProcessPoolExecutor(
-            max_workers=pool_size, initializer=_pin_blas_threads, initargs=(blas_threads,)
+            max_workers=pool_size, initializer=_pin_blas_threads, initargs=(blas_count,)
         ) as pool:
             per_task = list(pool.map(_run_task, *zip(*tasks), chunksize=1))
     else:
-        getter = _loaded_blas_function(_BLAS_GETTERS)
-        before = None if getter is None else getter()
-        _pin_blas_threads(blas_threads)
-        try:
+        with blas_threads():
             per_task = [_run_task(*task) for task in tasks]
-        finally:
-            if before is not None:
-                _pin_blas_threads(before)
-    pinned = "default" if _loaded_blas_function(_BLAS_SETTERS) is None else str(blas_threads)
+    pinned = "default" if _loaded_blas_function(_BLAS_SETTERS) is None else str(blas_count)
     records = [rec for task_records, _ in per_task for rec in task_records]
     records.sort(key=lambda r: (r.algorithm, r.m, r.trial_index))
     return records, dataclasses.replace(

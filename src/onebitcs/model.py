@@ -7,7 +7,9 @@ ensemble comes either from one stream, row by row (``gen_gaussian_matrix``),
 or in independently seeded 512-row blocks, which ``BlockFiller`` fills in
 index order on helper threads and the calling thread, handing out row
 prefixes as soon as their blocks are filled; in both forms the first m rows
-of a taller draw are bitwise the m-row draw.
+of a taller draw are bitwise the m-row draw. A x has one form: the product of
+the columns of A on the support of x with the nonzeros of x
+(``linear_measurements``), which every measurement and probe takes.
 """
 
 from __future__ import annotations
@@ -253,31 +255,21 @@ def sign_quantize(v) -> BinaryObservation:
     return BinaryObservation(bits=np.where(v > 0, 1.0, -1.0))
 
 
-def linear_measurements(
-    A: MeasurementEnsemble,
-    x,
-    noise_std: float = 0.0,
-    noise_seed: int = 0,
-    *,
-    support_gather: bool = False,
-) -> np.ndarray:
+def linear_measurements(A: MeasurementEnsemble, x, noise_std: float = 0.0, noise_seed: int = 0) -> np.ndarray:
     """Pre-quantization measurements Ax + eps with eps ~ N(0, noise_std^2).
 
-    eps is identically zero when noise_std == 0 (no draw is consumed). With
-    ``support_gather`` the product is taken on the columns of A on the
-    support of x, A[:, nz] @ x[nz] (m*s instead of m*N flops); it equals the
-    dense product up to rounding, not bitwise.
+    eps is identically zero when noise_std == 0 (no draw is consumed). The
+    product is taken on the columns of A on the support of x,
+    A[:, nz] @ x[nz] (m*s instead of m*N flops); it equals the dense product
+    A @ x up to rounding, not bitwise.
     """
     x = as_vector(x)
     if x.shape != (A.N,):
         raise InvalidArgumentError(f"signal length {x.size} != ensemble N {A.N}")
     if noise_std < 0:
         raise InvalidArgumentError("noise_std must be nonnegative")
-    if support_gather:
-        nz = np.flatnonzero(x)
-        y = A.matrix[:, nz] @ x[nz]
-    else:
-        y = A.matrix @ x
+    nz = np.flatnonzero(x)
+    y = A.matrix[:, nz] @ x[nz]
     if noise_std > 0:
         y = y + generator_for(noise_seed).normal(0.0, noise_std, size=A.m)
     return y

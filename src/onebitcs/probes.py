@@ -5,7 +5,9 @@ sign correlation, Hamming/geodesic agreement of one-bit embeddings, the
 restricted approximate invertibility slope on an annulus, orthogonal
 decomposition residuals, Gaussian widths of sparse balls, the metric
 projection inequality) and reports the observed deviation or fit, never the
-asymptotic constants, which live beyond desk scale.
+asymptotic constants, which live beyond desk scale. Their forward products
+A x come from ``model.linear_measurements``, which takes them on the support
+of x, as the sweeps do; the adjoint products A^T v stay dense.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError, SamplingExhaustedError
-from .model import as_vector, gen_gaussian_matrix, gen_sparse_signal, sign_quantize
+from .model import as_vector, gen_gaussian_matrix, gen_sparse_signal, linear_measurements, sign_quantize
 from .rng import generator_for, substream_seed
 from .sparse_ops import geodesic_distance, hamming_distance, hard_threshold, sparse_dual_norm
 
@@ -36,16 +38,16 @@ def check_unbiasedness(y, m: int, trials: int, seed: int) -> float:
         raise InvalidArgumentError("need trials*m >= 10^4 measurements")
     acc = np.zeros(y.size)
     for t in range(trials):
-        A = gen_gaussian_matrix(substream_seed(seed, t), m, y.size).matrix
-        acc += A.T @ np.where(A @ y > 0, 1.0, -1.0)
+        A = gen_gaussian_matrix(substream_seed(seed, t), m, y.size)
+        acc += A.matrix.T @ sign_quantize(linear_measurements(A, y)).bits
     estimate = _SQRT_HALF_PI / (trials * m) * acc
     return float(np.max(np.abs(estimate - y)))
 
 
 def embedding_gap(A, x, y) -> float:
     """|hamming(sign(Ax), sign(Ay)) - geodesic(x, y)| for one pair."""
-    bx = sign_quantize(A.matrix @ as_vector(x))
-    by = sign_quantize(A.matrix @ as_vector(y))
+    bx = sign_quantize(linear_measurements(A, x))
+    by = sign_quantize(linear_measurements(A, y))
     return abs(hamming_distance(bx, by) - geodesic_distance(x, y))
 
 
@@ -159,8 +161,8 @@ def raic_probe(cfg: RaicProbeConfig) -> RaicProbeResult:
     excess of any sample above the fitted line.
     """
     x = gen_sparse_signal(substream_seed(cfg.seed, 0), cfg.N, cfg.s).values
-    A = gen_gaussian_matrix(substream_seed(cfg.seed, 1), cfg.m, cfg.N).matrix
-    sign_x = np.where(A @ x > 0, 1.0, -1.0)
+    A = gen_gaussian_matrix(substream_seed(cfg.seed, 1), cfg.m, cfg.N)
+    sign_x = sign_quantize(linear_measurements(A, x)).bits
     nu = cfg.effective_nu
 
     cloud: list[tuple[float, float]] = []
@@ -169,8 +171,8 @@ def raic_probe(cfg: RaicProbeConfig) -> RaicProbeResult:
         rng = generator_for(substream_seed(cfg.seed, 2, k))
         target = cfg.r_lb + (k + rng.uniform(0.0, 1.0)) * width / cfg.samples
         y = _sparse_point_at_distance(x, cfg.s, target, rng, cfg.retry_budget)
-        sign_y = np.where(A @ y > 0, 1.0, -1.0)
-        lhs = sparse_dual_norm(nu * (A.T @ (sign_x - sign_y)) - (x - y), cfg.s)
+        sign_y = sign_quantize(linear_measurements(A, y)).bits
+        lhs = sparse_dual_norm(nu * (A.matrix.T @ (sign_x - sign_y)) - (x - y), cfg.s)
         cloud.append((float(np.linalg.norm(x - y)), float(lhs)))
     cloud.sort()
 
@@ -195,25 +197,6 @@ def _nonneg_intercept_fit(d: np.ndarray, lhs: np.ndarray) -> tuple[float, float]
         intercept = 0.0
         slope = float(np.dot(d, lhs) / np.dot(d, d))
     return float(slope), float(intercept)
-
-
-def raic_level_sweep(
-    N: int,
-    s: int,
-    m: int,
-    annuli: list[tuple[float, float]],
-    samples: int,
-    seed: int,
-    nu: float | None = None,
-) -> list[RaicProbeResult]:
-    """Per-annulus-level fits (one RaicProbeResult per (r_lb, r_ub) level)."""
-    results = []
-    for idx, (lb, ub) in enumerate(annuli):
-        cfg = RaicProbeConfig(
-            N=N, s=s, m=m, samples=samples, seed=substream_seed(seed, idx), r_lb=lb, r_ub=ub, nu=nu
-        )
-        results.append(raic_probe(cfg))
-    return results
 
 
 def decomposition_check(a, x, y) -> tuple[float, float, float]:
@@ -259,10 +242,13 @@ def gaussian_width_estimate(N: int, s: int, trials: int, seed: int) -> float:
     total = 0.0
     remaining = trials
     batch = max(1, min(trials, 2**22 // max(N, 1)))
+    buf = np.empty((batch, N))  # every batch is drawn, folded and partitioned in place here
     while remaining > 0:
         rows = min(batch, remaining)
-        h = np.abs(rng.standard_normal((rows, N)))
-        top = np.partition(h, N - k, axis=1)[:, N - k:]
+        h = rng.standard_normal(out=buf[:rows])
+        np.abs(h, out=h)
+        h.partition(N - k, axis=1)
+        top = h[:, N - k:]
         total += float(np.sqrt((top * top).sum(axis=1)).sum())
         remaining -= rows
     return total / trials

@@ -18,7 +18,7 @@ import numpy as np
 from .algorithms import AlgorithmConfig, DEFAULT_TAU, iht_run, nbiht_run, nbiht_step, one_shot_estimate
 from .errors import DegenerateIterateError, InvalidArgumentError
 from .harness import SweepConfig, fit_slope, run_sweep
-from .model import gen_gaussian_matrix, gen_sparse_signal, measure, sign_quantize
+from .model import gen_gaussian_matrix, gen_sparse_signal, linear_measurements, measure, sign_quantize
 from .probes import (
     check_embedding,
     check_unbiasedness,
@@ -142,7 +142,7 @@ def _check_iht_recovery():
     for trial in range(20):
         x = gen_sparse_signal(1000 + trial, 64, 3)
         A = gen_gaussian_matrix(2000 + trial, 80, 64)
-        trace = iht_run(A, A.matrix @ x.values, AlgorithmConfig(s=3, max_iters=200), truth=x)
+        trace = iht_run(A, linear_measurements(A, x), AlgorithmConfig(s=3, max_iters=200), truth=x)
         hits += trace.final_error < 1e-6
     assert hits >= 18, hits
 

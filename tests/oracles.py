@@ -8,6 +8,8 @@ code paths it certifies.
 import itertools
 import math
 
+import numpy as np
+
 
 def best_s_term_error(v, s: int) -> float:
     """Brute-force best s-term approximation error via support enumeration."""
@@ -67,6 +69,26 @@ def nbiht_step_scalar(rows, bits, x, tau: float, s: int):
 def chi_mean(n: int) -> float:
     """E||h||_2 for h ~ N(0, I_n): sqrt(2) * Gamma((n+1)/2) / Gamma(n/2)."""
     return math.sqrt(2.0) * math.exp(math.lgamma((n + 1) / 2.0) - math.lgamma(n / 2.0))
+
+
+def gaussian_width_fresh_batches(N: int, s: int, trials: int, rng) -> float:
+    """Mean top-2s norm of |h| over ``trials`` draws h ~ N(0, I_N) from ``rng``.
+
+    Draws in batches of at most 2^22 entries, each into fresh arrays (the
+    draw, its absolute values, the partitioned copy): the estimate as
+    ``probes.gaussian_width_estimate`` took it before it reused one buffer.
+    """
+    k = min(2 * s, N)
+    total = 0.0
+    remaining = trials
+    batch = max(1, min(trials, 2**22 // max(N, 1)))
+    while remaining > 0:
+        rows = min(batch, remaining)
+        h = np.abs(rng.standard_normal((rows, N)))
+        top = np.partition(h, N - k, axis=1)[:, N - k:]
+        total += float(np.sqrt((top * top).sum(axis=1)).sum())
+        remaining -= rows
+    return total / trials
 
 
 def binomial_band(p: float, draws: int, sigmas: float = 4.0) -> float:

@@ -1,10 +1,12 @@
-"""CLI: dispatch, exit codes, config merging, golden help text."""
+"""CLI: dispatch, exit codes, config merging, golden help text and probe output, BLAS threads."""
 
+import os
 import re
 from pathlib import Path
 
 import pytest
 
+import onebitcs.cli as cli
 from onebitcs.cli import build_parser, parse_and_dispatch
 from onebitcs.harness import ALGORITHMS, SweepConfig, run_sweep
 
@@ -24,6 +26,64 @@ class TestHelpGolden:
     def test_help_flag_exits_zero(self, capsys):
         assert parse_and_dispatch(["--help"]) == 0
         assert "recover" in capsys.readouterr().out
+
+
+def _golden_probe_runs() -> list[tuple[list[str], str]]:
+    """The (argv, printed output) pairs of data/probe_outputs.txt."""
+    runs = []
+    for line in (DATA / "probe_outputs.txt").read_text().splitlines(keepends=True):
+        if line.startswith("$ onebitcs "):
+            runs.append((line.split()[2:], []))
+        else:
+            runs[-1][1].append(line)
+    return [(argv, "".join(lines)) for argv, lines in runs]
+
+
+class TestProbeOutputsGolden:
+    RUNS = _golden_probe_runs()
+
+    @pytest.mark.parametrize("argv,expected", RUNS, ids=[f"{a[1]}-seed{a[-1]}" for a, _ in RUNS])
+    def test_printed_output_is_bitwise_the_stored_one(self, argv, expected, capsys):
+        assert parse_and_dispatch(argv) == 0
+        assert capsys.readouterr().out == expected
+
+
+class TestBlasThreads:
+    # every command runs OpenBLAS at max(1, share - 1) threads; on 2 CPUs that is 1
+    COMMANDS = [
+        (["recover", "--n", "32", "--s", "2", "--m", "64", "--max-iters", "5"], "solve", 0),
+        (["probe", "unbiased", "--n", "16", "--s", "2", "--m", "2000", "--trials", "5"],
+         "check_unbiasedness", 0),
+        (["probe", "embedding", "--n", "16", "--s", "2", "--m", "64", "--trials", "3"],
+         "check_embedding", 0),
+        (["probe", "raic", "--n", "16", "--s", "2", "--m", "64", "--trials", "3"], "raic_probe", 0),
+        (["probe", "width", "--n", "16", "--s", "2", "--trials", "100"], "gaussian_width_estimate", 0),
+        (["probe", "width", "--n", "16", "--s", "2", "--trials", "5"], "gaussian_width_estimate", 1),
+        (["probe", "projection", "--n", "16", "--s", "2", "--trials", "5"],
+         "projection_inequality_check", 0),
+        (["probe", "decomposition", "--n", "16", "--trials", "3"], "decomposition_check", 0),
+        (["theory", "--m", "1000"], "theory_schedule", 0),
+        (["selftest"], "run_selftest", 0),
+    ]
+    IDS = [f"{a[1] if a[0] == 'probe' else a[0]}-exit{code}" for a, _, code in COMMANDS]
+
+    @pytest.mark.parametrize("argv,function,code", COMMANDS, ids=IDS)
+    def test_one_thread_fewer_than_the_cpus_and_restored(
+        self, argv, function, code, blas_at_two, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        seen = []
+        real = getattr(cli, function)
+
+        def recording(*args, **kwargs):
+            seen.append(blas_at_two())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, function, recording)
+        seed = [] if argv[0] in ("theory", "selftest") else ["--seed", "1"]
+        assert parse_and_dispatch(argv + seed) == code
+        assert seen and set(seen) == {1}
+        assert blas_at_two() == 2  # restored, also after the exit-1 width run
 
 
 class TestExitCodes:

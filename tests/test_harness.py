@@ -305,21 +305,40 @@ def _pinned(threads: int) -> str:
     return "default" if harness._loaded_blas_function(harness._BLAS_SETTERS) is None else str(threads)
 
 
-class TestSerialBlasThreads:
-    @pytest.fixture
-    def blas_at_two(self):
-        getter = harness._loaded_blas_function(harness._BLAS_GETTERS)
-        if getter is None or harness._loaded_blas_function(harness._BLAS_SETTERS) is None:
-            pytest.skip("no OpenBLAS thread getter and setter in this process")
-        before = getter()
-        harness._pin_blas_threads(2)
-        try:
-            if getter() != 2:
-                pytest.skip("this OpenBLAS cannot run 2 threads")
-            yield getter
-        finally:
-            harness._pin_blas_threads(before)
+class TestThreadRule:
+    # (cpus, pool size) -> (threads per process, OpenBLAS threads per process)
+    TABLE = [
+        (1, 1, 1, 1), (1, 2, 1, 1), (1, 3, 1, 1),
+        (2, 1, 2, 1), (2, 2, 1, 1), (2, 3, 1, 1),
+        (4, 1, 4, 3), (4, 2, 2, 1), (4, 3, 1, 1), (4, 4, 1, 1),
+        (12, 1, 12, 11), (12, 2, 6, 5), (12, 3, 4, 3), (12, 12, 1, 1),
+        (64, 1, 64, 63), (64, 2, 32, 31), (64, 3, 21, 20), (64, 64, 1, 1),
+    ]
 
+    @pytest.mark.parametrize("cpus,pool_size,share,blas", TABLE)
+    def test_share_and_blas_count(self, cpus, pool_size, share, blas, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert harness._thread_share(pool_size) == share
+        assert harness._blas_thread_count(pool_size) == blas
+
+    def test_unknown_cpu_count_is_one(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert (harness._thread_share(1), harness._blas_thread_count(1)) == (1, 1)
+
+    def test_set_inside_and_restored_after(self, blas_at_two, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        with harness.blas_threads() as count:
+            assert count == blas_at_two() == 1
+        assert blas_at_two() == 2
+
+    def test_without_openblas_nothing_is_set(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(harness, "_loaded_blas_function", lambda names: None)
+        with harness.blas_threads() as count:
+            assert count == 3
+
+
+class TestSerialBlasThreads:
     def test_one_thread_during_the_sweep_and_restored(self, blas_at_two, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a share of 2: BLAS at one thread
         seen = []

@@ -343,6 +343,12 @@ class TestSignQuantize:
             measure(A, [np.nan, 0.0, 0.0, 0.0])
 
 
+def _assert_near_dense(y, dense):
+    """The gathered product rounds unlike the dense one: equal within 1e-12 of its scale, same signs."""
+    assert np.max(np.abs(y - dense)) <= 1e-12 * np.max(np.abs(dense))
+    assert np.array_equal(y > 0, dense > 0)
+
+
 class TestMeasure:
     def test_identity_embedding_rows(self):
         A = MeasurementEnsemble(matrix=np.eye(3), seed=0)
@@ -373,17 +379,26 @@ class TestMeasure:
     def test_zero_noise_draws_nothing(self):
         A = gen_gaussian_matrix(13, 50, 10)
         x = gen_sparse_signal(14, 10, 2).values
-        assert np.array_equal(linear_measurements(A, x), A.matrix @ x)
+        nz = np.flatnonzero(x)
+        y = linear_measurements(A, x)
+        assert y.tobytes() == (A.matrix[:, nz] @ x[nz]).tobytes()
+        _assert_near_dense(y, A.matrix @ x)
 
     def test_support_gather_product(self):
+        # the one form of A x: the support's columns times the nonzeros, with the noise added after
         A = gen_gaussian_matrix(13, 300, 400)
         x = gen_sparse_signal(14, 400, 5).values
         nz = np.flatnonzero(x)
-        gathered = linear_measurements(A, x, 0.5, 15, support_gather=True)
-        dense = linear_measurements(A, x, 0.5, 15)
         noise = generator_for(15).normal(0.0, 0.5, 300)
-        assert gathered.tobytes() == (A.matrix[:, nz] @ x[nz] + noise).tobytes()
-        assert np.allclose(gathered, dense, rtol=0, atol=1e-12)
+        y = linear_measurements(A, x, 0.5, 15)
+        assert y.tobytes() == (A.matrix[:, nz] @ x[nz] + noise).tobytes()
+        _assert_near_dense(y, A.matrix @ x + noise)
+        assert np.array_equal(measure(A, x).bits, np.where(A.matrix @ x > 0, 1.0, -1.0))
+
+    def test_zero_vector_measures_zero(self):
+        A = gen_gaussian_matrix(13, 20, 10)
+        assert linear_measurements(A, np.zeros(10)).tolist() == [0.0] * 20
+        assert measure(A, np.zeros(10)).bits.tolist() == [-1.0] * 20
 
     def test_dimension_mismatch(self):
         A = gen_gaussian_matrix(1, 5, 4)

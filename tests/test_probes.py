@@ -17,13 +17,12 @@ from onebitcs import (
     gen_sparse_signal,
     normalize,
     projection_inequality_check,
-    raic_level_sweep,
     raic_probe,
     sparse_dual_norm,
 )
 from onebitcs.probes import embedding_gap
 from onebitcs.rng import generator_for
-from oracles import chi_mean
+from oracles import chi_mean, gaussian_width_fresh_batches
 
 
 class TestUnbiasedness:
@@ -112,14 +111,6 @@ class TestRaicProbe:
         with pytest.raises(SamplingExhaustedError):
             raic_probe(cfg)
 
-    def test_level_sweep_runs_per_annulus(self):
-        results = raic_level_sweep(
-            N=32, s=3, m=256, annuli=[(0.1, 0.3), (0.3, 0.6)], samples=10, seed=11
-        )
-        assert len(results) == 2
-        assert all(0.1 - 1e-9 <= d <= 0.3 + 1e-9 for d, _ in results[0].per_sample)
-        assert all(0.3 - 1e-9 <= d <= 0.6 + 1e-9 for d, _ in results[1].per_sample)
-
     def test_invalid_annulus(self):
         with pytest.raises(InvalidArgumentError):
             RaicProbeConfig(N=8, s=2, m=16, samples=1, seed=1, r_lb=0.5, r_ub=0.4)
@@ -183,6 +174,14 @@ class TestGaussianWidth:
     def test_trials_guard(self):
         with pytest.raises(InvalidArgumentError):
             gaussian_width_estimate(8, 2, trials=50, seed=1)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, 105])
+    def test_reused_buffer_matches_fresh_batches(self, extra):
+        # N = 40000 makes a batch 2^22 // N = 104 rows; the trials end one short of a
+        # batch, on it, one past it and one past two batches
+        n, s, trials = 40_000, 3, 104 + extra
+        expected = gaussian_width_fresh_batches(n, s, trials, generator_for(9))
+        assert gaussian_width_estimate(n, s, trials=trials, seed=9) == expected
 
 
 class TestProjectionInequality:
