@@ -155,12 +155,15 @@ def _sign_gradient(matrix: np.ndarray, bits: np.ndarray, signs: np.ndarray) -> n
 
 
 def _unwrap(A: MeasurementEnsemble, b) -> tuple[np.ndarray, np.ndarray]:
+    """The matrix and the bits, checking raw bits as a BinaryObservation checks its own."""
     matrix = A.matrix
     bits = b.bits if isinstance(b, BinaryObservation) else np.asarray(b, dtype=np.float64)
     if bits.shape != (matrix.shape[0],):
         raise InvalidArgumentError(
             f"observation length {bits.size} != ensemble m {matrix.shape[0]}"
         )
+    if not isinstance(b, BinaryObservation) and not np.all(np.abs(bits) == 1.0):
+        raise InvalidArgumentError("bits must contain only -1 and +1")
     return matrix, bits
 
 
@@ -280,6 +283,8 @@ def iht_run(A: MeasurementEnsemble, y, cfg: AlgorithmConfig, truth=None) -> Iter
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (matrix.shape[0],):
         raise InvalidArgumentError(f"measurement length {y.size} != ensemble m {matrix.shape[0]}")
+    if not np.all(np.isfinite(y)):
+        raise InvalidArgumentError("measurements must be finite")
 
     def step(x, _signs, ax):
         x_new = hard_threshold(x + matrix.T @ (y - ax) / matrix.shape[0], cfg.s)

@@ -7,13 +7,15 @@ count reproduces the same records bitwise. A trial draws one
 ``max(m_grid)``-row matrix in seeded 512-row blocks, and every m runs on its
 first m rows, which are bitwise an m-row draw from the same seed, so the
 instances of a trial are nested across m. The draw is streamed: helper
-threads (the process's share of the CPUs, less the solver thread) fill the
-blocks in index order while the smaller m are solved, and the solver thread
-fills or waits for only the blocks below the next m; the records do not
-depend on the thread count. Every process runs OpenBLAS at one thread fewer
-than its share of the CPUs, and at least one (``blas_threads``): pool workers
-are pinned at start, and the serial sweep and every CLI command set the
-count for their duration and restore it afterwards.
+threads (the process's share of the CPUs, less the task thread) fill the
+blocks in index order while the smaller m are solved, and the task thread
+fills or waits for only the blocks below the next m, while the runs of the
+m already drawn overlap on solver threads.
+``_thread_plan`` sets these counts and OpenBLAS's threads per call; pool
+workers are pinned at start, and the serial sweep and every CLI command set
+the BLAS count for their duration and restore it afterwards
+(``blas_threads``). Every run's state is its own and the instance is
+read-only, so the records do not depend on any thread count.
 A x is taken by support gather, for the measurements, the one-shot
 agreement and the IHT residual.
 This build writes and replays manifest version 3 only; a change that moves
@@ -31,8 +33,9 @@ import datetime as _dt
 import os
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -127,6 +130,10 @@ class SweepConfig:
             raise InvalidArgumentError(f"unknown support_rule {self.support_rule!r}")
         if self.value_rule not in VALUE_RULES:
             raise InvalidArgumentError(f"unknown value_rule {self.value_rule!r}")
+        # the solvers' own checks of the settings every run shares, made here
+        # so that a rejected setting fails before any matrix is drawn
+        AlgorithmConfig(s=self.s, tau=self.tau, max_iters=self.max_iters, stop_tol=self.stop_tol,
+                        init=self.init, degenerate_policy=self.degenerate_policy)
 
 
 @dataclass(frozen=True)
@@ -176,9 +183,9 @@ class RunManifest:
     blas: str = "unknown"  # name and version of the BLAS numpy was built against
     workers: int = 1  # processes the tasks ran in (the pool size, 1 when serial)
     blas_threads_per_worker: str = "default"  # threads each process's OpenBLAS ran, "default" if unknown
-    draw_threads: int = 1  # threads given to each matrix draw, the solver thread included
-    draw_s: float = 0.0  # solver-thread seconds outside solve (drawing or waiting for rows), summed
-    solve_s: float = 0.0  # seconds spent in solve, summed over records
+    draw_threads: int = 1  # threads given to each matrix draw, the task thread included
+    draw_s: float = 0.0  # task-thread seconds in the draw (filling or waiting for rows), summed
+    solve_s: float = 0.0  # seconds spent in solve, summed over records; overlapping runs each count
 
 
 def cell_seed_table(cfg: SweepConfig, trial: int) -> dict[str, int]:
@@ -241,20 +248,30 @@ def _sphere_error(estimate: np.ndarray, truth: np.ndarray) -> float:
     return float(np.linalg.norm(unit - truth))
 
 
-def _thread_share(pool_size: int) -> int:
-    """Threads per process when ``pool_size`` processes share the CPUs."""
-    return max(1, (os.cpu_count() or 1) // pool_size)
+class ThreadPlan(NamedTuple):
+    """The threads of one sweep process (see ``_thread_plan``)."""
+
+    share: int  # threads drawing a matrix, the task thread included
+    solvers: int  # threads solving a trial's runs beside the task thread
+    blas: int  # OpenBLAS threads per call
 
 
-def _blas_thread_count(pool_size: int) -> int:
-    """OpenBLAS threads per process when ``pool_size`` processes share the CPUs.
+def _thread_plan(pool_size: int, runs: int = 1) -> ThreadPlan:
+    """The threads of each process when ``pool_size`` processes share the CPUs.
 
-    One fewer than the share, and at least one: between small BLAS calls an
-    extra OpenBLAS thread busy-waits on a core, which in a sweep is the one a
-    draw helper fills blocks on, and in a command without helpers is CPU
-    time spent for nothing. Only shares of 1 and 2 have been measured.
+    A process's share is ``max(1, cpus // pool_size)``, and every thread of
+    it draws: the task thread and ``share - 1`` helpers. A trial's ``runs``
+    are solved on ``min(share, runs)`` further threads while the task thread
+    draws, and each BLAS call runs on one thread fewer
+    than a solver's part of the share, and at least one: between small BLAS
+    calls an extra OpenBLAS thread busy-waits on a core that a draw helper or
+    another solver could use. So a command with one run (``recover``, the
+    probes) runs BLAS at ``share - 1``, and a sweep with a run for every
+    thread of its share at one. Only shares of 1 and 2 have been measured.
     """
-    return max(1, _thread_share(pool_size) - 1)
+    share = max(1, (os.cpu_count() or 1) // pool_size)
+    solvers = min(share, runs)
+    return ThreadPlan(share, solvers, max(1, share // solvers - 1))
 
 
 def require_memory(cfg: SweepConfig, processes: int) -> None:
@@ -277,7 +294,8 @@ def draw_instances(
     """Yield (m, instance) for each m of ``ms`` (increasing) from one seed table.
 
     The matrix is drawn once with ``ms[-1]`` rows, in 512-row blocks on
-    ``threads`` threads (every CPU when None): the helpers fill ahead while
+    ``threads`` threads, the calling one included (``_thread_plan(1).share``
+    when None): the helpers fill ahead while
     the caller works on an instance, and the rows of the next m are
     completed before it is yielded. The instance at m uses a view of the
     first m rows, which is bitwise the m-row draw from the same seed, and
@@ -287,7 +305,7 @@ def draw_instances(
     joins the helpers.
     """
     x = gen_sparse_signal(seeds["signal"], cfg.n, cfg.s, cfg.support_rule, cfg.value_rule)
-    threads = _thread_share(1) if threads is None else threads
+    threads = _thread_plan(1).share if threads is None else threads
     with BlockFiller(seeds["matrix"], ms[-1], cfg.n, threads) as filler:
         for m in ms:
             A = MeasurementEnsemble(filler.rows(m), seeds["matrix"])  # C-contiguous view, no copy
@@ -327,36 +345,63 @@ def solve(cfg: SweepConfig, algo: str, instance: tuple, init_seed: int) -> tuple
     return error, trace.iterations_used, trace.sign_agreement[-1], trace.stop_reason
 
 
+def _run_one(cfg: SweepConfig, algo: str, m: int, trial: int, instance: tuple, init_seed: int) -> SweepRecord:
+    """One run on a drawn instance, timed on the thread that solves it.
+
+    A run that fails is recorded as an ``error:`` row; a setting the solvers
+    reject raises.
+    """
+    start = time.perf_counter()
+    try:
+        outcome = solve(cfg, algo, instance, init_seed)
+    except InvalidArgumentError:
+        raise  # a rejected setting fails every run alike: a validation error
+    except (DegenerateIterateError, SamplingExhaustedError) as exc:
+        # a failed cell is recorded, never fatal to the sweep
+        outcome = (2.0, 0, 0.0, f"error: {exc}")
+    except Exception as exc:
+        outcome = (2.0, 0, 0.0, f"error: {type(exc).__name__}: {exc}")
+    wall_ms = (time.perf_counter() - start) * 1e3
+    return SweepRecord(algo, m, cfg.n, cfg.s, trial, *outcome, wall_time_ms=wall_ms)
+
+
 def _run_task(
-    cfg: SweepConfig, trial: int, seeds: dict[str, int], threads: int
+    cfg: SweepConfig, trial: int, seeds: dict[str, int], plan: ThreadPlan
 ) -> tuple[list[SweepRecord], float]:
     """Run every cell of one trial, in increasing m, from the trial's seed table.
 
-    Returns their records and the task's seconds outside solve (drawing, or
-    waiting for the rows of the next m).
-    A run that fails is recorded as an ``error:`` row; a failed draw raises.
+    The runs of each m are handed to ``plan.solvers`` threads as soon as its
+    instance is drawn, while this thread goes on to fill or wait for the rows
+    of the next m. Returns the records and this thread's seconds in the draw.
+    A run that fails is recorded as an ``error:`` row. A failed draw raises,
+    and so does a run the solvers reject, once the m being drawn when it
+    failed is complete; the runs not yet started are dropped, and the solver
+    and draw threads are joined before it propagates.
     """
-    task_start = time.perf_counter()
-    records = []
-    # closed on the way out, so a raising solve joins the draw's helpers at once
-    with contextlib.closing(draw_instances(cfg, cfg.m_grid, seeds, threads)) as instances:
-        for m, instance in instances:
-            for algo in sorted(cfg.algorithms):
-                start = time.perf_counter()
-                try:
-                    outcome = solve(cfg, algo, instance, seeds[f"init.{algo}"])
-                except InvalidArgumentError:
-                    raise  # a rejected setting fails every run alike: a validation error
-                except (DegenerateIterateError, SamplingExhaustedError) as exc:
-                    # a failed cell is recorded, never fatal to the sweep
-                    outcome = (2.0, 0, 0.0, f"error: {exc}")
-                except Exception as exc:
-                    outcome = (2.0, 0, 0.0, f"error: {type(exc).__name__}: {exc}")
-                wall_ms = (time.perf_counter() - start) * 1e3
-                records.append(
-                    SweepRecord(algo, m, cfg.n, cfg.s, trial, *outcome, wall_time_ms=wall_ms)
-                )
-    draw_s = time.perf_counter() - task_start - sum(r.wall_time_ms for r in records) / 1e3
+    draw_s = 0.0
+    runs = []
+    with contextlib.ExitStack() as stack:
+        # closed on the way out, so a raising task joins the draw's helpers at once
+        instances = stack.enter_context(
+            contextlib.closing(draw_instances(cfg, cfg.m_grid, seeds, plan.share))
+        )
+        solvers = ThreadPoolExecutor(plan.solvers)
+        stack.callback(solvers.shutdown, cancel_futures=True)  # before the draw closes
+        while True:
+            start = time.perf_counter()
+            drawn = next(instances, None)
+            draw_s += time.perf_counter() - start
+            for run in runs:
+                if run.done():
+                    run.result()  # a run the solvers rejected stops the draw here
+            if drawn is None:
+                break
+            m, instance = drawn
+            runs += [
+                solvers.submit(_run_one, cfg, algo, m, trial, instance, seeds[f"init.{algo}"])
+                for algo in sorted(cfg.algorithms)
+            ]
+        records = [run.result() for run in runs]
     return records, draw_s
 
 
@@ -397,14 +442,16 @@ def _pin_blas_threads(n: int) -> None:
 
 
 @contextlib.contextmanager
-def blas_threads():
-    """Run this process's OpenBLAS at ``_blas_thread_count(1)`` threads inside the block.
+def blas_threads(count: int | None = None):
+    """Run this process's OpenBLAS at ``count`` threads inside the block.
+
+    None means ``_thread_plan(1).blas``, the count for a command with one run.
 
     The count is process-wide; the one in force before is restored on the
     way out, also when the block raises. Yields the count set. Without an
     OpenBLAS getter and setter nothing is set or restored.
     """
-    count = _blas_thread_count(1)
+    count = _thread_plan(1).blas if count is None else count
     getter = _loaded_blas_function(_BLAS_GETTERS)
     before = None if getter is None else getter()
     _pin_blas_threads(count)
@@ -425,15 +472,16 @@ def run_sweep(
     Writes manifest version 3. A task is one trial: it draws the matrix once,
     at the largest m, and runs every cell on a prefix. With ``workers > 1``
     the tasks run in a pool of at most one process per trial, so a sweep with
-    fewer trials than workers uses a smaller pool. Each process gets
-    a share of ``max(1, cpus // pool size)`` threads for its matrix draws, so
-    that processes times threads does not exceed the CPU count, and runs
-    OpenBLAS at one thread fewer than its share (at least one): pool workers
+    fewer trials than workers uses a smaller pool. Each process follows
+    ``_thread_plan``: a share of ``max(1, cpus // pool size)`` threads draws
+    the matrices, a trial's runs are solved on ``min(share, runs per
+    trial)`` threads as each m is drawn, and OpenBLAS runs at
+    ``max(1, share // solver threads - 1)`` threads per call: pool workers
     are pinned at start, and the serial path sets this process's OpenBLAS
     thread count, which is process-wide, for the sweep's duration and
-    restores it afterwards. ``workers`` below 1, and a
-    pool whose matrices of ``max(m_grid)`` rows exceed physical memory
-    together, are rejected.
+    restores it afterwards. No thread count changes the records.
+    ``workers`` below 1, and a pool whose matrices of ``max(m_grid)`` rows
+    exceed physical memory together, are rejected.
     """
     return _execute(build_manifest(cfg, constants), workers)
 
@@ -444,29 +492,28 @@ def _execute(manifest: RunManifest, workers: int) -> tuple[list[SweepRecord], Ru
     cfg = manifest.config
     pool_size = min(workers, cfg.trials_per_cell)
     require_memory(cfg, pool_size)
-    threads = _thread_share(pool_size)
-    blas_count = _blas_thread_count(pool_size)
+    plan = _thread_plan(pool_size, len(cfg.m_grid) * len(cfg.algorithms))
     first_m = cfg.m_grid[0]
     tasks = [
-        (cfg, trial, manifest.cell_seeds[(first_m, trial)], threads)
+        (cfg, trial, manifest.cell_seeds[(first_m, trial)], plan)
         for trial in range(cfg.trials_per_cell)
     ]
     if pool_size > 1:
         with ProcessPoolExecutor(
-            max_workers=pool_size, initializer=_pin_blas_threads, initargs=(blas_count,)
+            max_workers=pool_size, initializer=_pin_blas_threads, initargs=(plan.blas,)
         ) as pool:
             per_task = list(pool.map(_run_task, *zip(*tasks), chunksize=1))
     else:
-        with blas_threads():
+        with blas_threads(plan.blas):
             per_task = [_run_task(*task) for task in tasks]
-    pinned = "default" if _loaded_blas_function(_BLAS_SETTERS) is None else str(blas_count)
+    pinned = "default" if _loaded_blas_function(_BLAS_SETTERS) is None else str(plan.blas)
     records = [rec for task_records, _ in per_task for rec in task_records]
     records.sort(key=lambda r: (r.algorithm, r.m, r.trial_index))
     return records, dataclasses.replace(
         manifest,
         workers=pool_size,
         blas_threads_per_worker=pinned,
-        draw_threads=threads,
+        draw_threads=plan.share,
         draw_s=sum(draw_s for _, draw_s in per_task),
         solve_s=sum(rec.wall_time_ms for rec in records) / 1e3,
     )

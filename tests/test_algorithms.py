@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from onebitcs import (
     DEFAULT_TAU,
@@ -310,6 +312,45 @@ class TestProjectionBound:
                 continue
             lhs = float(np.linalg.norm(normalize(t) - z))
             assert lhs <= 4.0 * sparse_dual_norm(w - z, s) + 1e-10
+
+
+class TestRawInputValidation:
+    """Raw observations are checked as BinaryObservation and sign_quantize check theirs."""
+
+    BINARY = [
+        ("nbiht_run", lambda A, b: nbiht_run(A, b, AlgorithmConfig(s=3, max_iters=5))),
+        ("biht_run", lambda A, b: biht_run(A, b, AlgorithmConfig(s=3, max_iters=5))),
+        ("one_shot_estimate", lambda A, b: one_shot_estimate(A, b, 3)),
+        ("nbiht_step", lambda A, b: nbiht_step(A, b, gen_sparse_signal(5, A.N, 3), DEFAULT_TAU, 3)),
+    ]
+
+    @pytest.mark.parametrize("name,run", BINARY, ids=[name for name, _ in BINARY])
+    @given(bad=st.sampled_from([math.nan, math.inf, -math.inf, 0.0, 0.5, -2.0]), at=st.integers(0, 23))
+    @settings(max_examples=20, deadline=None)
+    def test_bits_not_all_plus_minus_one_rejected(self, name, run, bad, at):
+        _, A, b = _instance(18)
+        bits = b.bits.copy()
+        bits[at] = bad
+        with pytest.raises(InvalidArgumentError, match="only -1 and \\+1"):
+            run(A, bits)
+
+    @pytest.mark.parametrize("name,run", BINARY, ids=[name for name, _ in BINARY])
+    def test_raw_bits_run_as_the_observation(self, name, run):
+        _, A, b = _instance(18)
+        raw, wrapped = run(A, list(b.bits)), run(A, b)
+        if isinstance(raw, np.ndarray):
+            assert raw.tobytes() == wrapped.tobytes()
+        else:
+            _assert_same_run(raw, wrapped)
+
+    @given(bad=st.sampled_from([math.nan, math.inf, -math.inf]), at=st.integers(0, 23))
+    @settings(max_examples=20, deadline=None)
+    def test_nonfinite_measurements_rejected(self, bad, at):
+        x, A, _ = _instance(19)
+        y = A.matrix @ x.values
+        y[at] = bad
+        with pytest.raises(InvalidArgumentError, match="measurements must be finite"):
+            iht_run(A, y, AlgorithmConfig(s=3, max_iters=5))
 
 
 class TestConfigValidation:

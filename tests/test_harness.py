@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import sys
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -119,8 +120,10 @@ class TestRunSweep:
     def test_raising_task_joins_the_draw_helpers(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 4)  # let 3 helpers run on any host
         real = model.block_generator
+        taken = []
 
         def slow(seed, i):
+            taken.append(i)
             if threading.current_thread() is not threading.main_thread():
                 time.sleep(0.02)
             return real(seed, i)
@@ -130,12 +133,26 @@ class TestRunSweep:
 
         monkeypatch.setattr(model, "block_generator", slow)
         monkeypatch.setattr(harness, "nbiht_run", boom)
-        cfg = _small_config(n=4, s=1, m_grid=(64, 512 * 40))
+        cfg = _small_config(n=4, s=1, m_grid=(64,) + tuple(512 * k for k in range(1, 41)))
         start = threading.active_count()
         with pytest.raises(InvalidArgumentError, match="rejected in the task") as raised:
-            harness._run_task(cfg, 0, cell_seed_table(cfg, 0), 4)
+            harness._run_task(cfg, 0, cell_seed_table(cfg, 0), harness._thread_plan(1, 2))
         # the exception (and its traceback) is still held here
         assert raised.value is not None and threading.active_count() == start
+        assert len(taken) < 40  # the failed run stopped the draw, long before its end
+
+    def test_rejected_setting_fails_before_the_draw(self, monkeypatch):
+        taken = []
+        real = model.block_generator
+
+        def recording(seed, i):
+            taken.append(i)
+            return real(seed, i)
+
+        monkeypatch.setattr(model, "block_generator", recording)
+        with pytest.raises(InvalidArgumentError, match="tau"):
+            run_sweep(_small_config(tau=float("inf")))
+        assert taken == []
 
     def test_nested_instance_equals_direct_draw(self):
         cfg = _small_config(noise_std=0.3)
@@ -233,10 +250,10 @@ class TestPool:
         records, manifest = run_sweep(cfg, workers=64)
         (pool,) = fake_pool
         assert pool.kwargs == {
-            "max_workers": 2, "initializer": harness._pin_blas_threads, "initargs": (5,),
-        }  # a share of 12 // 2 = 6 threads, BLAS at one fewer
+            "max_workers": 2, "initializer": harness._pin_blas_threads, "initargs": (1,),
+        }  # a share of 12 // 2 = 6 threads solves a trial's 6 runs at once, BLAS on one
         assert manifest.workers == 2
-        assert manifest.blas_threads_per_worker == _pinned(5)
+        assert manifest.blas_threads_per_worker == _pinned(1)
         assert len(records) == 12
 
     def test_threads_derived_from_pool_size(self, fake_pool):
@@ -251,7 +268,8 @@ class TestPool:
         cfg = _small_config(m_grid=(64,), trials_per_cell=1)
         _, manifest = run_sweep(cfg, workers=8)
         assert fake_pool == []
-        assert (manifest.workers, manifest.blas_threads_per_worker) == (1, _pinned(11))
+        # 12 CPUs for 2 runs: 2 solver threads, BLAS at one fewer than 12 // 2
+        assert (manifest.workers, manifest.blas_threads_per_worker) == (1, _pinned(5))
 
     def test_draw_threads_are_the_process_share(self, fake_pool, monkeypatch):
         # 12 CPUs: every one on the serial path, 12 // pool size in a pool
@@ -306,24 +324,30 @@ def _pinned(threads: int) -> str:
 
 
 class TestThreadRule:
-    # (cpus, pool size) -> (threads per process, OpenBLAS threads per process)
+    # (cpus, pool size) -> (threads per process, BLAS threads for one run,
+    # solver threads and BLAS threads for a trial of RUNS runs); shares above 2
+    # are unmeasured
+    RUNS = 12  # 4 m values times 3 algorithms
     TABLE = [
-        (1, 1, 1, 1), (1, 2, 1, 1), (1, 3, 1, 1),
-        (2, 1, 2, 1), (2, 2, 1, 1), (2, 3, 1, 1),
-        (4, 1, 4, 3), (4, 2, 2, 1), (4, 3, 1, 1), (4, 4, 1, 1),
-        (12, 1, 12, 11), (12, 2, 6, 5), (12, 3, 4, 3), (12, 12, 1, 1),
-        (64, 1, 64, 63), (64, 2, 32, 31), (64, 3, 21, 20), (64, 64, 1, 1),
+        (1, 1, 1, 1, 1, 1), (1, 2, 1, 1, 1, 1), (1, 3, 1, 1, 1, 1),
+        (2, 1, 2, 1, 2, 1), (2, 2, 1, 1, 1, 1), (2, 3, 1, 1, 1, 1),
+        (4, 1, 4, 3, 4, 1), (4, 2, 2, 1, 2, 1), (4, 3, 1, 1, 1, 1), (4, 4, 1, 1, 1, 1),
+        (12, 1, 12, 11, 12, 1), (12, 2, 6, 5, 6, 1), (12, 3, 4, 3, 4, 1), (12, 12, 1, 1, 1, 1),
+        (64, 1, 64, 63, 12, 4), (64, 2, 32, 31, 12, 1), (64, 3, 21, 20, 12, 1), (64, 64, 1, 1, 1, 1),
     ]
 
-    @pytest.mark.parametrize("cpus,pool_size,share,blas", TABLE)
-    def test_share_and_blas_count(self, cpus, pool_size, share, blas, monkeypatch):
+    @pytest.mark.parametrize(
+        "cpus,pool_size,share,blas,solvers,solver_blas", TABLE,
+        ids=["-".join(map(str, row[:4])) for row in TABLE],
+    )
+    def test_share_and_blas_count(self, cpus, pool_size, share, blas, solvers, solver_blas, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        assert harness._thread_share(pool_size) == share
-        assert harness._blas_thread_count(pool_size) == blas
+        assert harness._thread_plan(pool_size) == (share, 1, blas)
+        assert harness._thread_plan(pool_size, self.RUNS) == (share, solvers, solver_blas)
 
     def test_unknown_cpu_count_is_one(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert (harness._thread_share(1), harness._blas_thread_count(1)) == (1, 1)
+        assert harness._thread_plan(1) == harness._thread_plan(1, self.RUNS) == (1, 1, 1)
 
     def test_set_inside_and_restored_after(self, blas_at_two, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -336,6 +360,94 @@ class TestThreadRule:
         monkeypatch.setattr(harness, "_loaded_blas_function", lambda names: None)
         with harness.blas_threads() as count:
             assert count == 3
+
+
+class TestConcurrentSolves:
+    """A trial's runs on a pool of solver threads: the same records, failures where they belong."""
+
+    @staticmethod
+    def _config(**overrides):
+        return _small_config(algorithms=("biht", "iht", "nbiht", "one_shot"), noise_std=0.1, **overrides)
+
+    def test_records_do_not_depend_on_the_thread_share(self, monkeypatch):
+        cfg = self._config()
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the solver threads as finely as the interpreter allows
+        try:
+            by_share = {}
+            for cpus in (1, 2, 4):
+                monkeypatch.setattr(os, "cpu_count", lambda n=cpus: n)
+                records, _ = run_sweep(cfg, workers=1)
+                by_share[cpus] = [r.comparable() for r in records]
+        finally:
+            sys.setswitchinterval(switch)
+        assert by_share[1] == by_share[2] == by_share[4]
+
+    def test_failed_run_is_an_error_row_at_its_cell(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        cfg = self._config()
+        expected, _ = run_sweep(cfg, workers=1)
+        failing_matrix = cell_seed_table(cfg, 1)["matrix"]
+        real = harness.biht_run
+
+        def collapses_at_one_cell(A, b, algo_cfg):
+            if (A.m, A.seed) == (128, failing_matrix):
+                raise DegenerateIterateError("synthetic collapse")
+            return real(A, b, algo_cfg)
+
+        monkeypatch.setattr(harness, "biht_run", collapses_at_one_cell)
+        records, _ = run_sweep(cfg, workers=1)
+        failed = [r for r in records if r.stop_reason.startswith("error:")]
+        assert [(r.algorithm, r.m, r.trial_index, r.stop_reason) for r in failed] == [
+            ("biht", 128, 1, "error: synthetic collapse")
+        ]
+        assert [r.comparable() for r in records if r not in failed] == [
+            r.comparable() for r in expected if (r.algorithm, r.m, r.trial_index) != ("biht", 128, 1)
+        ]
+
+    def test_draw_seconds_are_the_task_threads_own(self, monkeypatch):
+        # overlapping runs take 6 x 50 ms in all, more than the task's own time,
+        # so task time less solve time would read below the draw's 3 x 20 ms
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        real_rows, real_solve = model.BlockFiller.rows, harness.solve
+
+        def slow_rows(filler, k):
+            time.sleep(0.02)
+            return real_rows(filler, k)
+
+        def slow_solve(*args, **kwargs):
+            time.sleep(0.05)
+            return real_solve(*args, **kwargs)
+
+        monkeypatch.setattr(model.BlockFiller, "rows", slow_rows)
+        monkeypatch.setattr(harness, "solve", slow_solve)
+        start = time.perf_counter()
+        _, manifest = run_sweep(_small_config(trials_per_cell=1), workers=1)  # 3 m values, 2 algorithms
+        assert 3 * 0.02 <= manifest.draw_s <= time.perf_counter() - start
+        assert manifest.solve_s >= 6 * 0.05
+
+    def test_rejected_setting_cancels_the_queued_runs(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        started = []
+
+        def slow(*args, **kwargs):
+            started.append(1)
+            time.sleep(0.05)
+            raise DegenerateIterateError("never recorded")
+
+        def boom(*args, **kwargs):
+            raise InvalidArgumentError("rejected in a solver thread")
+
+        monkeypatch.setattr(harness, "biht_run", slow)
+        monkeypatch.setattr(harness, "nbiht_run", boom)
+        # 24 m values, one trial: 48 runs queued on 4 solver threads
+        cfg = _small_config(n=8, s=1, m_grid=tuple(range(8, 200, 8)), algorithms=("biht", "nbiht"),
+                            trials_per_cell=1)
+        start = threading.active_count()
+        with pytest.raises(InvalidArgumentError, match="rejected in a solver thread"):
+            run_sweep(cfg, workers=1)
+        assert threading.active_count() == start
+        assert len(started) < len(cfg.m_grid)  # the queued runs were dropped, not run
 
 
 class TestSerialBlasThreads:
@@ -412,7 +524,8 @@ class TestManifest:
     def test_env_fields(self):
         serial = run_sweep(_small_config(), workers=1)[1]
         cpus = os.cpu_count() or 1
-        assert (serial.workers, serial.blas_threads_per_worker) == (1, _pinned(max(1, cpus - 1)))
+        solvers = min(cpus, 6)  # 3 m values times 2 algorithms
+        assert (serial.workers, serial.blas_threads_per_worker) == (1, _pinned(max(1, cpus // solvers - 1)))
         assert serial.draw_threads == cpus
         assert serial.blas
         pooled = run_sweep(_small_config(), workers=2)[1]
@@ -424,8 +537,9 @@ class TestManifest:
         start = time.perf_counter()
         records, manifest = run_sweep(_small_config(), workers=1)
         wall = time.perf_counter() - start
+        solvers = min(os.cpu_count() or 1, 6)  # overlapping runs each count their own time
         assert manifest.solve_s == pytest.approx(sum(r.wall_time_ms for r in records) / 1e3)
-        assert 0 < manifest.draw_s and manifest.draw_s + manifest.solve_s <= wall
+        assert 0 < manifest.draw_s <= wall and manifest.solve_s <= wall * solvers
 
     def test_metadata_present(self):
         manifest = build_manifest(_small_config())

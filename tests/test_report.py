@@ -1,5 +1,6 @@
 """Persistence: CSV schema and round-trips, manifest text, SVG structure."""
 
+import os
 import warnings
 from pathlib import Path
 
@@ -205,6 +206,17 @@ class TestManifestVersions:
         assert [r.comparable() for r in records] == stored
         assert rerun.manifest_version == version
         assert rerun.substream_rule == manifest.substream_rule
+
+    def test_fixture_replays_bitwise_at_a_share_of_three(self, monkeypatch):
+        # three CPUs for one process: 2 draw helpers and 3 solver threads for 12 runs per trial
+        manifest = load_manifest(V3_SWEEP / "manifest.txt")
+        if (manifest.numpy_version, manifest.blas) != (np.__version__, harness._blas_name()):
+            pytest.skip("fixture written with another numpy or BLAS")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        records, rerun = run_from_manifest(manifest, workers=1)
+        assert rerun.draw_threads == 3
+        stored = [r.comparable() for r in read_records_csv(V3_SWEEP / "records.csv")]
+        assert [r.comparable() for r in records] == stored
 
     @pytest.mark.parametrize(
         "value,message",
