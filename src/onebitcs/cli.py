@@ -28,12 +28,12 @@ from .harness import (
     ALGORITHMS,
     SweepConfig,
     blas_threads,
-    cell_seed_table,
     draw_instances,
     fit_slope,
     require_memory,
     run_sweep,
     solve,
+    trial_seed_table,
 )
 from .model import gen_sparse_signal
 from .probes import (
@@ -254,7 +254,7 @@ def _cmd_recover(args) -> int:
         support_rule=opts["support_rule"], value_rule=opts["value_rule"],
     )
     require_memory(cfg, 1)
-    seeds = cell_seed_table(cfg, 0)
+    seeds = trial_seed_table(cfg, 0)
     _, instance = next(draw_instances(cfg, cfg.m_grid, seeds))
     error, iterations, agreement, reason = solve(
         cfg, opts["algo"], instance, seeds[f"init.{opts['algo']}"]

@@ -18,8 +18,9 @@ the BLAS count for their duration and restore it afterwards
 read-only, so the records do not depend on any thread count.
 A x is taken by support gather, for the measurements, the one-shot
 agreement and the IHT residual.
-This build writes and replays manifest version 3 only; a change that moves
-records bumps the version and replaces this path instead of forking it.
+The manifest stores one seed table per trial. This build writes and replays
+manifest version 4 only; a change that moves records or the format bumps the
+version and replaces this path instead of forking it.
 Records are canonically sorted by (algorithm, m, trial_index) before they are
 returned.
 """
@@ -54,7 +55,7 @@ from .model import (
     VALUE_RULES,
     BlockFiller,
     MeasurementEnsemble,
-    gen_gaussian_matrix,  # noqa: F401  sweeps stream through BlockFiller; benchmarks/tracing.py wraps this name
+    gen_gaussian_matrix,  # noqa: F401  sweeps stream the same draw through BlockFiller; benchmarks/tracing.py wraps this name
     gen_sparse_signal,
     linear_measurements,
     sign_quantize,
@@ -70,7 +71,7 @@ _ROLE_MATRIX = 1
 _ROLE_NOISE = 2
 _ROLE_INIT_BASE = 3
 
-MANIFEST_VERSION = 3  # the one version run_sweep and recover write and replay
+MANIFEST_VERSION = 4  # the one version run_sweep and recover write and replay
 _SUBSTREAM_RULE = (  # recorded as rng.substream_rule
     "seed = SeedSequence((master_seed, trial, role)).generate_state(1, uint64)[0]; "
     "each trial draws max(m_grid) matrix rows in 512-row blocks, block i from "
@@ -178,7 +179,7 @@ class RunManifest:
     package_version: str
     constants: dict
     created_utc: str
-    cell_seeds: dict  # (m, trial) -> {"signal": int, "matrix": int, "noise": int, "init.<algo>": int}
+    trial_seeds: dict  # trial -> {"signal": int, "matrix": int, "noise": int, "init.<algo>": int}
     manifest_version: int = MANIFEST_VERSION
     blas: str = "unknown"  # name and version of the BLAS numpy was built against
     workers: int = 1  # processes the tasks ran in (the pool size, 1 when serial)
@@ -188,7 +189,7 @@ class RunManifest:
     solve_s: float = 0.0  # seconds spent in solve, summed over records; overlapping runs each count
 
 
-def cell_seed_table(cfg: SweepConfig, trial: int) -> dict[str, int]:
+def trial_seed_table(cfg: SweepConfig, trial: int) -> dict[str, int]:
     """Derived substream seeds for the instances of one trial.
 
     The streams depend only on (master_seed, trial), so every cell of the
@@ -224,10 +225,8 @@ def require_manifest_version(version) -> None:
         )
 
 
-def build_manifest(cfg: SweepConfig, constants: ScheduleConstants | None = None) -> RunManifest:
-    constants = constants or ScheduleConstants()
-    tables = [cell_seed_table(cfg, trial) for trial in range(cfg.trials_per_cell)]
-    cells = {(m, trial): dict(table) for m in cfg.m_grid for trial, table in enumerate(tables)}
+def build_manifest(cfg: SweepConfig) -> RunManifest:
+    constants = ScheduleConstants()
     return RunManifest(
         config=cfg,
         rng_algorithm=RNG_ALGORITHM,
@@ -237,7 +236,7 @@ def build_manifest(cfg: SweepConfig, constants: ScheduleConstants | None = None)
         package_version=_pkg_version,
         constants=dict(constants.as_dict(), c10_is_placeholder_derived=constants.c10_is_placeholder_derived),
         created_utc=_dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds"),
-        cell_seeds=cells,
+        trial_seeds={trial: trial_seed_table(cfg, trial) for trial in range(cfg.trials_per_cell)},
         blas=_blas_name(),
     )
 
@@ -462,14 +461,10 @@ def blas_threads(count: int | None = None):
             _pin_blas_threads(before)
 
 
-def run_sweep(
-    cfg: SweepConfig,
-    workers: int = 1,
-    constants: ScheduleConstants | None = None,
-) -> tuple[list[SweepRecord], RunManifest]:
+def run_sweep(cfg: SweepConfig, workers: int = 1) -> tuple[list[SweepRecord], RunManifest]:
     """Execute all (algorithm, m, trial) cells; return sorted records + manifest.
 
-    Writes manifest version 3. A task is one trial: it draws the matrix once,
+    Writes manifest version 4. A task is one trial: it draws the matrix once,
     at the largest m, and runs every cell on a prefix. With ``workers > 1``
     the tasks run in a pool of at most one process per trial, so a sweep with
     fewer trials than workers uses a smaller pool. Each process follows
@@ -483,7 +478,7 @@ def run_sweep(
     ``workers`` below 1, and a pool whose matrices of ``max(m_grid)`` rows
     exceed physical memory together, are rejected.
     """
-    return _execute(build_manifest(cfg, constants), workers)
+    return _execute(build_manifest(cfg), workers)
 
 
 def _execute(manifest: RunManifest, workers: int) -> tuple[list[SweepRecord], RunManifest]:
@@ -493,11 +488,7 @@ def _execute(manifest: RunManifest, workers: int) -> tuple[list[SweepRecord], Ru
     pool_size = min(workers, cfg.trials_per_cell)
     require_memory(cfg, pool_size)
     plan = _thread_plan(pool_size, len(cfg.m_grid) * len(cfg.algorithms))
-    first_m = cfg.m_grid[0]
-    tasks = [
-        (cfg, trial, manifest.cell_seeds[(first_m, trial)], plan)
-        for trial in range(cfg.trials_per_cell)
-    ]
+    tasks = [(cfg, trial, manifest.trial_seeds[trial], plan) for trial in range(cfg.trials_per_cell)]
     if pool_size > 1:
         with ProcessPoolExecutor(
             max_workers=pool_size, initializer=_pin_blas_threads, initargs=(plan.blas,)
@@ -531,8 +522,8 @@ def run_from_manifest(
     """
     require_manifest_version(manifest.manifest_version)
     fresh = build_manifest(manifest.config)
-    if fresh.cell_seeds != manifest.cell_seeds:
-        raise InvalidArgumentError("manifest cell seeds do not match the declared config")
+    if fresh.trial_seeds != manifest.trial_seeds:
+        raise InvalidArgumentError("manifest trial seeds do not match the declared config")
     if manifest.numpy_version != np.__version__:
         warnings.warn(
             f"manifest was written with numpy {manifest.numpy_version}, this is numpy "

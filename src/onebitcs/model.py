@@ -3,12 +3,12 @@
 Sign convention: sign(w) = +1 for w > 0 and -1 otherwise, including w = 0.
 All generated arrays are frozen (read-only) after construction; every
 constructor is a pure function of its seed and parameters. The Gaussian
-ensemble comes either from one stream, row by row (``gen_gaussian_matrix``),
-or in independently seeded 512-row blocks, which ``BlockFiller`` fills in
-index order on helper threads and the calling thread, handing out row
-prefixes as soon as their blocks are filled; in both forms the first m rows
-of a taller draw are bitwise the m-row draw. A x has one form: the product of
-the columns of A on the support of x with the nonzeros of x
+ensemble has one draw: independently seeded 512-row blocks, which
+``BlockFiller`` fills in index order on helper threads and the calling
+thread, handing out row prefixes as soon as their blocks are filled, and
+which ``gen_gaussian_matrix`` fills on the calling thread alone; the first m
+rows of a taller draw are bitwise the m-row draw. A x has one form: the
+product of the columns of A on the support of x with the nonzeros of x
 (``linear_measurements``), which every measurement and probe takes.
 """
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,26 +93,27 @@ class UnitSparseVector:
 class MeasurementEnsemble:
     """m x N matrix of i.i.d. standard Gaussian entries plus its seed.
 
-    Rows are the measurement vectors. Regenerating from the same (seed, m, N)
-    yields a bitwise-identical matrix.
+    Rows are the measurement vectors; m and N are the matrix's shape.
+    Regenerating from the same (seed, m, N) yields a bitwise-identical matrix.
     """
 
     matrix: np.ndarray
     seed: int
-    m: int = field(default=-1)
-    N: int = field(default=-1)
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _frozen(self.matrix))
         if self.matrix.ndim != 2:
             raise InvalidArgumentError("matrix must be 2-d")
-        m, n = self.matrix.shape
-        object.__setattr__(self, "m", m if self.m == -1 else self.m)
-        object.__setattr__(self, "N", n if self.N == -1 else self.N)
-        if (self.m, self.N) != self.matrix.shape:
-            raise InvalidArgumentError("declared (m, N) disagree with matrix shape")
         if self.m < 1 or self.N < 1:
             raise InvalidArgumentError("m and N must be >= 1")
+
+    @property
+    def m(self) -> int:
+        return self.matrix.shape[0]
+
+    @property
+    def N(self) -> int:
+        return self.matrix.shape[1]
 
 
 @dataclass(frozen=True)
@@ -198,14 +199,14 @@ class BlockFiller:
 
 
 def gen_gaussian_matrix(seed: int, m: int, N: int) -> MeasurementEnsemble:
-    """Draw an m x N standard Gaussian ensemble from the named generator.
+    """The m x N blocked draw from ``seed``, filled on the calling thread.
 
-    Every entry comes from one stream, row by row, so the first m rows of a
-    taller draw are bitwise the m-row draw.
+    Bitwise the matrix ``BlockFiller(seed, m, N)`` fills at any thread count,
+    so it equals a sweep trial's matrix at m when ``seed`` is the trial's
+    matrix seed.
     """
-    if m < 1 or N < 1:
-        raise InvalidArgumentError(f"matrix dimensions must be positive, got m={m}, N={N}")
-    return MeasurementEnsemble(matrix=generator_for(seed).standard_normal((m, N)), seed=int(seed))
+    with BlockFiller(seed, m, N) as filler:
+        return MeasurementEnsemble(matrix=filler.rows(m), seed=int(seed))
 
 
 SUPPORT_RULES = ("uniform_random", "first_s")

@@ -5,9 +5,12 @@ sign correlation, Hamming/geodesic agreement of one-bit embeddings, the
 restricted approximate invertibility slope on an annulus, orthogonal
 decomposition residuals, Gaussian widths of sparse balls, the metric
 projection inequality) and reports the observed deviation or fit, never the
-asymptotic constants, which live beyond desk scale. Their forward products
-A x come from ``model.linear_measurements``, which takes them on the support
-of x, as the sweeps do; the adjoint products A^T v stay dense.
+asymptotic constants, which live beyond desk scale. Their matrices are the
+package's one blocked draw (``model.gen_gaussian_matrix``), and their forward
+products A x come from ``model.linear_measurements``, which takes them on the
+support of x, as the sweeps do. The RAIC probe's adjoint of a sign residual
+is the solvers' own (``algorithms._sign_gradient``), which sums only the
+disagreeing rows when they are few; the other adjoint products stay dense.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .algorithms import _sign_gradient
 from .errors import InvalidArgumentError, SamplingExhaustedError
 from .model import as_vector, gen_gaussian_matrix, gen_sparse_signal, linear_measurements, sign_quantize
 from .rng import generator_for, substream_seed
@@ -172,7 +176,7 @@ def raic_probe(cfg: RaicProbeConfig) -> RaicProbeResult:
         target = cfg.r_lb + (k + rng.uniform(0.0, 1.0)) * width / cfg.samples
         y = _sparse_point_at_distance(x, cfg.s, target, rng, cfg.retry_budget)
         sign_y = sign_quantize(linear_measurements(A, y)).bits
-        lhs = sparse_dual_norm(nu * (A.matrix.T @ (sign_x - sign_y)) - (x - y), cfg.s)
+        lhs = sparse_dual_norm(nu * _sign_gradient(A.matrix, sign_x, sign_y) - (x - y), cfg.s)
         cloud.append((float(np.linalg.norm(x - y)), float(lhs)))
     cloud.sort()
 

@@ -2,14 +2,16 @@
 
 The CSV header is fixed; floats are written with repr so parsing them back is
 exact. The manifest is a flat ``key = value`` text file (keys documented in
-the README) sufficient to rerun the sweep bitwise. The SVG is self-contained
-with log10 axes, one polyline per algorithm series, and a slope annotation
-text node per fitted series.
+the README) sufficient to rerun the sweep bitwise; it holds one seed table
+per trial, and every key read back from it is required. The SVG is
+self-contained with log10 axes, one polyline per algorithm series, and a
+slope annotation text node per fitted series.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
 from pathlib import Path
 
@@ -115,9 +117,9 @@ def _manifest_lines(manifest: RunManifest) -> list[str]:
     ]
     for key in sorted(manifest.constants):
         lines.append(f"constants.{key} = {manifest.constants[key]!r}")
-    for (m, trial), seeds in sorted(manifest.cell_seeds.items()):
+    for trial, seeds in sorted(manifest.trial_seeds.items()):
         for role in sorted(seeds):
-            lines.append(f"cell.{m}.{trial}.{role} = {seeds[role]}")
+            lines.append(f"trial.{trial}.{role} = {seeds[role]}")
     return lines
 
 
@@ -131,7 +133,8 @@ def load_manifest(path) -> RunManifest:
     """Parse a manifest file back into a RunManifest (seeds are re-derived and checked).
 
     Only the manifest version this build writes loads; another, or none, is
-    rejected.
+    rejected. Every key read here is required, and the ``trial.`` lines must
+    be exactly the seed tables the config derives.
     """
     path = Path(path)
     if not path.exists():
@@ -143,64 +146,62 @@ def load_manifest(path) -> RunManifest:
             continue
         if "=" not in line:
             raise InvalidArgumentError(f"malformed manifest line: {line!r}")
-        key, value = line.split("=", 1)
-        kv[key.strip()] = value.strip()
-    try:
-        cfg = SweepConfig(
-            n=int(kv["config.n"]),
-            s=int(kv["config.s"]),
-            m_grid=tuple(int(v) for v in kv["config.m_grid"].split(",")),
-            algorithms=tuple(kv["config.algorithms"].split(",")),
-            trials_per_cell=int(kv["config.trials_per_cell"]),
-            master_seed=int(kv["config.master_seed"]),
-            noise_std=float(kv["config.noise_std"]),
-            tau=float(kv["config.tau"]),
-            max_iters=int(kv["config.max_iters"]),
-            stop_tol=float(kv["config.stop_tol"]),
-            init=kv["config.init"],
-            degenerate_policy=kv["config.degenerate_policy"],
-            support_rule=kv.get("config.support_rule", "uniform_random"),
-            value_rule=kv.get("config.value_rule", "gaussian"),
-        )
-        workers = int(kv.get("env.workers", 1))
-        draw_threads = int(kv.get("env.draw_threads", 1))
-        version = int(kv["manifest_version"])
-        draw_s = float(kv.get("timing.draw_s", 0.0))
-        solve_s = float(kv.get("timing.solve_s", 0.0))
-    except KeyError as exc:
-        raise InvalidArgumentError(f"manifest {path} is missing key {exc}") from exc
-    except ValueError as exc:
-        raise InvalidArgumentError(f"manifest {path} has a malformed value: {exc}") from exc
-    require_manifest_version(version)
-    manifest = build_manifest(cfg)
-    stored = {}
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in kv:
+            raise InvalidArgumentError(f"manifest {path} repeats key {key!r}")
+        kv[key] = value
+
+    def read(key: str, parse=str):
+        try:
+            return parse(kv[key])
+        except KeyError:
+            raise InvalidArgumentError(f"manifest {path} is missing key {key!r}") from None
+        except ValueError as exc:
+            raise InvalidArgumentError(f"manifest {path} has a malformed value: {exc}") from exc
+
+    require_manifest_version(read("manifest_version", int))
+    cfg = SweepConfig(
+        n=read("config.n", int),
+        s=read("config.s", int),
+        m_grid=read("config.m_grid", lambda v: tuple(int(m) for m in v.split(","))),
+        algorithms=tuple(read("config.algorithms").split(",")),
+        trials_per_cell=read("config.trials_per_cell", int),
+        master_seed=read("config.master_seed", int),
+        noise_std=read("config.noise_std", float),
+        tau=read("config.tau", float),
+        max_iters=read("config.max_iters", int),
+        stop_tol=read("config.stop_tol", float),
+        init=read("config.init"),
+        degenerate_policy=read("config.degenerate_policy"),
+        support_rule=read("config.support_rule"),
+        value_rule=read("config.value_rule"),
+    )
+    manifest = dataclasses.replace(  # the seeds and constants re-derived, the rest as recorded
+        build_manifest(cfg),
+        rng_algorithm=read("rng.algorithm"),
+        gaussian_transform=read("rng.gaussian_transform"),
+        substream_rule=read("rng.substream_rule"),
+        numpy_version=read("numpy_version"),
+        package_version=read("package_version"),
+        created_utc=read("created_utc"),
+        blas=read("env.blas"),
+        workers=read("env.workers", int),
+        blas_threads_per_worker=read("env.blas_threads_per_worker"),
+        draw_threads=read("env.draw_threads", int),
+        draw_s=read("timing.draw_s", float),
+        solve_s=read("timing.solve_s", float),
+    )
+    stored: dict[int, dict[str, int]] = {}
     for key, value in kv.items():
-        if key.startswith("cell."):
+        if key.startswith("trial."):
             try:
-                m, trial, role = key[len("cell."):].split(".", 2)
-                stored.setdefault((int(m), int(trial)), {})[role] = int(value)
+                trial, role = key[len("trial."):].split(".", 1)
+                stored.setdefault(int(trial), {})[role] = int(value)
             except ValueError as exc:
                 raise InvalidArgumentError(f"manifest {path} has a malformed line: {key} = {value}") from exc
-    if stored and stored != manifest.cell_seeds:
-        raise InvalidArgumentError(f"stored cell seeds in {path} disagree with the config")
-    return RunManifest(
-        config=cfg,
-        rng_algorithm=kv.get("rng.algorithm", manifest.rng_algorithm),
-        gaussian_transform=kv.get("rng.gaussian_transform", manifest.gaussian_transform),
-        substream_rule=kv.get("rng.substream_rule", manifest.substream_rule),
-        numpy_version=kv.get("numpy_version", manifest.numpy_version),
-        package_version=kv.get("package_version", manifest.package_version),
-        constants=manifest.constants,
-        created_utc=kv.get("created_utc", manifest.created_utc),
-        cell_seeds=manifest.cell_seeds,
-        manifest_version=version,
-        blas=kv.get("env.blas", "unknown"),
-        workers=workers,
-        blas_threads_per_worker=kv.get("env.blas_threads_per_worker", "default"),
-        draw_threads=draw_threads,
-        draw_s=draw_s,
-        solve_s=solve_s,
-    )
+    if stored != manifest.trial_seeds:
+        raise InvalidArgumentError(f"the trial seeds stored in {path} disagree with the config")
+    return manifest
 
 
 def render_loglog_svg(

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from onebitcs.rng import block_generator
+
 
 def best_s_term_error(v, s: int) -> float:
     """Brute-force best s-term approximation error via support enumeration."""
@@ -64,6 +66,19 @@ def nbiht_step_scalar(rows, bits, x, tau: float, s: int):
     if norm == 0.0:
         return None
     return [v / norm for v in t]
+
+
+def blocked_gaussian_draw(seed: int, m: int, n: int) -> np.ndarray:
+    """The m x n blocked Gaussian draw, one 512-row block after another.
+
+    Block i is ``standard_normal`` from ``rng.block_generator(seed, i)``,
+    drawn on its own and stacked; no ``BlockFiller`` is involved.
+    """
+    blocks = []
+    for i in range(-(-m // 512)):
+        rows = min(512, m - 512 * i)
+        blocks.append(block_generator(seed, i).standard_normal((rows, n)))
+    return np.vstack(blocks)
 
 
 def chi_mean(n: int) -> float:

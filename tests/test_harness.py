@@ -9,11 +9,21 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import onebitcs.harness as harness
 import onebitcs.model as model
-from onebitcs import DegenerateIterateError, InvalidArgumentError, SweepConfig, SweepRecord, fit_slope, run_sweep
-from onebitcs.harness import build_manifest, cell_seed_table, error_stat_by_m, run_from_manifest
+from onebitcs import (
+    DegenerateIterateError,
+    InvalidArgumentError,
+    SweepConfig,
+    SweepRecord,
+    fit_slope,
+    gen_gaussian_matrix,
+    run_sweep,
+)
+from onebitcs.harness import build_manifest, error_stat_by_m, run_from_manifest, trial_seed_table
 from onebitcs.rng import generator_for
 
 
@@ -108,7 +118,7 @@ class TestRunSweep:
         monkeypatch.setattr(model, "block_generator", slow)
         cfg = _small_config(n=4, s=1, m_grid=(64, 512 * 40))
         start = threading.active_count()
-        stream = harness.draw_instances(cfg, cfg.m_grid, cell_seed_table(cfg, 0), threads=4)
+        stream = harness.draw_instances(cfg, cfg.m_grid, trial_seed_table(cfg, 0), threads=4)
         m, _ = next(stream)
         assert m == 64 and threading.active_count() == start + 3
         stream.close()
@@ -136,7 +146,7 @@ class TestRunSweep:
         cfg = _small_config(n=4, s=1, m_grid=(64,) + tuple(512 * k for k in range(1, 41)))
         start = threading.active_count()
         with pytest.raises(InvalidArgumentError, match="rejected in the task") as raised:
-            harness._run_task(cfg, 0, cell_seed_table(cfg, 0), harness._thread_plan(1, 2))
+            harness._run_task(cfg, 0, trial_seed_table(cfg, 0), harness._thread_plan(1, 2))
         # the exception (and its traceback) is still held here
         assert raised.value is not None and threading.active_count() == start
         assert len(taken) < 40  # the failed run stopped the draw, long before its end
@@ -156,7 +166,7 @@ class TestRunSweep:
 
     def test_nested_instance_equals_direct_draw(self):
         cfg = _small_config(noise_std=0.3)
-        seeds = cell_seed_table(cfg, 1)
+        seeds = trial_seed_table(cfg, 1)
         nested = dict(harness.draw_instances(cfg, cfg.m_grid, seeds))
         for m in cfg.m_grid:
             ((_, direct),) = harness.draw_instances(cfg, (m,), seeds)
@@ -167,10 +177,24 @@ class TestRunSweep:
             assert b.bits.tobytes() == direct[3].bits.tobytes()
             assert np.shares_memory(A.matrix, nested[cfg.m_grid[-1]][1].matrix)
 
+    @given(
+        master_seed=st.integers(0, 2**64 - 1),
+        trial=st.integers(0, 2),
+        n=st.integers(1, 6),
+        m_grid=st.sets(st.integers(1, 1200), min_size=1, max_size=3).map(sorted),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_library_draw_is_the_trial_matrix(self, master_seed, trial, n, m_grid):
+        # gen_gaussian_matrix from a trial's matrix seed is that trial's instance matrix at m
+        cfg = _small_config(n=n, s=1, m_grid=m_grid, master_seed=master_seed)
+        seeds = trial_seed_table(cfg, trial)
+        for m, (_, A, _, _) in harness.draw_instances(cfg, cfg.m_grid, seeds, threads=2):
+            assert A.matrix.tobytes() == gen_gaussian_matrix(seeds["matrix"], m, n).matrix.tobytes()
+
     def test_measurements_by_support_gather(self):
         # A x is taken on the signal's support columns, which rounds unlike a dense product
         cfg = _small_config(n=512, s=4, m_grid=(600, 1100))  # rows across a draw block boundary
-        seeds = cell_seed_table(cfg, 0)
+        seeds = trial_seed_table(cfg, 0)
         for m, (x, A, lin, b) in harness.draw_instances(cfg, cfg.m_grid, seeds):
             nz = np.flatnonzero(x.values)
             expected = A.matrix[:, nz] @ x.values[nz]
@@ -387,7 +411,7 @@ class TestConcurrentSolves:
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         cfg = self._config()
         expected, _ = run_sweep(cfg, workers=1)
-        failing_matrix = cell_seed_table(cfg, 1)["matrix"]
+        failing_matrix = trial_seed_table(cfg, 1)["matrix"]
         real = harness.biht_run
 
         def collapses_at_one_cell(A, b, algo_cfg):
@@ -482,25 +506,26 @@ class TestSeedHygiene:
             n=8, s=2, m_grid=(10, 20), algorithms=("nbiht",), trials_per_cell=10_000, master_seed=7,
         )
         first_draws = {
-            float(generator_for(cell_seed_table(cfg, trial)["matrix"]).standard_normal())
+            float(generator_for(trial_seed_table(cfg, trial)["matrix"]).standard_normal())
             for trial in range(cfg.trials_per_cell)
         }
         assert len(first_draws) == cfg.trials_per_cell
 
     def test_roles_distinct_within_cell(self):
         cfg = _small_config(algorithms=("nbiht", "biht", "iht", "one_shot"))
-        seeds = cell_seed_table(cfg, 0)
+        seeds = trial_seed_table(cfg, 0)
         assert len(set(seeds.values())) == len(seeds)
 
 
 class TestManifest:
     def test_manifest_covers_every_cell(self):
+        # one seed table per trial, which every m of the trial shares
         cfg = _small_config()
         manifest = build_manifest(cfg)
-        assert set(manifest.cell_seeds) == {(m, t) for m in cfg.m_grid for t in range(3)}
-        for (_, trial), seeds in manifest.cell_seeds.items():
+        assert set(manifest.trial_seeds) == {0, 1, 2}
+        for trial, seeds in manifest.trial_seeds.items():
             assert {"signal", "matrix", "noise", "init.nbiht", "init.one_shot"} == set(seeds)
-            assert seeds == cell_seed_table(cfg, trial)  # every m of a trial shares its table
+            assert seeds == trial_seed_table(cfg, trial)
 
     def test_run_from_manifest_reproduces(self):
         cfg = _small_config()
@@ -516,8 +541,7 @@ class TestManifest:
     def test_tampered_seeds_rejected(self):
         cfg = _small_config()
         manifest = build_manifest(cfg)
-        key = next(iter(manifest.cell_seeds))
-        manifest.cell_seeds[key]["matrix"] ^= 1
+        manifest.trial_seeds[0]["matrix"] ^= 1
         with pytest.raises(InvalidArgumentError):
             run_from_manifest(manifest)
 

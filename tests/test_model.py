@@ -27,6 +27,7 @@ from onebitcs import (
     substream_seed,
 )
 from onebitcs.rng import block_generator
+from oracles import blocked_gaussian_draw
 
 
 class TestGaussianMatrix:
@@ -78,8 +79,8 @@ class TestGaussianMatrix:
     )
     @settings(max_examples=60, deadline=None)
     def test_row_prefix_is_the_shorter_draw(self, seed, n, m, extra, sigma):
-        # a blocked draw fills each of its blocks this way, and a sweep's noise
-        # at m is the first m entries of the trial's noise stream; this holds
+        # a sweep's noise at m is the first m entries of the trial's noise
+        # stream, and each block of the draw is filled this way; this holds
         # because numpy fills row by row from one stream, and is checked on
         # every numpy the CI runs
         full = gen_gaussian_matrix(seed, m + extra, n).matrix
@@ -97,15 +98,6 @@ def _blocked(seed: int, m: int, n: int, threads: int = 1) -> np.ndarray:
         return filler.rows(m)
 
 
-def _reference_blocks(seed: int, m: int, n: int) -> np.ndarray:
-    """The blocked draw built block by block on one thread, without BlockFiller."""
-    blocks = [
-        block_generator(seed, i).standard_normal((min(512, m - 512 * i), n))
-        for i in range(-(-m // 512))
-    ]
-    return np.vstack(blocks)
-
-
 class TestBlockedGaussianMatrix:
     @given(
         seed=_SEEDS,
@@ -119,16 +111,20 @@ class TestBlockedGaussianMatrix:
     @example(seed=4, n=2, m=7, extra=5000)  # M >> m
     @settings(max_examples=40, deadline=None)
     def test_row_prefix_is_the_shorter_draw(self, seed, n, m, extra):
-        # nested ensembles and recover rely on it under manifest version 3
+        # nested ensembles, and recover at m equal to a sweep cell, rely on it
         assert _blocked(seed, m + extra, n)[:m].tobytes() == _blocked(seed, m, n).tobytes()
 
     @given(seed=_SEEDS, n=st.integers(1, 6), m=st.integers(1, 2100))
-    @example(seed=5, n=4, m=2100)  # five blocks over three threads
+    @example(seed=5, n=4, m=2100)  # five blocks over four threads
     @settings(max_examples=25, deadline=None)
     def test_thread_count_does_not_change_the_draw(self, seed, n, m):
-        with mock.patch.object(os, "cpu_count", return_value=4):  # let 3 threads run on any host
-            draws = [_blocked(seed, m, n, threads).tobytes() for threads in (1, 2, 3)]
-        assert draws[0] == draws[1] == draws[2]
+        # gen_gaussian_matrix on the calling thread, and BlockFiller with 0, 1
+        # and 3 helpers, all fill the reference draw
+        reference = blocked_gaussian_draw(seed, m, n).tobytes()
+        assert gen_gaussian_matrix(seed, m, n).matrix.tobytes() == reference
+        with mock.patch.object(os, "cpu_count", return_value=4):  # let 3 helpers run on any host
+            for threads in (1, 2, 4):
+                assert _blocked(seed, m, n, threads).tobytes() == reference
 
     def test_blocks_follow_the_spawn_rule(self):
         seed, n = 2**64 - 5, 3
@@ -139,7 +135,6 @@ class TestBlockedGaussianMatrix:
             spawned = np.random.Generator(np.random.PCG64(children[i])).standard_normal((rows, n))
             assert block.tobytes() == spawned.tobytes()
             assert block.tobytes() == block_generator(seed, i).standard_normal((rows, n)).tobytes()
-        assert gen_gaussian_matrix(seed, 1100, n).matrix.tobytes() != matrix.tobytes()
 
     def test_threads_capped_at_blocks_and_cpus(self, monkeypatch):
         sizes = []
@@ -189,7 +184,7 @@ class TestBlockFiller:
                 return real(seed, i)
 
             monkeypatch.setattr(model, "block_generator", sleepy)
-        reference = _reference_blocks(11, self.M, self.N)
+        reference = blocked_gaussian_draw(11, self.M, self.N)
         with model.BlockFiller(11, self.M, self.N, threads) as filler:
             for k in [*range(1, self.M + 1, 97), 511, 512, 513, 1024, 1025, self.M]:
                 assert filler.rows(k).tobytes() == reference[:k].tobytes()
@@ -237,7 +232,7 @@ class TestBlockFiller:
 
         monkeypatch.setattr(model, "block_generator", counting)
         m = 512 * 64
-        reference = _reference_blocks(5, m, 1)
+        reference = blocked_gaussian_draw(5, m, 1)
         same = []
 
         def stream():
@@ -442,5 +437,9 @@ class TestDomainTypes:
             BinaryObservation(bits=np.array([1.0, 0.0]))
 
     def test_ensemble_shape_consistency(self):
-        with pytest.raises(InvalidArgumentError):
-            MeasurementEnsemble(matrix=np.ones((2, 3)), seed=0, m=3, N=2)
+        # m and N are the matrix's shape, not declared beside it
+        A = MeasurementEnsemble(matrix=np.ones((2, 3)), seed=0)
+        assert (A.m, A.N) == A.matrix.shape == (2, 3)
+        for bad in (np.ones(3), np.ones((0, 3))):
+            with pytest.raises(InvalidArgumentError):
+                MeasurementEnsemble(matrix=bad, seed=0)

@@ -20,6 +20,19 @@ from onebitcs.report import (
 )
 
 
+# every key load_manifest reads; the constants are re-derived, so not read
+_READ_KEYS = (
+    "manifest_version", "created_utc", "package_version", "numpy_version",
+    "rng.algorithm", "rng.gaussian_transform", "rng.substream_rule",
+    "env.blas", "env.workers", "env.blas_threads_per_worker", "env.draw_threads",
+    "timing.draw_s", "timing.solve_s",
+    "config.n", "config.s", "config.m_grid", "config.algorithms",
+    "config.trials_per_cell", "config.master_seed", "config.noise_std",
+    "config.tau", "config.max_iters", "config.stop_tol", "config.init",
+    "config.degenerate_policy", "config.support_rule", "config.value_rule",
+)
+
+
 @pytest.fixture(scope="module")
 def small_sweep():
     cfg = SweepConfig(
@@ -67,7 +80,7 @@ class TestManifestFile:
         path = write_manifest(manifest, tmp_path / "m.txt")
         back = load_manifest(path)
         assert back.config == manifest.config
-        assert back.cell_seeds == manifest.cell_seeds
+        assert back.trial_seeds == manifest.trial_seeds
         assert back.rng_algorithm == manifest.rng_algorithm
 
     def test_missing_file_names_path(self, tmp_path):
@@ -82,7 +95,7 @@ class TestManifestFile:
             load_manifest(p)
 
     @pytest.mark.parametrize(
-        "line", ["config.n = eight", "env.workers = two", "cell.x = 5", "cell.64.0.matrix = ten"]
+        "line", ["config.n = eight", "env.workers = two", "trial.x = 5", "trial.0.matrix = ten"]
     )
     def test_malformed_value_rejected(self, small_sweep, tmp_path, line):
         _, manifest = small_sweep
@@ -100,7 +113,7 @@ class TestManifestFile:
         path = write_manifest(manifest, tmp_path / "m.txt")
         lines = path.read_text().splitlines()
         for i, line in enumerate(lines):
-            if line.startswith("cell.") and line.split(".")[3].startswith("matrix"):
+            if line.startswith("trial.") and line.split(".")[2].startswith("matrix"):
                 key, value = line.split(" = ")
                 lines[i] = f"{key} = {int(value) ^ 1}"
                 break
@@ -136,16 +149,31 @@ class TestManifestFile:
             manifest.blas, 1, manifest.blas_threads_per_worker, manifest.draw_threads
         )
 
-    def test_manifest_without_env_keys_loads(self, small_sweep, tmp_path):
+    @pytest.mark.parametrize("key", _READ_KEYS)
+    def test_every_read_key_required(self, small_sweep, tmp_path, key):
         _, manifest = small_sweep
         path = write_manifest(manifest, tmp_path / "m.txt")
-        lines = [line for line in path.read_text().splitlines() if not line.startswith("env.")]
+        lines = [line for line in path.read_text().splitlines() if not line.startswith(f"{key} = ")]
         path.write_text("\n".join(lines) + "\n")
-        back = load_manifest(path)
-        assert back.config == manifest.config
-        assert (back.blas, back.workers, back.blas_threads_per_worker, back.draw_threads) == (
-            "unknown", 1, "default", 1
-        )
+        with pytest.raises(InvalidArgumentError, match=f"missing key '{key}'"):
+            load_manifest(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda lines: [line for line in lines if not line.startswith("trial.1.noise = ")],
+            lambda lines: lines + ["trial.3.matrix = 5"],
+            lambda lines: lines + ["trial.0.init.biht = 5"],
+            lambda lines: ["trial.0.matrix = 5"] + lines,  # the right value follows
+        ],
+        ids=["missing", "extra-trial", "extra-role", "repeated"],
+    )
+    def test_trial_lines_must_be_the_derived_tables(self, small_sweep, tmp_path, edit):
+        _, manifest = small_sweep
+        path = write_manifest(manifest, tmp_path / "m.txt")
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        with pytest.raises(InvalidArgumentError, match="trial seeds|repeats key 'trial.0.matrix'"):
+            load_manifest(path)
 
     def test_numpy_version_mismatch_warns_once_and_reruns(self, small_sweep, tmp_path):
         records, manifest = small_sweep
@@ -168,7 +196,7 @@ class TestManifestFile:
 
 
 DATA = Path(__file__).parent / "data"
-V3_SWEEP = DATA / "v3_sweep"
+V4_SWEEP = DATA / "v4_sweep"
 
 
 def _with_version_line(src: Path, dst: Path, line: str | None) -> Path:
@@ -182,13 +210,16 @@ def _with_version_line(src: Path, dst: Path, line: str | None) -> Path:
 
 
 class TestManifestVersions:
-    def test_sweep_writes_version_3(self, small_sweep, tmp_path):
+    def test_sweep_writes_version_4(self, small_sweep, tmp_path):
         _, manifest = small_sweep
-        text = write_manifest(manifest, tmp_path / "m.txt").read_text()
-        assert "manifest_version = 3\n" in text
-        assert f"rng.substream_rule = {manifest.substream_rule}\n" in text
+        lines = write_manifest(manifest, tmp_path / "m.txt").read_text().splitlines()
+        assert "manifest_version = 4" in lines
+        assert f"rng.substream_rule = {manifest.substream_rule}" in lines
         assert "512-row blocks" in manifest.substream_rule
-        assert load_manifest(tmp_path / "m.txt").manifest_version == 3
+        # one seed line per trial and role: 3 trials x (signal, matrix, noise, 2 inits)
+        assert len([line for line in lines if line.startswith("trial.")]) == 15
+        assert not any(line.startswith("cell.") for line in lines)
+        assert load_manifest(tmp_path / "m.txt").manifest_version == 4
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("version", [harness.MANIFEST_VERSION], ids=lambda v: f"v{v}")
@@ -209,13 +240,13 @@ class TestManifestVersions:
 
     def test_fixture_replays_bitwise_at_a_share_of_three(self, monkeypatch):
         # three CPUs for one process: 2 draw helpers and 3 solver threads for 12 runs per trial
-        manifest = load_manifest(V3_SWEEP / "manifest.txt")
+        manifest = load_manifest(V4_SWEEP / "manifest.txt")
         if (manifest.numpy_version, manifest.blas) != (np.__version__, harness._blas_name()):
             pytest.skip("fixture written with another numpy or BLAS")
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         records, rerun = run_from_manifest(manifest, workers=1)
         assert rerun.draw_threads == 3
-        stored = [r.comparable() for r in read_records_csv(V3_SWEEP / "records.csv")]
+        stored = [r.comparable() for r in read_records_csv(V4_SWEEP / "records.csv")]
         assert [r.comparable() for r in records] == stored
 
     @pytest.mark.parametrize(
@@ -224,13 +255,13 @@ class TestManifestVersions:
             (None, "missing key 'manifest_version'"),
             ("1", "unknown manifest_version 1"),
             ("2", "unknown manifest_version 2"),
-            ("4", "unknown manifest_version 4"),
+            ("3", "unknown manifest_version 3"),
             ("two", "malformed"),
         ],
     )
     def test_unknown_version_rejected(self, tmp_path, value, message):
         line = None if value is None else f"manifest_version = {value}"
-        path = _with_version_line(V3_SWEEP / "manifest.txt", tmp_path / "m.txt", line)
+        path = _with_version_line(V4_SWEEP / "manifest.txt", tmp_path / "m.txt", line)
         with pytest.raises(InvalidArgumentError, match=message):
             load_manifest(path)
 
