@@ -8,7 +8,7 @@ flags override file values. Randomized commands require a seed, from the
 flag or the config file, never from the wall clock. Exit codes: 0 success,
 1 validation error, 2 runtime failure. Every command runs OpenBLAS at one
 thread fewer than the CPUs, and at least one, restoring the count on exit; a
-sweep whose runs overlap on solver threads divides the CPUs among them first
+sweep whose runs overlap on solver processes divides the CPUs among them first
 (see ``harness._thread_plan``).
 """
 
@@ -145,9 +145,9 @@ def build_parser() -> _Parser:
     sweep.add_argument("--workers", type=int,
                        help="worker processes (default: logical CPUs), at most one per trial; each "
                             "process draws its matrices on a share of max(1, cpus // pool size) "
-                            "threads, solves a trial's runs on min(share, runs per trial) threads "
-                            "as each m is drawn, and runs BLAS at max(1, share // solver threads - 1) "
-                            "threads per call")
+                            "threads and runs BLAS at max(1, share // solvers - 1) threads per call, "
+                            "with solvers = min(share, runs per trial): pool workers solve inline, "
+                            "one process with solvers > 1 forks that many solver processes")
     sweep.add_argument("--out-dir", help="report output directory")
     sweep.add_argument("--theory-overlay", action="store_true", default=None,
                        help="overlay the first-iteration theory curve on the plot")

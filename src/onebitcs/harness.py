@@ -9,13 +9,13 @@ first m rows, which are bitwise an m-row draw from the same seed, so the
 instances of a trial are nested across m. The draw is streamed: helper
 threads (the process's share of the CPUs, less the task thread) fill the
 blocks in index order while the smaller m are solved, and the task thread
-fills or waits for only the blocks below the next m, while the runs of the
-m already drawn overlap on solver threads.
+fills or waits for only the blocks below the next m; each m's runs are then
+solved inline or on forked solver processes (``_solver_processes``).
 ``_thread_plan`` sets these counts and OpenBLAS's threads per call; pool
-workers are pinned at start, and the serial sweep and every CLI command set
-the BLAS count for their duration and restore it afterwards
+workers and solvers are pinned at start, and the serial sweep and every CLI
+command set the BLAS count for their duration and restore it afterwards
 (``blas_threads``). Every run's state is its own and the instance is
-read-only, so the records do not depend on any thread count.
+read-only, so the records do not depend on any thread or process count.
 A x is taken by support gather, for the measurements, the one-shot
 agreement and the IHT residual.
 The manifest stores one seed table per trial. This build writes and replays
@@ -31,10 +31,12 @@ import contextlib
 import ctypes
 import dataclasses
 import datetime as _dt
+import mmap
+import multiprocessing
 import os
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -251,7 +253,7 @@ class ThreadPlan(NamedTuple):
     """The threads of one sweep process (see ``_thread_plan``)."""
 
     share: int  # threads drawing a matrix, the task thread included
-    solvers: int  # threads solving a trial's runs beside the task thread
+    solvers: int  # processes a one-process sweep solves its runs on; 1 solves them inline
     blas: int  # OpenBLAS threads per call
 
 
@@ -259,11 +261,11 @@ def _thread_plan(pool_size: int, runs: int = 1) -> ThreadPlan:
     """The threads of each process when ``pool_size`` processes share the CPUs.
 
     A process's share is ``max(1, cpus // pool_size)``, and every thread of
-    it draws: the task thread and ``share - 1`` helpers. A trial's ``runs``
-    are solved on ``min(share, runs)`` further threads while the task thread
-    draws, and each BLAS call runs on one thread fewer
-    than a solver's part of the share, and at least one: between small BLAS
-    calls an extra OpenBLAS thread busy-waits on a core that a draw helper or
+    it draws: the task thread and ``share - 1`` helpers. One process solves
+    a trial's ``runs`` on ``min(share, runs)`` solver processes (inline at
+    1), pool workers inline. Each BLAS call runs on one thread fewer than a
+    solver's part of the share, and at least one: between small BLAS calls
+    an extra OpenBLAS thread busy-waits on a core that a draw helper or
     another solver could use. So a command with one run (``recover``, the
     probes) runs BLAS at ``share - 1``, and a sweep with a run for every
     thread of its share at one. Only shares of 1 and 2 have been measured.
@@ -288,7 +290,7 @@ def require_memory(cfg: SweepConfig, processes: int) -> None:
 
 
 def draw_instances(
-    cfg: SweepConfig, ms: tuple[int, ...], seeds: dict[str, int], threads: int | None = None
+    cfg: SweepConfig, ms: tuple[int, ...], seeds: dict[str, int], threads: int | None = None, out=None
 ):
     """Yield (m, instance) for each m of ``ms`` (increasing) from one seed table.
 
@@ -301,11 +303,11 @@ def draw_instances(
     draws its noise at m entries. An instance is
     (signal, ensemble, A x + eps, sign(A x + eps)), with A x taken by support
     gather; every algorithm in the cell runs on it. Closing the generator
-    joins the helpers.
+    joins the helpers. Given ``out``, the matrix is drawn into it.
     """
     x = gen_sparse_signal(seeds["signal"], cfg.n, cfg.s, cfg.support_rule, cfg.value_rule)
     threads = _thread_plan(1).share if threads is None else threads
-    with BlockFiller(seeds["matrix"], ms[-1], cfg.n, threads) as filler:
+    with BlockFiller(seeds["matrix"], ms[-1], cfg.n, threads, out=out) as filler:
         for m in ms:
             A = MeasurementEnsemble(filler.rows(m), seeds["matrix"])  # C-contiguous view, no copy
             lin = linear_measurements(A, x, cfg.noise_std, seeds["noise"])
@@ -345,7 +347,7 @@ def solve(cfg: SweepConfig, algo: str, instance: tuple, init_seed: int) -> tuple
 
 
 def _run_one(cfg: SweepConfig, algo: str, m: int, trial: int, instance: tuple, init_seed: int) -> SweepRecord:
-    """One run on a drawn instance, timed on the thread that solves it.
+    """One run on a drawn instance, timed where it is solved.
 
     A run that fails is recorded as an ``error:`` row; a setting the solvers
     reject raises.
@@ -364,28 +366,60 @@ def _run_one(cfg: SweepConfig, algo: str, m: int, trial: int, instance: tuple, i
     return SweepRecord(algo, m, cfg.n, cfg.s, trial, *outcome, wall_time_ms=wall_ms)
 
 
+_solver_rows = None  # in a solver process: the matrix buffer it shares with its sweep
+
+
+def _start_solver(blas: int, rows: np.ndarray) -> None:
+    """Pin a forked solver process's OpenBLAS and keep the rows it shares with its sweep."""
+    global _solver_rows
+    _pin_blas_threads(blas)
+    _solver_rows = rows
+
+
+def _solve_on_shared_rows(cfg, algo, m, trial, x, lin, b, init_seed, matrix_seed) -> SweepRecord:
+    """``_run_one`` in a solver process, on a read-only view of the shared rows' first m."""
+    instance = (x, MeasurementEnsemble(_solver_rows[:m], matrix_seed), lin, b)
+    return _run_one(cfg, algo, m, trial, instance, init_seed)
+
+
+@contextlib.contextmanager
+def _solver_processes(cfg: SweepConfig, plan: ThreadPlan):
+    """Yield (pool, rows): ``plan.solvers`` forked solver processes and the buffer they read.
+
+    ``rows`` is one ``MAP_SHARED`` ``max(m_grid) x N`` buffer for each trial's draw. Every
+    process is forked before any draw thread exists. Yields (None, None), to solve inline,
+    for one solver or without fork. Unstarted runs are dropped on the way out.
+    """
+    if plan.solvers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        yield None, None
+        return
+    rows = np.frombuffer(mmap.mmap(-1, cfg.m_grid[-1] * cfg.n * 8)).reshape(cfg.m_grid[-1], cfg.n)
+    pool = ProcessPoolExecutor(max_workers=plan.solvers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_start_solver, initargs=(plan.blas, rows))
+    try:
+        pool.submit(int).result()  # a fork pool forks all of its processes at its first call
+        yield pool, rows
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def _run_task(
-    cfg: SweepConfig, trial: int, seeds: dict[str, int], plan: ThreadPlan
+    cfg: SweepConfig, trial: int, seeds: dict[str, int], plan: ThreadPlan, solvers=None, rows=None
 ) -> tuple[list[SweepRecord], float]:
     """Run every cell of one trial, in increasing m, from the trial's seed table.
 
-    The runs of each m are handed to ``plan.solvers`` threads as soon as its
-    instance is drawn, while this thread goes on to fill or wait for the rows
-    of the next m. Returns the records and this thread's seconds in the draw.
-    A run that fails is recorded as an ``error:`` row. A failed draw raises,
-    and so does a run the solvers reject, once the m being drawn when it
-    failed is complete; the runs not yet started are dropped, and the solver
-    and draw threads are joined before it propagates.
+    The runs of each m are solved as soon as it is drawn: inline, or on the
+    ``solvers`` of ``_solver_processes`` while this thread draws the next m
+    into their ``rows``; all have returned when this returns, so the next
+    trial may reuse the rows. Returns the records and this thread's seconds
+    in the draw. A failed run is an ``error:`` row. A failed draw raises, and
+    so does a run the solvers reject, once the m being drawn is complete;
+    the draw threads are joined before it propagates.
     """
     draw_s = 0.0
-    runs = []
-    with contextlib.ExitStack() as stack:
-        # closed on the way out, so a raising task joins the draw's helpers at once
-        instances = stack.enter_context(
-            contextlib.closing(draw_instances(cfg, cfg.m_grid, seeds, plan.share))
-        )
-        solvers = ThreadPoolExecutor(plan.solvers)
-        stack.callback(solvers.shutdown, cancel_futures=True)  # before the draw closes
+    records, runs = [], []
+    # closed on the way out, so a raising task joins the draw's helpers at once
+    with contextlib.closing(draw_instances(cfg, cfg.m_grid, seeds, plan.share, rows)) as instances:
         while True:
             start = time.perf_counter()
             drawn = next(instances, None)
@@ -395,13 +429,14 @@ def _run_task(
                     run.result()  # a run the solvers rejected stops the draw here
             if drawn is None:
                 break
-            m, instance = drawn
-            runs += [
-                solvers.submit(_run_one, cfg, algo, m, trial, instance, seeds[f"init.{algo}"])
-                for algo in sorted(cfg.algorithms)
-            ]
-        records = [run.result() for run in runs]
-    return records, draw_s
+            m, (x, A, lin, b) = drawn
+            for algo in sorted(cfg.algorithms):
+                if solvers is None:
+                    records.append(_run_one(cfg, algo, m, trial, (x, A, lin, b), seeds[f"init.{algo}"]))
+                else:  # sent without the matrix, which the solvers read from rows
+                    runs.append(solvers.submit(_solve_on_shared_rows, cfg, algo, m, trial, x, lin, b,
+                                               seeds[f"init.{algo}"], A.seed))
+    return records + [run.result() for run in runs], draw_s
 
 
 def _loaded_blas_function(names: tuple[str, ...]):
@@ -469,12 +504,14 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> tuple[list[SweepRecord], Ru
     the tasks run in a pool of at most one process per trial, so a sweep with
     fewer trials than workers uses a smaller pool. Each process follows
     ``_thread_plan``: a share of ``max(1, cpus // pool size)`` threads draws
-    the matrices, a trial's runs are solved on ``min(share, runs per
-    trial)`` threads as each m is drawn, and OpenBLAS runs at
-    ``max(1, share // solver threads - 1)`` threads per call: pool workers
-    are pinned at start, and the serial path sets this process's OpenBLAS
-    thread count, which is process-wide, for the sweep's duration and
-    restores it afterwards. No thread count changes the records.
+    the matrices, and OpenBLAS runs at ``max(1, share // solvers - 1)``
+    threads per call, with ``solvers = min(share, runs per trial)``. Pool
+    workers solve each m's runs inline; one process forks ``solvers`` solver
+    processes for them when that is above 1, and none outlives the sweep.
+    Pool workers and solvers are pinned at start, and the serial path sets
+    this process's OpenBLAS thread count, which is process-wide, for the
+    sweep's duration and restores it afterwards. No thread or process count
+    changes the records.
     ``workers`` below 1, and a pool whose matrices of ``max(m_grid)`` rows
     exceed physical memory together, are rejected.
     """
@@ -490,13 +527,12 @@ def _execute(manifest: RunManifest, workers: int) -> tuple[list[SweepRecord], Ru
     plan = _thread_plan(pool_size, len(cfg.m_grid) * len(cfg.algorithms))
     tasks = [(cfg, trial, manifest.trial_seeds[trial], plan) for trial in range(cfg.trials_per_cell)]
     if pool_size > 1:
-        with ProcessPoolExecutor(
-            max_workers=pool_size, initializer=_pin_blas_threads, initargs=(plan.blas,)
-        ) as pool:
+        with ProcessPoolExecutor(max_workers=pool_size, initializer=_pin_blas_threads,
+                                 initargs=(plan.blas,)) as pool:
             per_task = list(pool.map(_run_task, *zip(*tasks), chunksize=1))
     else:
-        with blas_threads(plan.blas):
-            per_task = [_run_task(*task) for task in tasks]
+        with blas_threads(plan.blas), _solver_processes(cfg, plan) as (solvers, rows):
+            per_task = [_run_task(*task, solvers, rows) for task in tasks]
     pinned = "default" if _loaded_blas_function(_BLAS_SETTERS) is None else str(plan.blas)
     records = [rec for task_records, _ in per_task for rec in task_records]
     records.sort(key=lambda r: (r.algorithm, r.m, r.trial_index))

@@ -147,16 +147,20 @@ class BlockFiller:
     so the matrix does not depend on the thread count or on which thread
     filled what. ``close`` (or leaving a ``with`` block) drops the queued
     blocks and joins the helpers; no block is filled after it returns.
+    Given ``out`` (writable, C-contiguous, float64), the matrix is its first m * N entries.
     """
 
-    def __init__(self, seed: int, m: int, N: int, threads: int = 1):
+    def __init__(self, seed: int, m: int, N: int, threads: int = 1, out: np.ndarray | None = None):
         if m < 1 or N < 1:
             raise InvalidArgumentError(f"matrix dimensions must be positive, got m={m}, N={N}")
         if threads < 1:
             raise InvalidArgumentError(f"threads must be >= 1, got {threads}")
-        # allocated before any block seed is derived, so a size that cannot be
-        # allocated fails at once
-        self._matrix = np.empty((m, N))
+        # allocated before any block seed is derived, so an unallocatable size fails at once
+        out = np.empty((m, N)) if out is None else out
+        if not (out.dtype == np.float64 and out.flags.carray and out.size >= m * N):
+            raise InvalidArgumentError(f"out must be a writable C-contiguous float64 array of at "
+                                       f"least {m} x {N} entries")
+        self._matrix = out.reshape(-1)[:m * N].reshape(m, N)
         self._seed = seed
         self._ready = 0  # leading blocks known to be filled
         self._closed = False

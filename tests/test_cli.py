@@ -171,6 +171,31 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["onebitcs: runtime failure: ZeroDivisionError: division by zero"]
 
+    def test_dead_solver_process_exits_two(self, tmp_path, capsys, monkeypatch):
+        # a one-process sweep at a share of 2 solves on forked processes; one dies
+        import multiprocessing
+        import os
+
+        import onebitcs.harness as harness
+
+        sweep_pid = os.getpid()
+
+        def dies(*args, **kwargs):
+            if os.getpid() != sweep_pid:
+                os._exit(1)
+            raise AssertionError("solved in the sweep's own process")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(harness, "nbiht_run", dies)
+        code = parse_and_dispatch(
+            ["sweep", "--n", "16", "--s", "2", "--m-grid", "32,64", "--trials", "2",
+             "--seed", "1", "--workers", "1", "--out-dir", str(tmp_path / "out")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("onebitcs: runtime failure: BrokenProcessPool: ")
+        assert multiprocessing.active_children() == []
+
     def test_unallocatable_size_is_validation_error(self, capsys):
         # 10^12 x 512 float64 exceeds any physical memory, so it is refused before the draw
         assert parse_and_dispatch(["recover", "--m", "1000000000000", "--seed", "1"]) == 1

@@ -1,11 +1,13 @@
 """Sweep execution: determinism, pairing, seed hygiene, pool set-up, slope fitting."""
 
 import dataclasses
+import multiprocessing
 import os
 import sys
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -25,6 +27,20 @@ from onebitcs import (
 )
 from onebitcs.harness import build_manifest, error_stat_by_m, run_from_manifest, trial_seed_table
 from onebitcs.rng import generator_for
+
+
+def _appender(path):
+    """A function that appends its argument to ``path`` as a line, from any process."""
+
+    def append(value):
+        with open(path, "a") as log:
+            log.write(f"{value}\n")
+
+    return append
+
+
+def _lines(path) -> list[str]:
+    return path.read_text().splitlines() if path.exists() else []
 
 
 def _small_config(**overrides):
@@ -93,9 +109,9 @@ class TestRunSweep:
         calls = []
         real = harness.BlockFiller
 
-        def recording(seed, m, N, threads):
+        def recording(seed, m, N, threads, out=None):
             calls.append((seed, m))
-            return real(seed, m, N, threads)
+            return real(seed, m, N, threads, out=out)
 
         monkeypatch.setattr(harness, "BlockFiller", recording)
         cfg = _small_config()
@@ -204,7 +220,8 @@ class TestRunSweep:
     def test_matrices_beyond_physical_memory_rejected(self, monkeypatch):
         # a 256 x 32 float64 matrix per process is 64 KiB, against 96 KiB of memory
         pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 24}
-        monkeypatch.setattr(os, "sysconf", lambda name: pages[name])
+        real = os.sysconf  # the solver processes' pool asks for other names
+        monkeypatch.setattr(os, "sysconf", lambda name: pages[name] if name in pages else real(name))
         cfg = _small_config()
         run_sweep(cfg, workers=1)
         with pytest.raises(InvalidArgumentError, match=r"2 process\(es\) x 256 x 32 .* need 0\.000122 GiB"):
@@ -237,10 +254,16 @@ class TestRunSweep:
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its arguments, runs the cells
-    in this process and never calls the initializer, so no BLAS setting changes."""
+    """Stands in for the worker pool's ProcessPoolExecutor: records its arguments,
+    runs the cells in this process and never calls the initializer, so no BLAS
+    setting changes. A one-process sweep's solver processes are real ones."""
 
     created = []
+
+    def __new__(cls, **kwargs):
+        if kwargs.get("initializer") is harness._start_solver:
+            return ProcessPoolExecutor(**kwargs)
+        return super().__new__(cls)
 
     def __init__(self, **kwargs):
         self.kwargs = kwargs
@@ -292,7 +315,7 @@ class TestPool:
         cfg = _small_config(m_grid=(64,), trials_per_cell=1)
         _, manifest = run_sweep(cfg, workers=8)
         assert fake_pool == []
-        # 12 CPUs for 2 runs: 2 solver threads, BLAS at one fewer than 12 // 2
+        # 12 CPUs for 2 runs: 2 solver processes, BLAS at one fewer than 12 // 2
         assert (manifest.workers, manifest.blas_threads_per_worker) == (1, _pinned(5))
 
     def test_draw_threads_are_the_process_share(self, fake_pool, monkeypatch):
@@ -300,9 +323,9 @@ class TestPool:
         given = []
         real = harness.BlockFiller
 
-        def recording(seed, m, N, threads):
+        def recording(seed, m, N, threads, out=None):
             given.append(threads)
-            return real(seed, m, N, threads)
+            return real(seed, m, N, threads, out=out)
 
         monkeypatch.setattr(harness, "BlockFiller", recording)
         cfg = _small_config(trials_per_cell=2)
@@ -349,7 +372,7 @@ def _pinned(threads: int) -> str:
 
 class TestThreadRule:
     # (cpus, pool size) -> (threads per process, BLAS threads for one run,
-    # solver threads and BLAS threads for a trial of RUNS runs); shares above 2
+    # solvers and BLAS threads for a trial of RUNS runs); shares above 2
     # are unmeasured
     RUNS = 12  # 4 m values times 3 algorithms
     TABLE = [
@@ -387,16 +410,17 @@ class TestThreadRule:
 
 
 class TestConcurrentSolves:
-    """A trial's runs on a pool of solver threads: the same records, failures where they belong."""
+    """A trial's runs on solver processes: the same records, failures where they belong."""
 
     @staticmethod
     def _config(**overrides):
         return _small_config(algorithms=("biht", "iht", "nbiht", "one_shot"), noise_std=0.1, **overrides)
 
     def test_records_do_not_depend_on_the_thread_share(self, monkeypatch):
+        # solved inline at a share of 1, and on 2 and 4 solver processes
         cfg = self._config()
         switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # interleave the solver threads as finely as the interpreter allows
+        sys.setswitchinterval(1e-6)  # interleave the draw helpers as finely as the interpreter allows
         try:
             by_share = {}
             for cpus in (1, 2, 4):
@@ -450,43 +474,53 @@ class TestConcurrentSolves:
         assert 3 * 0.02 <= manifest.draw_s <= time.perf_counter() - start
         assert manifest.solve_s >= 6 * 0.05
 
-    def test_rejected_setting_cancels_the_queued_runs(self, monkeypatch):
+    def test_rejected_setting_cancels_the_queued_runs(self, monkeypatch, tmp_path):
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        started = []
+        started = tmp_path / "started"
+        log_start = _appender(started)
 
         def slow(*args, **kwargs):
-            started.append(1)
+            log_start(os.getpid())
             time.sleep(0.05)
             raise DegenerateIterateError("never recorded")
 
         def boom(*args, **kwargs):
-            raise InvalidArgumentError("rejected in a solver thread")
+            raise InvalidArgumentError("rejected in a solver process")
 
         monkeypatch.setattr(harness, "biht_run", slow)
         monkeypatch.setattr(harness, "nbiht_run", boom)
-        # 24 m values, one trial: 48 runs queued on 4 solver threads
+        # 24 m values, one trial: 48 runs sent to 4 solver processes
         cfg = _small_config(n=8, s=1, m_grid=tuple(range(8, 200, 8)), algorithms=("biht", "nbiht"),
                             trials_per_cell=1)
         start = threading.active_count()
-        with pytest.raises(InvalidArgumentError, match="rejected in a solver thread"):
+        with pytest.raises(InvalidArgumentError, match="rejected in a solver process"):
             run_sweep(cfg, workers=1)
-        assert threading.active_count() == start
-        assert len(started) < len(cfg.m_grid)  # the queued runs were dropped, not run
+        assert threading.active_count() == start and multiprocessing.active_children() == []
+        assert 0 < len(_lines(started)) < len(cfg.m_grid)  # the queued runs were dropped, not run
+        assert str(os.getpid()) not in _lines(started)
 
 
 class TestSerialBlasThreads:
-    def test_one_thread_during_the_sweep_and_restored(self, blas_at_two, monkeypatch):
+    def test_one_thread_during_the_sweep_and_restored(self, blas_at_two, monkeypatch, tmp_path):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a share of 2: BLAS at one thread
-        seen = []
-        real = harness.nbiht_run
+        seen = tmp_path / "seen"
+        log_seen = _appender(seen)
+        real, real_signal = harness.nbiht_run, harness.gen_sparse_signal
 
         def recording(*args, **kwargs):
-            seen.append(blas_at_two())
+            log_seen(blas_at_two())  # in a solver process
             return real(*args, **kwargs)
 
+        def recording_signal(*args, **kwargs):
+            log_seen(blas_at_two())  # on the task thread, which draws
+            return real_signal(*args, **kwargs)
+
         monkeypatch.setattr(harness, "nbiht_run", recording)
-        run_sweep(_small_config(), workers=1)
-        assert seen and set(seen) == {1}
+        monkeypatch.setattr(harness, "gen_sparse_signal", recording_signal)
+        cfg = _small_config()
+        run_sweep(cfg, workers=1)
+        assert len(_lines(seen)) == cfg.trials_per_cell * (1 + len(cfg.m_grid))
+        assert set(_lines(seen)) == {"1"}
         assert blas_at_two() == 2
 
     def test_restored_when_a_task_raises(self, blas_at_two, monkeypatch):
@@ -497,6 +531,85 @@ class TestSerialBlasThreads:
         with pytest.raises(InvalidArgumentError, match="rejected in the task"):
             run_sweep(_small_config(), workers=1)
         assert blas_at_two() == 2
+
+
+class TestSolverProcesses:
+    """A one-process sweep at a share of 2: two forked solver processes, none outliving the sweep."""
+
+    @pytest.fixture(autouse=True)
+    def share_of_two(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+    @staticmethod
+    def _nothing_left(threads_at_start: int) -> bool:
+        return multiprocessing.active_children() == [] and threading.active_count() == threads_at_start
+
+    def test_runs_solved_in_solver_processes_that_end_with_the_sweep(self, monkeypatch, tmp_path):
+        solved_in = tmp_path / "pids"
+        log_pid = _appender(solved_in)
+        real = harness.solve
+
+        def recording(*args, **kwargs):
+            log_pid(os.getpid())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "solve", recording)
+        start = threading.active_count()
+        records, _ = run_sweep(_small_config(), workers=1)
+        assert self._nothing_left(start)
+        pids = _lines(solved_in)
+        assert len(pids) == len(records) and str(os.getpid()) not in pids
+        assert 1 <= len(set(pids)) <= 2
+
+    def test_nothing_outlives_a_rejected_run(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise InvalidArgumentError("rejected in a solver process")
+
+        monkeypatch.setattr(harness, "nbiht_run", boom)
+        start = threading.active_count()
+        with pytest.raises(InvalidArgumentError, match="rejected in a solver process"):
+            run_sweep(_small_config(), workers=1)
+        assert self._nothing_left(start)
+
+    def test_dead_solver_process_fails_the_sweep(self, monkeypatch):
+        sweep_pid = os.getpid()
+
+        def dies(*args, **kwargs):
+            if os.getpid() != sweep_pid:
+                os._exit(1)
+            raise AssertionError("solved in the sweep's own process")
+
+        def sweep():
+            try:
+                run_sweep(_small_config(), workers=1)
+            except BrokenProcessPool as exc:
+                raised.append(exc)
+
+        monkeypatch.setattr(harness, "nbiht_run", dies)
+        raised, start = [], threading.active_count()
+        runner = threading.Thread(target=sweep, daemon=True)  # a hang must not hold the suite
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive() and len(raised) == 1
+        assert self._nothing_left(start)
+
+    def test_next_trial_drawn_only_after_every_run_of_the_last(self, monkeypatch):
+        # all trials share one matrix buffer: a trial drawn while a run of the
+        # last one still reads the rows would change that run's record
+        cfg = _small_config(algorithms=("biht", "nbiht", "one_shot"), trials_per_cell=4)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        inline, _ = run_sweep(cfg, workers=1)
+        real = harness.solve
+
+        def slow_at_the_largest_m(run_cfg, algo, instance, init_seed):
+            if instance[1].m == cfg.m_grid[-1]:
+                time.sleep(0.1)  # longer than the next trial's draw takes
+            return real(run_cfg, algo, instance, init_seed)
+
+        monkeypatch.setattr(harness, "solve", slow_at_the_largest_m)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        on_processes, _ = run_sweep(cfg, workers=1)
+        assert [r.comparable() for r in on_processes] == [r.comparable() for r in inline]
 
 
 class TestSeedHygiene:

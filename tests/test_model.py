@@ -189,6 +189,33 @@ class TestBlockFiller:
             for k in [*range(1, self.M + 1, 97), 511, 512, 513, 1024, 1025, self.M]:
                 assert filler.rows(k).tobytes() == reference[:k].tobytes()
 
+    @pytest.mark.parametrize("threads", [1, 2, 4])  # 0, 1 and 3 helpers
+    def test_every_prefix_filled_into_a_callers_buffer(self, threads, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)  # let 3 helpers run on any host
+        reference = blocked_gaussian_draw(11, self.M, self.N)
+        out = np.full((self.M + 7, self.N), np.nan)  # taller than the draw, which takes its first rows
+        with model.BlockFiller(11, self.M, self.N, threads, out=out) as filler:
+            for k in [*range(1, self.M + 1, 97), 511, 512, 513, 1024, 1025, self.M]:
+                rows = filler.rows(k)
+                assert np.shares_memory(rows, out)
+                assert rows.tobytes() == reference[:k].tobytes()
+        assert out[:self.M].tobytes() == reference.tobytes()
+        assert np.isnan(out[self.M:]).all()
+
+    @pytest.mark.parametrize("out", [
+        np.empty((M - 1, N)),
+        np.empty((M, N), dtype=np.float32),
+        np.empty((M, N), order="F"),
+        np.empty((M, 2 * N))[:, ::2],
+        np.frombuffer(bytes(M * N * 8)).reshape(M, N),  # C-contiguous float64 over bytes: read-only
+    ], ids=["too-small", "float32", "fortran-order", "strided", "read-only"])
+    def test_unusable_buffer_rejected(self, out):
+        start = threading.active_count()
+        with pytest.raises(InvalidArgumentError, match=f"out must be a writable C-contiguous float64 "
+                                                        f"array of at least {self.M} x {self.N} entries"):
+            model.BlockFiller(11, self.M, self.N, threads=2, out=out)
+        assert threading.active_count() == start
+
     def test_helper_exception_raised_on_caller(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         real = model.block_generator

@@ -239,7 +239,7 @@ class TestManifestVersions:
         assert rerun.substream_rule == manifest.substream_rule
 
     def test_fixture_replays_bitwise_at_a_share_of_three(self, monkeypatch):
-        # three CPUs for one process: 2 draw helpers and 3 solver threads for 12 runs per trial
+        # three CPUs for one process: 2 draw helpers and 3 solver processes for 12 runs per trial
         manifest = load_manifest(V4_SWEEP / "manifest.txt")
         if (manifest.numpy_version, manifest.blas) != (np.__version__, harness._blas_name()):
             pytest.skip("fixture written with another numpy or BLAS")
