@@ -28,12 +28,8 @@ from .harness import (
     ALGORITHMS,
     SweepConfig,
     blas_threads,
-    draw_instances,
     fit_slope,
-    require_memory,
     run_sweep,
-    solve,
-    trial_seed_table,
 )
 from .model import gen_sparse_signal
 from .probes import (
@@ -253,18 +249,16 @@ def _cmd_recover(args) -> int:
         max_iters=opts["max_iters"], stop_tol=opts["stop_tol"], init=opts["init"],
         support_rule=opts["support_rule"], value_rule=opts["value_rule"],
     )
-    require_memory(cfg, 1)
-    seeds = trial_seed_table(cfg, 0)
-    _, instance = next(draw_instances(cfg, cfg.m_grid, seeds))
-    error, iterations, agreement, reason = solve(
-        cfg, opts["algo"], instance, seeds[f"init.{opts['algo']}"]
-    )
-    print(f"algorithm = {opts['algo']}")
-    print(f"n = {cfg.n} s = {cfg.s} m = {opts['m']} seed = {seed}")
-    print(f"final_l2_error = {error!r}")
-    print(f"iterations_used = {iterations}")
-    print(f"sign_agreement = {agreement!r}")
-    print(f"stop_reason = {reason}")
+    (rec,), _ = run_sweep(cfg, workers=1)
+    if rec.stop_reason.startswith("error: "):  # the line parse_and_dispatch prints for a runtime failure
+        print(f"onebitcs: runtime failure: {rec.stop_reason.removeprefix('error: ')}", file=sys.stderr)
+        return 2
+    print(f"algorithm = {rec.algorithm}")
+    print(f"n = {cfg.n} s = {cfg.s} m = {rec.m} seed = {seed}")
+    print(f"final_l2_error = {rec.final_l2_error!r}")
+    print(f"iterations_used = {rec.iterations_used}")
+    print(f"sign_agreement = {rec.sign_agreement!r}")
+    print(f"stop_reason = {rec.stop_reason}")
     return 0
 
 

@@ -33,6 +33,7 @@ import dataclasses
 import datetime as _dt
 import mmap
 import multiprocessing
+import operator
 import os
 import time
 import warnings
@@ -94,7 +95,7 @@ _BLAS_GETTERS = tuple(name.replace("_set_", "_get_") for name in _BLAS_SETTERS)
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Grid and algorithm settings for one sweep."""
+    """Grid and algorithm settings for one sweep; its fields are the manifest's ``config.*`` lines."""
 
     n: int
     s: int
@@ -141,7 +142,7 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """One (algorithm, m, trial) outcome row."""
+    """One (algorithm, m, trial) outcome row; its fields, in order, are the columns of records.csv."""
 
     algorithm: str
     m: int
@@ -156,17 +157,12 @@ class SweepRecord:
 
     def comparable(self) -> tuple:
         """All fields except wall_time_ms (excluded from reproducibility)."""
-        return (
-            self.algorithm,
-            self.m,
-            self.N,
-            self.s,
-            self.trial_index,
-            self.final_l2_error,
-            self.iterations_used,
-            self.sign_agreement,
-            self.stop_reason,
-        )
+        return _comparable_fields(self)
+
+
+_comparable_fields = operator.attrgetter(
+    *(f.name for f in dataclasses.fields(SweepRecord) if f.name != "wall_time_ms")
+)
 
 
 @dataclass(frozen=True)

@@ -94,8 +94,8 @@ class RaicProbeConfig:
             raise InvalidArgumentError("m and samples must be >= 1")
         if not 0.0 <= self.r_lb <= self.r_ub <= 2.0:
             raise InvalidArgumentError("need 0 <= r_lb <= r_ub <= 2")
-        if self.nu is not None and self.nu <= 0:
-            raise InvalidArgumentError("nu must be positive")
+        if self.nu is not None and not 0 < self.nu < math.inf:  # also rejects NaN
+            raise InvalidArgumentError("nu must be finite and positive")
 
     @property
     def effective_nu(self) -> float:

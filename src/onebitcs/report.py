@@ -1,9 +1,14 @@
 """Persistence and plotting: CSV records, key-value manifests, log-log SVG.
 
-The CSV header is fixed; floats are written with repr so parsing them back is
-exact. The manifest is a flat ``key = value`` text file (keys documented in
-the README) sufficient to rerun the sweep bitwise; it holds one seed table
-per trial, and every key read back from it is required. The SVG is
+Both text formats are declared once, by dataclass fields. The columns of
+``records.csv`` are ``SweepRecord``'s fields in order, and the ``config.*``
+lines of ``manifest.txt`` are ``SweepConfig``'s, after the head keys of
+``_HEAD_KEYS``; a new field changes the format, which bumps
+``manifest_version``. Every value is written with ``str`` (a float's is its
+shortest repr, so reading it back is exact, and a tuple's items are joined
+by commas) and read back by the parser of its field's declared type. The
+manifest, sufficient to rerun the sweep bitwise, holds one seed table per
+trial, and every key read back from it is required. The SVG is
 self-contained with log10 axes, one polyline per algorithm series, and a
 slope annotation text node per fitted series.
 """
@@ -13,6 +18,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
+import operator
 from pathlib import Path
 
 from .errors import InvalidArgumentError
@@ -26,13 +32,45 @@ from .harness import (
     require_manifest_version,
 )
 
-CSV_HEADER = (
-    "algorithm,m,N,s,trial_index,final_l2_error,iterations_used,"
-    "sign_agreement,stop_reason,wall_time_ms"
-)
-CSV_FIELDS = CSV_HEADER.split(",")
+_RECORD_FIELDS = dataclasses.fields(SweepRecord)
+CSV_FIELDS = [f.name for f in _RECORD_FIELDS]
+CSV_HEADER = ",".join(CSV_FIELDS)
+_row = operator.attrgetter(*CSV_FIELDS)  # not dataclasses.astuple, which deep-copies
+
+# manifest.txt opens with these keys, in this order, for these RunManifest fields
+_HEAD_KEYS = {
+    "manifest_version": "manifest_version",
+    "created_utc": "created_utc",
+    "package_version": "package_version",
+    "numpy_version": "numpy_version",
+    "rng.algorithm": "rng_algorithm",
+    "rng.gaussian_transform": "gaussian_transform",
+    "rng.substream_rule": "substream_rule",
+    "env.blas": "blas",
+    "env.workers": "workers",
+    "env.blas_threads_per_worker": "blas_threads_per_worker",
+    "env.draw_threads": "draw_threads",
+    "timing.draw_s": "draw_s",
+    "timing.solve_s": "solve_s",
+}
+_RUN_TYPES = {f.name: f.type for f in dataclasses.fields(RunManifest)}
+_CONFIG_FIELDS = dataclasses.fields(SweepConfig)
+
+# one parser per declared field type (a string: harness postpones its annotations)
+_PARSERS = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "tuple[int, ...]": lambda value: tuple(int(v) for v in value.split(",")),
+    "tuple[str, ...]": lambda value: tuple(value.split(",")),
+}
+_RECORD_PARSERS = [_PARSERS[f.type] for f in _RECORD_FIELDS]
 
 _SERIES_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
+
+
+def _format(value) -> str:
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
 
 
 def write_records_csv(records: list[SweepRecord], path) -> Path:
@@ -40,21 +78,7 @@ def write_records_csv(records: list[SweepRecord], path) -> Path:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_FIELDS)
-        for rec in records:
-            writer.writerow(
-                [
-                    rec.algorithm,
-                    rec.m,
-                    rec.N,
-                    rec.s,
-                    rec.trial_index,
-                    repr(rec.final_l2_error),
-                    rec.iterations_used,
-                    repr(rec.sign_agreement),
-                    rec.stop_reason,
-                    repr(rec.wall_time_ms),
-                ]
-            )
+        writer.writerows(map(_row, records))  # csv writes each value with str, as _format does
     return path
 
 
@@ -67,56 +91,22 @@ def read_records_csv(path) -> list[SweepRecord]:
         if header != CSV_FIELDS:
             raise InvalidArgumentError(f"unexpected CSV header in {path}")
         for row in reader:
-            records.append(
-                SweepRecord(
-                    algorithm=row[0],
-                    m=int(row[1]),
-                    N=int(row[2]),
-                    s=int(row[3]),
-                    trial_index=int(row[4]),
-                    final_l2_error=float(row[5]),
-                    iterations_used=int(row[6]),
-                    sign_agreement=float(row[7]),
-                    stop_reason=row[8],
-                    wall_time_ms=float(row[9]),
+            if len(row) != len(CSV_FIELDS):
+                raise InvalidArgumentError(
+                    f"{path} line {reader.line_num} has {len(row)} fields, not {len(CSV_FIELDS)}"
                 )
-            )
+            try:
+                records.append(SweepRecord(*[parse(v) for parse, v in zip(_RECORD_PARSERS, row)]))
+            except ValueError as exc:
+                raise InvalidArgumentError(f"{path} line {reader.line_num} has a malformed value: {exc}") from exc
     return records
 
 
 def _manifest_lines(manifest: RunManifest) -> list[str]:
-    cfg = manifest.config
-    lines = [
-        f"manifest_version = {manifest.manifest_version}",
-        f"created_utc = {manifest.created_utc}",
-        f"package_version = {manifest.package_version}",
-        f"numpy_version = {manifest.numpy_version}",
-        f"rng.algorithm = {manifest.rng_algorithm}",
-        f"rng.gaussian_transform = {manifest.gaussian_transform}",
-        f"rng.substream_rule = {manifest.substream_rule}",
-        f"env.blas = {manifest.blas}",
-        f"env.workers = {manifest.workers}",
-        f"env.blas_threads_per_worker = {manifest.blas_threads_per_worker}",
-        f"env.draw_threads = {manifest.draw_threads}",
-        f"timing.draw_s = {manifest.draw_s!r}",
-        f"timing.solve_s = {manifest.solve_s!r}",
-        f"config.n = {cfg.n}",
-        f"config.s = {cfg.s}",
-        f"config.m_grid = {','.join(str(m) for m in cfg.m_grid)}",
-        f"config.algorithms = {','.join(cfg.algorithms)}",
-        f"config.trials_per_cell = {cfg.trials_per_cell}",
-        f"config.master_seed = {cfg.master_seed}",
-        f"config.noise_std = {cfg.noise_std!r}",
-        f"config.tau = {cfg.tau!r}",
-        f"config.max_iters = {cfg.max_iters}",
-        f"config.stop_tol = {cfg.stop_tol!r}",
-        f"config.init = {cfg.init}",
-        f"config.degenerate_policy = {cfg.degenerate_policy}",
-        f"config.support_rule = {cfg.support_rule}",
-        f"config.value_rule = {cfg.value_rule}",
-    ]
+    lines = [f"{key} = {_format(getattr(manifest, name))}" for key, name in _HEAD_KEYS.items()]
+    lines += [f"config.{f.name} = {_format(getattr(manifest.config, f.name))}" for f in _CONFIG_FIELDS]
     for key in sorted(manifest.constants):
-        lines.append(f"constants.{key} = {manifest.constants[key]!r}")
+        lines.append(f"constants.{key} = {_format(manifest.constants[key])}")
     for trial, seeds in sorted(manifest.trial_seeds.items()):
         for role in sorted(seeds):
             lines.append(f"trial.{trial}.{role} = {seeds[role]}")
@@ -133,8 +123,8 @@ def load_manifest(path) -> RunManifest:
     """Parse a manifest file back into a RunManifest (seeds are re-derived and checked).
 
     Only the manifest version this build writes loads; another, or none, is
-    rejected. Every key read here is required, and the ``trial.`` lines must
-    be exactly the seed tables the config derives.
+    rejected before any other key is read. Every key read here is required,
+    and the ``trial.`` lines must be exactly the seed tables the config derives.
     """
     path = Path(path)
     if not path.exists():
@@ -151,7 +141,8 @@ def load_manifest(path) -> RunManifest:
             raise InvalidArgumentError(f"manifest {path} repeats key {key!r}")
         kv[key] = value
 
-    def read(key: str, parse=str):
+    def read(key: str, declared: str):
+        parse = _PARSERS[declared]
         try:
             return parse(kv[key])
         except KeyError:
@@ -159,38 +150,12 @@ def load_manifest(path) -> RunManifest:
         except ValueError as exc:
             raise InvalidArgumentError(f"manifest {path} has a malformed value: {exc}") from exc
 
-    require_manifest_version(read("manifest_version", int))
-    cfg = SweepConfig(
-        n=read("config.n", int),
-        s=read("config.s", int),
-        m_grid=read("config.m_grid", lambda v: tuple(int(m) for m in v.split(","))),
-        algorithms=tuple(read("config.algorithms").split(",")),
-        trials_per_cell=read("config.trials_per_cell", int),
-        master_seed=read("config.master_seed", int),
-        noise_std=read("config.noise_std", float),
-        tau=read("config.tau", float),
-        max_iters=read("config.max_iters", int),
-        stop_tol=read("config.stop_tol", float),
-        init=read("config.init"),
-        degenerate_policy=read("config.degenerate_policy"),
-        support_rule=read("config.support_rule"),
-        value_rule=read("config.value_rule"),
-    )
-    manifest = dataclasses.replace(  # the seeds and constants re-derived, the rest as recorded
-        build_manifest(cfg),
-        rng_algorithm=read("rng.algorithm"),
-        gaussian_transform=read("rng.gaussian_transform"),
-        substream_rule=read("rng.substream_rule"),
-        numpy_version=read("numpy_version"),
-        package_version=read("package_version"),
-        created_utc=read("created_utc"),
-        blas=read("env.blas"),
-        workers=read("env.workers", int),
-        blas_threads_per_worker=read("env.blas_threads_per_worker"),
-        draw_threads=read("env.draw_threads", int),
-        draw_s=read("timing.draw_s", float),
-        solve_s=read("timing.solve_s", float),
-    )
+    version_key = next(iter(_HEAD_KEYS))  # so no key of another version is read
+    require_manifest_version(read(version_key, _RUN_TYPES[_HEAD_KEYS[version_key]]))
+    head = {name: read(key, _RUN_TYPES[name]) for key, name in _HEAD_KEYS.items()}
+    cfg = SweepConfig(**{f.name: read(f"config.{f.name}", f.type) for f in _CONFIG_FIELDS})
+    # the seeds and constants re-derived, the rest as recorded
+    manifest = dataclasses.replace(build_manifest(cfg), **head)
     stored: dict[int, dict[str, int]] = {}
     for key, value in kv.items():
         if key.startswith("trial."):

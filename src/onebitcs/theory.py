@@ -32,10 +32,10 @@ class ScheduleConstants:
     c10: float | None = None
 
     def __post_init__(self):
-        if self.cb <= 0 or self.cb_lower <= 0:
-            raise InvalidArgumentError("cb and cb_lower must be positive")
-        if self.c10 is not None and self.c10 <= 0:
-            raise InvalidArgumentError("c10 must be positive")
+        if not (0 < self.cb < math.inf and 0 < self.cb_lower < math.inf):  # also rejects NaN
+            raise InvalidArgumentError("cb and cb_lower must be finite and positive")
+        if self.c10 is not None and not 0 < self.c10 < math.inf:
+            raise InvalidArgumentError("c10 must be finite and positive")
 
     @property
     def c10_is_placeholder_derived(self) -> bool:
@@ -56,8 +56,8 @@ def size_constant(N: int, s: int, m: float, constants: ScheduleConstants | None 
     constants = constants or ScheduleConstants()
     if not 1 <= s <= N:
         raise InvalidArgumentError("need 1 <= s <= N")
-    if m < 2:
-        raise InvalidArgumentError("need m >= 2")
+    if not 2 <= m < math.inf:  # also rejects NaN
+        raise InvalidArgumentError("need finite m >= 2")
     width_term = constants.cb * math.sqrt(s * math.log(N / s))
     tail_term = math.sqrt(5.0 * math.log(m) / constants.cb_lower)
     return 3.0 * (width_term + tail_term)
@@ -69,16 +69,14 @@ def level_count(m: float) -> tuple[int, bool]:
     Returns (0, False) when not even L = 0 satisfies the inequality (m too
     small); otherwise (L, True).
     """
-    if m < 2:
-        raise InvalidArgumentError("need m >= 2")
+    if not 2 <= m < math.inf:  # also rejects NaN
+        raise InvalidArgumentError("need finite m >= 2")
     log_m = math.log(m)
     if log_m <= _LVL_THRESHOLD:  # level 0 already fails
         return 0, False
     level = 0
     while (_LVL_BASE ** (level + 1)) * log_m > _LVL_THRESHOLD:
         level += 1
-        if level > 512:  # unreachable for float m; guards nonsense input
-            break
     return level, True
 
 
@@ -102,10 +100,6 @@ class TheorySchedule:
     threshold_met: bool
     r: tuple[float, ...]
     delta: tuple[float, ...]
-
-    @property
-    def levels(self) -> int:
-        return len(self.r)
 
     @property
     def r_nonincreasing(self) -> bool:

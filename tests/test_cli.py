@@ -51,7 +51,7 @@ class TestProbeOutputsGolden:
 class TestBlasThreads:
     # every command runs OpenBLAS at max(1, share - 1) threads; on 2 CPUs that is 1
     COMMANDS = [
-        (["recover", "--n", "32", "--s", "2", "--m", "64", "--max-iters", "5"], "solve", 0),
+        (["recover", "--n", "32", "--s", "2", "--m", "64", "--max-iters", "5"], "run_sweep", 0),
         (["probe", "unbiased", "--n", "16", "--s", "2", "--m", "2000", "--trials", "5"],
          "check_unbiasedness", 0),
         (["probe", "embedding", "--n", "16", "--s", "2", "--m", "64", "--trials", "3"],
@@ -144,12 +144,12 @@ class TestExitCodes:
         assert "runtime failure" in capsys.readouterr().err
 
     def test_unexpected_exception_under_recover_exits_two(self, capsys, monkeypatch):
-        import onebitcs.cli as cli
+        import onebitcs.harness as harness
 
         def boom(*args, **kwargs):
             raise RuntimeError("synthetic fault")
 
-        monkeypatch.setattr(cli, "solve", boom)  # harness.solve, as recover calls it
+        monkeypatch.setattr(harness, "solve", boom)  # recover is a one-cell sweep
         code = parse_and_dispatch(["recover", "--n", "16", "--s", "2", "--m", "32", "--seed", "1"])
         assert code == 2
         err = capsys.readouterr().err.strip().splitlines()
@@ -489,6 +489,23 @@ class TestProbeAndTheory:
         assert parse_and_dispatch(["theory", "--m", "8192", "--levels", "3"]) == 0
         out = capsys.readouterr().out
         assert "L = 0" in out and "diagnostic only" in out and "exponent" in out
+
+    @pytest.mark.parametrize("argv, probe_ini, message", [
+        (["theory", "--m", "nan"], None, "need finite m >= 2"),
+        (["theory", "--m", "inf"], None, "need finite m >= 2"),
+        (["theory", "--m", "1e400"], None, "need finite m >= 2"),
+        (["theory", "--constants-cb", "nan"], None, "cb and cb_lower must be finite and positive"),
+        (["probe", "raic", "--seed", "1"], "raic_nu = nan", "nu must be finite and positive"),
+        (["probe", "raic", "--seed", "1"], "raic_nu = inf", "nu must be finite and positive"),
+    ])
+    def test_non_finite_value_is_validation_error(self, argv, probe_ini, message, tmp_path, capsys):
+        if probe_ini is not None:  # raic_nu is a config key only
+            (tmp_path / "p.cfg").write_text(f"[probe]\n{probe_ini}\n")
+            argv = argv + ["--config", str(tmp_path / "p.cfg")]
+        assert parse_and_dispatch(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == f"onebitcs: error: {message}"
 
     def test_theory_above_threshold(self, capsys):
         assert parse_and_dispatch(["theory", "--m", "1e100", "--n", "1024", "--s", "5"]) == 0

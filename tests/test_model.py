@@ -30,7 +30,16 @@ from onebitcs.rng import block_generator
 from oracles import blocked_gaussian_draw
 
 
-class TestGaussianMatrix:
+_SEEDS = st.integers(0, 2**64 - 1)
+
+
+def _blocked(seed: int, m: int, n: int, threads: int = 1) -> np.ndarray:
+    """The m x n blocked draw, filled by BlockFiller on up to ``threads`` threads."""
+    with model.BlockFiller(seed, m, n, threads) as filler:
+        return filler.rows(m)
+
+
+class TestBlockedGaussianMatrix:
     def test_same_seed_bitwise_identical(self):
         a = gen_gaussian_matrix(7, 100, 50)
         b = gen_gaussian_matrix(7, 100, 50)
@@ -71,48 +80,28 @@ class TestGaussianMatrix:
         assert np.array_equal(gen_gaussian_matrix(-3, 4, 4).matrix, gen_gaussian_matrix(-3, 4, 4).matrix)
 
     @given(
-        seed=st.integers(0, 2**64 - 1),
-        n=st.integers(1, 64),
-        m=st.integers(1, 300),
-        extra=st.integers(0, 700),
-        sigma=st.floats(1e-3, 10.0),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_row_prefix_is_the_shorter_draw(self, seed, n, m, extra, sigma):
-        # a sweep's noise at m is the first m entries of the trial's noise
-        # stream, and each block of the draw is filled this way; this holds
-        # because numpy fills row by row from one stream, and is checked on
-        # every numpy the CI runs
-        full = gen_gaussian_matrix(seed, m + extra, n).matrix
-        assert full[:m].tobytes() == gen_gaussian_matrix(seed, m, n).matrix.tobytes()
-        noise = generator_for(seed).normal(0.0, sigma, m + extra)
-        assert noise[:m].tobytes() == generator_for(seed).normal(0.0, sigma, m).tobytes()
-
-
-_SEEDS = st.integers(0, 2**64 - 1)
-
-
-def _blocked(seed: int, m: int, n: int, threads: int = 1) -> np.ndarray:
-    """The m x n blocked draw, filled by BlockFiller on up to ``threads`` threads."""
-    with model.BlockFiller(seed, m, n, threads) as filler:
-        return filler.rows(m)
-
-
-class TestBlockedGaussianMatrix:
-    @given(
         seed=_SEEDS,
-        n=st.integers(1, 6),
+        n=st.integers(1, 64),
         m=st.one_of(st.integers(1, 511), st.just(512), st.integers(513, 1100)),
         extra=st.one_of(st.integers(0, 600), st.integers(2000, 4000)),
+        sigma=st.floats(1e-3, 10.0),
     )
-    @example(seed=1, n=3, m=100, extra=20)  # m < 512, one block
-    @example(seed=2, n=3, m=512, extra=1)  # m = 512, the block boundary itself
-    @example(seed=3, n=3, m=600, extra=700)  # m across a block boundary
-    @example(seed=4, n=2, m=7, extra=5000)  # M >> m
-    @settings(max_examples=40, deadline=None)
-    def test_row_prefix_is_the_shorter_draw(self, seed, n, m, extra):
-        # nested ensembles, and recover at m equal to a sweep cell, rely on it
-        assert _blocked(seed, m + extra, n)[:m].tobytes() == _blocked(seed, m, n).tobytes()
+    @example(seed=1, n=3, m=100, extra=20, sigma=1.0)  # m < 512, one block
+    @example(seed=2, n=3, m=512, extra=1, sigma=1.0)  # m = 512, the block boundary itself
+    @example(seed=3, n=3, m=600, extra=700, sigma=1.0)  # m across a block boundary
+    @example(seed=4, n=2, m=7, extra=5000, sigma=1.0)  # M >> m
+    @settings(max_examples=60, deadline=None)
+    def test_row_prefix_is_the_shorter_draw(self, seed, n, m, extra, sigma):
+        # nested ensembles, and recover at m equal to a sweep cell, rely on the
+        # matrix prefix; a sweep's noise at m is the first m entries of the
+        # trial's noise stream. Both hold because numpy fills each block, and
+        # the noise, row by row from one stream, and are checked on every numpy
+        # the CI runs
+        shorter = _blocked(seed, m, n).tobytes()
+        assert _blocked(seed, m + extra, n)[:m].tobytes() == shorter
+        assert gen_gaussian_matrix(seed, m + extra, n).matrix[:m].tobytes() == shorter
+        noise = generator_for(seed).normal(0.0, sigma, m + extra)
+        assert noise[:m].tobytes() == generator_for(seed).normal(0.0, sigma, m).tobytes()
 
     @given(seed=_SEEDS, n=st.integers(1, 6), m=st.integers(1, 2100))
     @example(seed=5, n=4, m=2100)  # five blocks over four threads

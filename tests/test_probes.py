@@ -115,6 +115,11 @@ class TestRaicProbe:
         with pytest.raises(InvalidArgumentError):
             RaicProbeConfig(N=8, s=2, m=16, samples=1, seed=1, r_lb=0.5, r_ub=0.4)
 
+    @pytest.mark.parametrize("nu", [0.0, -1.0, math.nan, math.inf])
+    def test_invalid_nu(self, nu):
+        with pytest.raises(InvalidArgumentError, match="nu must be finite and positive"):
+            RaicProbeConfig(N=8, s=2, m=16, samples=1, seed=1, nu=nu)
+
 
 class TestDecomposition:
     def test_random_triples_residuals_tiny(self):

@@ -73,6 +73,17 @@ class TestCsv:
         with pytest.raises(InvalidArgumentError):
             read_records_csv(p)
 
+    @pytest.mark.parametrize("row,message", [
+        ("nbiht,10,8,2,0,0.5,3,0.9,converged", "has 9 fields, not 10"),
+        ("nbiht,10,8,2,0,0.5,3,0.9,converged,1.25,7", "has 11 fields, not 10"),
+        ("nbiht,ten,8,2,0,0.5,3,0.9,converged,1.25", "has a malformed value"),
+    ], ids=["short", "long", "malformed"])
+    def test_bad_row_rejected(self, tmp_path, row, message):
+        p = tmp_path / "r.csv"
+        p.write_text(f"{CSV_HEADER}\nnbiht,10,8,2,0,0.5,3,0.9,converged,1.25\n{row}\n")
+        with pytest.raises(InvalidArgumentError, match=f"line 3 {message}"):
+            read_records_csv(p)
+
 
 class TestManifestFile:
     def test_round_trip(self, small_sweep, tmp_path):
@@ -82,6 +93,13 @@ class TestManifestFile:
         assert back.config == manifest.config
         assert back.trial_seeds == manifest.trial_seeds
         assert back.rng_algorithm == manifest.rng_algorithm
+
+    def test_numpy_scalars_round_trip(self, tmp_path):
+        # written with str, a numpy scalar reads back as the value it holds
+        cfg = SweepConfig(n=np.int64(16), s=2, m_grid=(32,), algorithms=("nbiht",), trials_per_cell=1,
+                          master_seed=np.int64(3), noise_std=np.float64(0.1), tau=np.float64(1.25))
+        back = load_manifest(write_manifest(harness.build_manifest(cfg), tmp_path / "m.txt"))
+        assert back.config == cfg
 
     def test_missing_file_names_path(self, tmp_path):
         missing = tmp_path / "nope.txt"
@@ -220,6 +238,16 @@ class TestManifestVersions:
         assert len([line for line in lines if line.startswith("trial.")]) == 15
         assert not any(line.startswith("cell.") for line in lines)
         assert load_manifest(tmp_path / "m.txt").manifest_version == 4
+
+    def test_fixture_re_emitted_byte_for_byte(self, tmp_path):
+        # on any numpy: the writers invert the readers, float repr included
+        records = read_records_csv(V4_SWEEP / "records.csv")
+        manifest = load_manifest(V4_SWEEP / "manifest.txt")
+        for written, stored in [
+            (write_records_csv(records, tmp_path / "records.csv"), V4_SWEEP / "records.csv"),
+            (write_manifest(manifest, tmp_path / "manifest.txt"), V4_SWEEP / "manifest.txt"),
+        ]:
+            assert written.read_bytes() == stored.read_bytes(), stored.name
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("version", [harness.MANIFEST_VERSION], ids=lambda v: f"v{v}")

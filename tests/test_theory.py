@@ -1,6 +1,7 @@
 """Deterministic schedule: level counts, closed forms, exponent curve."""
 
 import math
+import sys
 
 import pytest
 
@@ -33,6 +34,14 @@ class TestLevelCount:
     def test_m_guard(self):
         with pytest.raises(InvalidArgumentError):
             level_count(1.0)
+
+    @pytest.mark.parametrize("m", [math.nan, math.inf])
+    def test_non_finite_m_rejected(self, m):
+        with pytest.raises(InvalidArgumentError, match="need finite m >= 2"):
+            level_count(m)
+
+    def test_largest_finite_m_reaches_level_nine(self):
+        assert level_count(sys.float_info.max) == (9, True)
 
 
 class TestErrorExponent:
@@ -68,6 +77,11 @@ class TestSizeConstant:
         assert size_constant(4, 4, 100.0, c) == pytest.approx(
             3.0 * math.sqrt(5.0 * math.log(100.0)), rel=1e-15
         )
+
+    @pytest.mark.parametrize("m", [1.0, math.nan, math.inf])
+    def test_m_guard(self, m):
+        with pytest.raises(InvalidArgumentError, match="need finite m >= 2"):
+            size_constant(512, 4, m)
 
     def test_constant_scaling(self):
         base = size_constant(512, 4, 8192.0, ScheduleConstants(cb=1.0, cb_lower=1.0))
@@ -135,9 +149,13 @@ class TestConstants:
         assert not c.c10_is_placeholder_derived
         assert c.effective_c10 == 7.0
 
-    @pytest.mark.parametrize("kwargs", [dict(cb=0.0), dict(cb_lower=-1.0), dict(c10=0.0)])
+    @pytest.mark.parametrize("kwargs", [
+        dict(cb=0.0), dict(cb_lower=-1.0), dict(c10=0.0),
+        dict(cb=math.nan), dict(cb_lower=math.nan), dict(c10=math.nan),
+        dict(cb=math.inf), dict(cb_lower=math.inf), dict(c10=math.inf),
+    ])
     def test_validation(self, kwargs):
-        with pytest.raises(InvalidArgumentError):
+        with pytest.raises(InvalidArgumentError, match="must be finite and positive"):
             ScheduleConstants(**kwargs)
 
     def test_as_dict(self):
