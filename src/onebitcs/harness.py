@@ -31,6 +31,7 @@ import contextlib
 import ctypes
 import dataclasses
 import datetime as _dt
+import math
 import mmap
 import multiprocessing
 import operator
@@ -128,8 +129,8 @@ class SweepConfig:
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if unknown:
             raise InvalidArgumentError(f"unknown algorithms: {sorted(unknown)}")
-        if not self.noise_std >= 0:  # also rejects NaN
-            raise InvalidArgumentError("noise_std must be nonnegative")
+        if not 0 <= self.noise_std < math.inf:  # also rejects NaN
+            raise InvalidArgumentError(f"noise_std must be finite and nonnegative, got {self.noise_std!r}")
         if self.support_rule not in SUPPORT_RULES:
             raise InvalidArgumentError(f"unknown support_rule {self.support_rule!r}")
         if self.value_rule not in VALUE_RULES:

@@ -9,14 +9,24 @@ thread, handing out row prefixes as soon as their blocks are filled, and
 which ``gen_gaussian_matrix`` fills on the calling thread alone; the first m
 rows of a taller draw are bitwise the m-row draw. A x has one form: the
 product of the columns of A on the support of x with the nonzeros of x
-(``linear_measurements``), which every measurement and probe takes.
+(``linear_measurements``), which every measurement and probe takes. An
+ensemble that takes many such products (a probe's) may carry a read-only
+column-major copy of its matrix (``_with_columns``), from which the support
+columns are read contiguously; the gathered block has the values and the
+layout of the one gathered from the row-major matrix, so the product is
+bitwise the same. Sweeps, solvers and ``recover`` never build the copy. The
+probes fill a ``BlockFiller`` on every CPU, and make their copies, in
+page-mapped buffers of their own (``out=``), which go back to the system
+when a probe returns; the filler's default buffer stays a heap array, as
+page-mapping it made every trial of a pool worker fault in fresh pages.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -95,10 +105,12 @@ class MeasurementEnsemble:
 
     Rows are the measurement vectors; m and N are the matrix's shape.
     Regenerating from the same (seed, m, N) yields a bitwise-identical matrix.
+    ``_columns`` is None or the matrix stored column by column (see ``_with_columns``).
     """
 
     matrix: np.ndarray
     seed: int
+    _columns: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _frozen(self.matrix))
@@ -202,6 +214,23 @@ class BlockFiller:
             self._helpers.shutdown(wait=True, cancel_futures=True)
 
 
+def _with_columns(A: MeasurementEnsemble, out: np.ndarray) -> MeasurementEnsemble:
+    """``A`` with a read-only column-major copy of its matrix in ``out``, for repeated ``A x``.
+
+    ``out`` is a writable float64 array of ``A.m * A.N`` entries. The copy is
+    made in 512-row blocks, faster than one whole-matrix assignment (about 21
+    against 36 ms at 8192 x 256). ``linear_measurements`` then gathers the support columns from it:
+    contiguous reads instead of strided ones, and the same product bits.
+    """
+    columns = out.reshape(A.N, A.m).T
+    for start in range(0, A.m, DRAW_BLOCK_ROWS):
+        columns[start:start + DRAW_BLOCK_ROWS] = A.matrix[start:start + DRAW_BLOCK_ROWS]
+    columns.flags.writeable = False
+    copied = MeasurementEnsemble(A.matrix, A.seed)
+    object.__setattr__(copied, "_columns", columns)
+    return copied
+
+
 def gen_gaussian_matrix(seed: int, m: int, N: int) -> MeasurementEnsemble:
     """The m x N blocked draw from ``seed``, filled on the calling thread.
 
@@ -265,16 +294,17 @@ def linear_measurements(A: MeasurementEnsemble, x, noise_std: float = 0.0, noise
 
     eps is identically zero when noise_std == 0 (no draw is consumed). The
     product is taken on the columns of A on the support of x,
-    A[:, nz] @ x[nz] (m*s instead of m*N flops); it equals the dense product
-    A @ x up to rounding, not bitwise.
+    A[:, nz] @ x[nz] (m*s instead of m*N flops), read from the ensemble's
+    column-major copy when it has one; it equals the dense product A @ x up
+    to rounding, not bitwise. NaN and infinite noise_std are rejected.
     """
     x = as_vector(x)
     if x.shape != (A.N,):
         raise InvalidArgumentError(f"signal length {x.size} != ensemble N {A.N}")
-    if noise_std < 0:
-        raise InvalidArgumentError("noise_std must be nonnegative")
+    if not 0 <= noise_std < math.inf:  # also rejects NaN
+        raise InvalidArgumentError(f"noise_std must be finite and nonnegative, got {noise_std!r}")
     nz = np.flatnonzero(x)
-    y = A.matrix[:, nz] @ x[nz]
+    y = (A.matrix if A._columns is None else A._columns)[:, nz] @ x[nz]
     if noise_std > 0:
         y = y + generator_for(noise_seed).normal(0.0, noise_std, size=A.m)
     return y

@@ -6,27 +6,61 @@ restricted approximate invertibility slope on an annulus, orthogonal
 decomposition residuals, Gaussian widths of sparse balls, the metric
 projection inequality) and reports the observed deviation or fit, never the
 asymptotic constants, which live beyond desk scale. Their matrices are the
-package's one blocked draw (``model.gen_gaussian_matrix``), and their forward
-products A x come from ``model.linear_measurements``, which takes them on the
-support of x, as the sweeps do. The RAIC probe's adjoint of a sign residual
-is the solvers' own (``algorithms._sign_gradient``), which sums only the
-disagreeing rows when they are few; the other adjoint products stay dense.
+package's one blocked draw, filled by ``model.BlockFiller`` on every CPU
+(``harness._thread_plan(1).share``) with the bits of
+``model.gen_gaussian_matrix``, into page-mapped buffers of the probe's own
+(``_mapped``), which go back to the system when the probe returns, where heap
+blocks of this size would stay with the process. Forward products A x come
+from ``model.linear_measurements``, on the support of x as in the sweeps; the
+embedding and RAIC probes, which take many on one matrix, read the support
+columns from a page-mapped column-major copy (``model._with_columns``), with
+the same bits. The RAIC probe's adjoint of a sign residual is the solvers'
+own (``algorithms._sign_gradient``) on the row-major matrix, which sums only
+the disagreeing rows when they are few; the other adjoint products stay dense.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .algorithms import _sign_gradient
 from .errors import InvalidArgumentError, SamplingExhaustedError
-from .model import as_vector, gen_gaussian_matrix, gen_sparse_signal, linear_measurements, sign_quantize
+from .harness import _thread_plan
+from .model import (
+    BlockFiller,
+    MeasurementEnsemble,
+    _with_columns,
+    as_vector,
+    gen_gaussian_matrix,  # noqa: F401  the probes draw through BlockFiller; benchmarks/tracing.py wraps this name
+    gen_sparse_signal,
+    linear_measurements,
+    sign_quantize,
+)
 from .rng import generator_for, substream_seed
 from .sparse_ops import geodesic_distance, hamming_distance, hard_threshold, sparse_dual_norm
 
 _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
+
+
+def _mapped(m: int, N: int) -> np.ndarray:
+    """m * N zeroed float64 entries on pages of their own, unmapped when their last view goes."""
+    if m < 1 or N < 1:
+        raise InvalidArgumentError(f"matrix dimensions must be positive, got m={m}, N={N}")
+    try:
+        return np.frombuffer(mmap.mmap(-1, m * N * 8))
+    except (OSError, OverflowError) as exc:  # beyond the address space or the system's commit limit
+        raise MemoryError(f"cannot map {m} x {N} float64 entries: {exc}") from exc
+
+
+def _draw(seed: int, m: int, N: int, out: np.ndarray | None = None) -> MeasurementEnsemble:
+    """The m x N blocked draw from ``seed`` on every CPU, into ``out`` or a new ``_mapped`` buffer."""
+    out = _mapped(m, N) if out is None else out
+    with BlockFiller(seed, m, N, _thread_plan(1).share, out=out) as filler:
+        return MeasurementEnsemble(filler.rows(m), seed)
 
 
 def check_unbiasedness(y, m: int, trials: int, seed: int) -> float:
@@ -41,8 +75,9 @@ def check_unbiasedness(y, m: int, trials: int, seed: int) -> float:
     if trials < 1 or m < 1 or trials * m < 10_000:
         raise InvalidArgumentError("need trials*m >= 10^4 measurements")
     acc = np.zeros(y.size)
+    buf = _mapped(m, y.size)  # every trial is drawn into it
     for t in range(trials):
-        A = gen_gaussian_matrix(substream_seed(seed, t), m, y.size)
+        A = _draw(substream_seed(seed, t), m, y.size, buf)
         acc += A.matrix.T @ sign_quantize(linear_measurements(A, y)).bits
     estimate = _SQRT_HALF_PI / (trials * m) * acc
     return float(np.max(np.abs(estimate - y)))
@@ -59,7 +94,7 @@ def check_embedding(N: int, s: int, m: int, pairs: int, seed: int) -> float:
     """Max embedding gap over random s-sparse unit pairs on one ensemble."""
     if pairs < 1:
         raise InvalidArgumentError("pairs must be >= 1")
-    A = gen_gaussian_matrix(substream_seed(seed, 0), m, N)
+    A = _with_columns(_draw(substream_seed(seed, 0), m, N), _mapped(m, N))
     worst = 0.0
     for k in range(pairs):
         x = gen_sparse_signal(substream_seed(seed, 1, 2 * k), N, s)
@@ -165,7 +200,7 @@ def raic_probe(cfg: RaicProbeConfig) -> RaicProbeResult:
     excess of any sample above the fitted line.
     """
     x = gen_sparse_signal(substream_seed(cfg.seed, 0), cfg.N, cfg.s).values
-    A = gen_gaussian_matrix(substream_seed(cfg.seed, 1), cfg.m, cfg.N)
+    A = _with_columns(_draw(substream_seed(cfg.seed, 1), cfg.m, cfg.N), _mapped(cfg.m, cfg.N))
     sign_x = sign_quantize(linear_measurements(A, x)).bits
     nu = cfg.effective_nu
 

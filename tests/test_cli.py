@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import onebitcs.cli as cli
+import onebitcs.harness as harness
 from onebitcs.cli import build_parser, parse_and_dispatch
 from onebitcs.harness import ALGORITHMS, SweepConfig, run_sweep
 
@@ -122,6 +123,24 @@ class TestExitCodes:
         ) == 1
         assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("noise", ["inf", "nan", "-0.5"])
+    def test_bad_noise_rejected_before_any_draw(self, noise, monkeypatch, tmp_path, capsys):
+        fillers = []
+
+        class Spy(harness.BlockFiller):
+            def __init__(self, *args, **kwargs):
+                fillers.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "BlockFiller", Spy)
+        argv = ["sweep", "--n", "512", "--s", "4", "--m-grid", "256,8192", "--trials", "2",
+                "--workers", "1", "--seed", "1", "--out-dir", str(tmp_path / "out")]
+        assert parse_and_dispatch(argv + ["--noise-std", noise]) == 1
+        assert "noise_std must be finite and nonnegative" in capsys.readouterr().err
+        assert fillers == [] and not (tmp_path / "out").exists()
+        assert parse_and_dispatch(argv[:6] + ["256,512"] + argv[7:] + ["--noise-std", "0.1"]) == 0
+        assert fillers  # the spy sees a sweep's draws
 
     def test_infinite_tau_is_validation_error(self, capsys):
         assert parse_and_dispatch(

@@ -16,15 +16,18 @@ from hypothesis import strategies as st
 
 import onebitcs.harness as harness
 import onebitcs.model as model
+import onebitcs.probes as probes
 from onebitcs import (
     DegenerateIterateError,
     InvalidArgumentError,
     SweepConfig,
     SweepRecord,
+    check_embedding,
     fit_slope,
     gen_gaussian_matrix,
     run_sweep,
 )
+from onebitcs.cli import parse_and_dispatch
 from onebitcs.harness import build_manifest, error_stat_by_m, run_from_manifest, trial_seed_table
 from onebitcs.rng import generator_for
 
@@ -610,6 +613,40 @@ class TestSolverProcesses:
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         on_processes, _ = run_sweep(cfg, workers=1)
         assert [r.comparable() for r in on_processes] == [r.comparable() for r in inline]
+
+
+class _CopyBuilt(Exception):
+    pass
+
+
+class TestNoColumnCopy:
+    def test_sweeps_and_recover_build_no_column_copy(self, monkeypatch, capsys):
+        # the column-major copy is for the probes' many products on one matrix;
+        # a sweep's instance takes one A x per m, on the row-major draw. The spy
+        # raises, so a copy built in a (forked) pool worker fails its sweep too.
+        copies = []
+        real_measure = harness.linear_measurements
+
+        def copying(A, out):
+            raise _CopyBuilt(A.matrix.shape)
+
+        def measuring(A, *args):
+            copies.append(A._columns)
+            return real_measure(A, *args)
+
+        monkeypatch.setattr(model, "_with_columns", copying)
+        monkeypatch.setattr(probes, "_with_columns", copying)
+        monkeypatch.setattr(harness, "linear_measurements", measuring)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # --workers 1 solves on 2 solver processes
+        cfg = _small_config(algorithms=("biht", "iht", "nbiht", "one_shot"), noise_std=0.1)
+        for workers in (1, 2):
+            records, _ = run_sweep(cfg, workers=workers)
+            assert not [r for r in records if r.stop_reason.startswith("error:")]
+        assert parse_and_dispatch(["recover", "--n", "32", "--s", "2", "--m", "600", "--seed", "3"]) == 0
+        # the serial sweep's 3 trials x 3 m and recover; a pool worker's draws are its own
+        assert copies == [None] * 10
+        with pytest.raises(_CopyBuilt):  # the spies do see the probes' copy
+            check_embedding(N=16, s=2, m=64, pairs=1, seed=1)
 
 
 class TestSeedHygiene:

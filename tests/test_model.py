@@ -421,6 +421,41 @@ class TestMeasure:
         with pytest.raises(InvalidArgumentError):
             measure(A, np.ones(4), noise_std=-0.1)
 
+    @pytest.mark.parametrize("noise", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("take", [linear_measurements, measure])
+    def test_non_finite_noise_rejected(self, take, noise):
+        # NaN compares false both ways, so it once passed as noiseless
+        A = gen_gaussian_matrix(1, 5, 4)
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            take(A, np.ones(4), noise_std=noise)
+
+
+# m below, at and across multiples of the draw's 512-row blocks
+_COPY_ROWS = st.integers(0, 3).flatmap(lambda k: st.integers(max(1, 512 * k - 2), 512 * k + 2))
+
+
+class TestColumnCopy:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=_SEEDS, m=_COPY_ROWS, n=st.integers(1, 24), data=st.data(), noisy=st.booleans())
+    @example(seed=3, m=1, n=1, data=None, noisy=False)
+    @example(seed=4, m=1025, n=24, data=None, noisy=True)
+    def test_product_from_the_copy_is_bitwise_the_row_major_one(self, seed, m, n, data, noisy):
+        A = gen_gaussian_matrix(seed, m, n)
+        copied = model._with_columns(A, np.empty(m * n))
+        s = n if data is None else data.draw(st.integers(1, n), label="support size")
+        x = gen_sparse_signal(seed % 1000, n, s).values
+        nz = np.flatnonzero(x)
+        noise = 0.3 if noisy else 0.0
+        assert copied.matrix is A.matrix
+        assert np.array_equal(copied._columns, A.matrix) and not copied._columns.flags.writeable
+        assert copied._columns.flags.f_contiguous
+        # the gathered block has the layout, and so the BLAS call, of A.matrix[:, nz]
+        assert copied._columns[:, nz].flags.f_contiguous
+        assert copied._columns[:, nz].strides == A.matrix[:, nz].strides
+        y = linear_measurements(copied, x, noise, seed % 7)
+        assert y.tobytes() == linear_measurements(A, x, noise, seed % 7).tobytes()
+        assert np.array_equal(measure(copied, x, noise, seed % 7).bits, np.where(y > 0, 1.0, -1.0))
+
 
 class TestRngStream:
     def test_distinct_indices_distinct_streams(self):

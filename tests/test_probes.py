@@ -1,6 +1,8 @@
 """Empirical probes: unbiasedness, embedding, invertibility fit, widths."""
 
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -15,13 +17,17 @@ from onebitcs import (
     gaussian_width_estimate,
     gen_gaussian_matrix,
     gen_sparse_signal,
+    linear_measurements,
     normalize,
     projection_inequality_check,
     raic_probe,
+    sign_quantize,
     sparse_dual_norm,
 )
+import onebitcs.probes as probes
+from onebitcs.cli import parse_and_dispatch
 from onebitcs.probes import embedding_gap
-from onebitcs.rng import generator_for
+from onebitcs.rng import generator_for, substream_seed
 from oracles import chi_mean, gaussian_width_fresh_batches
 
 
@@ -119,6 +125,69 @@ class TestRaicProbe:
     def test_invalid_nu(self, nu):
         with pytest.raises(InvalidArgumentError, match="nu must be finite and positive"):
             RaicProbeConfig(N=8, s=2, m=16, samples=1, seed=1, nu=nu)
+
+
+class TestProbeDraw:
+    """The matrix probes draw on every CPU into buffers of their own, with the library draw's bits."""
+
+    # m spans 3 blocks of 512 rows, so up to 2 helpers fill it
+    PROBES = [["unbiased", "--m", "1100", "--trials", "10"], ["embedding", "--m", "1100", "--trials", "12"],
+              ["raic", "--m", "1100", "--trials", "12"]]
+
+    def test_outputs_do_not_depend_on_the_cpu_count(self, monkeypatch, capsys):
+        fillers = []
+
+        class Recording(probes.BlockFiller):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                fillers.append((args[3], self))
+
+        monkeypatch.setattr(probes, "BlockFiller", Recording)
+        start = threading.active_count()
+        printed = []
+        for cpus in (1, 2, 4):
+            monkeypatch.setattr(os, "cpu_count", lambda n=cpus: n)
+            for argv in self.PROBES:
+                assert parse_and_dispatch(["probe", *argv, "--n", "48", "--s", "3", "--seed", "5"]) == 0
+            printed.append(capsys.readouterr().out)
+            assert threading.active_count() == start
+            # 10 trials into one buffer, then one matrix each for embedding and raic, on every CPU
+            assert [threads for threads, _ in fillers] == [cpus] * 12
+            assert all(filler._closed for _, filler in fillers)  # every draw helper joined
+            assert (fillers[0][1]._helpers is None) == (cpus == 1)
+            assert len({filler._matrix.ctypes.data for _, filler in fillers[:10]}) == 1  # one buffer
+            fillers.clear()
+        assert printed[0] == printed[1] == printed[2]
+        assert printed[0].count("\n") == 3
+
+    def test_unbiasedness_and_embedding_are_those_of_the_library_draw(self):
+        # the probes' draw, buffers and column-major copy leave every bit as
+        # gen_gaussian_matrix and linear_measurements on its row-major matrix give it
+        y = gen_sparse_signal(21, 48, 3).values
+        acc = np.zeros(48)
+        for t in range(4):
+            A = gen_gaussian_matrix(substream_seed(22, t), 2600, 48)
+            acc += A.matrix.T @ sign_quantize(linear_measurements(A, y)).bits
+        expected = float(np.max(np.abs(math.sqrt(math.pi / 2) / (4 * 2600) * acc - y)))
+        assert check_unbiasedness(y, m=2600, trials=4, seed=22) == expected
+
+        A = gen_gaussian_matrix(substream_seed(24, 0), 1100, 48)
+        gaps = [
+            embedding_gap(A, gen_sparse_signal(substream_seed(24, 1, 2 * k), 48, 3),
+                          gen_sparse_signal(substream_seed(24, 1, 2 * k + 1), 48, 3))
+            for k in range(12)
+        ]
+        assert check_embedding(N=48, s=3, m=1100, pairs=12, seed=24) == max(gaps)
+
+    @pytest.mark.parametrize("m", [10**11, 10**19], ids=["beyond-memory", "beyond-ssize_t"])
+    def test_unmappable_matrix_is_a_memory_error(self, m):
+        with pytest.raises(MemoryError, match="cannot map"):
+            check_embedding(N=10**5, s=2, m=m, pairs=1, seed=1)
+
+    @pytest.mark.parametrize("m,n", [(0, 8), (8, 0)])
+    def test_empty_matrix_rejected(self, m, n):
+        with pytest.raises(InvalidArgumentError, match="dimensions must be positive"):
+            check_embedding(N=n, s=1, m=m, pairs=1, seed=1)
 
 
 class TestDecomposition:
