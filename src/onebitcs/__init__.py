@@ -42,6 +42,7 @@ from .model import (
 from .probes import (
     RaicProbeConfig,
     RaicProbeResult,
+    check_decomposition,
     check_embedding,
     check_unbiasedness,
     decomposition_check,
@@ -78,6 +79,7 @@ __all__ = [
     "TheorySchedule",
     "UnitSparseVector",
     "biht_run",
+    "check_decomposition",
     "check_embedding",
     "check_unbiasedness",
     "decomposition_check",

@@ -9,7 +9,8 @@ flag or the config file, never from the wall clock. Exit codes: 0 success,
 1 validation error, 2 runtime failure. Every command runs OpenBLAS at one
 thread fewer than the CPUs, and at least one, restoring the count on exit; a
 sweep whose runs overlap on solver processes divides the CPUs among them first
-(see ``harness._thread_plan``).
+(see ``harness._thread_plan``). Each probe is one call into ``probes``, which
+draws on every CPU and prints the same values at any CPU count.
 """
 
 from __future__ import annotations
@@ -34,17 +35,17 @@ from .harness import (
 from .model import gen_sparse_signal
 from .probes import (
     RaicProbeConfig,
+    check_decomposition,
     check_embedding,
     check_unbiasedness,
-    decomposition_check,
+    decomposition_check,  # noqa: F401  benchmarks/tracing.py wraps this name
     gaussian_width_estimate,
     projection_inequality_check,
     raic_probe,
 )
 from .report import emit_report
-from .rng import generator_for
 from .selftest import run_selftest
-from .sparse_ops import normalize
+from .sparse_ops import normalize  # noqa: F401  benchmarks/tracing.py wraps this name
 from .theory import ScheduleConstants, error_exponent, theory_schedule
 
 PROBES = ("unbiased", "embedding", "raic", "width", "projection", "decomposition")
@@ -340,14 +341,7 @@ def _cmd_probe(args) -> int:
         worst = projection_inequality_check(samples=trials, N=n, s=s, seed=seed)
         print(f"max violation = {worst!r} (samples={trials}, nonpositive up to rounding)")
     else:
-        if trials < 1:
-            raise InvalidArgumentError(f"trials must be >= 1, got {trials}")
-        rng = generator_for(seed)
-        worst = 0.0
-        for _ in range(trials):
-            x = normalize(rng.standard_normal(n))
-            y = normalize(rng.standard_normal(n))
-            worst = max(worst, *decomposition_check(rng.standard_normal(n), x, y))
+        worst = check_decomposition(n, triples=trials, seed=seed)
         print(f"max decomposition residual = {worst!r} (triples={trials})")
     return 0
 

@@ -306,7 +306,7 @@ def draw_instances(
     threads = _thread_plan(1).share if threads is None else threads
     with BlockFiller(seeds["matrix"], ms[-1], cfg.n, threads, out=out) as filler:
         for m in ms:
-            A = MeasurementEnsemble(filler.rows(m), seeds["matrix"])  # C-contiguous view, no copy
+            A = MeasurementEnsemble(filler.rows(m), seeds["matrix"], _finite=True)  # C-contiguous view, no copy
             lin = linear_measurements(A, x, cfg.noise_std, seeds["noise"])
             yield m, (x, A, lin, sign_quantize(lin))
 
@@ -375,7 +375,7 @@ def _start_solver(blas: int, rows: np.ndarray) -> None:
 
 def _solve_on_shared_rows(cfg, algo, m, trial, x, lin, b, init_seed, matrix_seed) -> SweepRecord:
     """``_run_one`` in a solver process, on a read-only view of the shared rows' first m."""
-    instance = (x, MeasurementEnsemble(_solver_rows[:m], matrix_seed), lin, b)
+    instance = (x, MeasurementEnsemble(_solver_rows[:m], matrix_seed, _finite=True), lin, b)
     return _run_one(cfg, algo, m, trial, instance, init_seed)
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -106,18 +106,24 @@ class MeasurementEnsemble:
     Rows are the measurement vectors; m and N are the matrix's shape.
     Regenerating from the same (seed, m, N) yields a bitwise-identical matrix.
     ``_columns`` is None or the matrix stored column by column (see ``_with_columns``).
+    A matrix with a NaN or infinite entry is rejected, once, when the
+    ensemble is built; the package's own draws pass ``_finite=True``, as a
+    Gaussian draw is finite by construction, and are not scanned.
     """
 
     matrix: np.ndarray
     seed: int
     _columns: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _finite: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _finite: bool):
         object.__setattr__(self, "matrix", _frozen(self.matrix))
         if self.matrix.ndim != 2:
             raise InvalidArgumentError("matrix must be 2-d")
         if self.m < 1 or self.N < 1:
             raise InvalidArgumentError("m and N must be >= 1")
+        if not _finite and not np.isfinite(self.matrix).all():
+            raise InvalidArgumentError("matrix entries must be finite (no NaN or inf)")
 
     @property
     def m(self) -> int:
@@ -226,7 +232,7 @@ def _with_columns(A: MeasurementEnsemble, out: np.ndarray) -> MeasurementEnsembl
     for start in range(0, A.m, DRAW_BLOCK_ROWS):
         columns[start:start + DRAW_BLOCK_ROWS] = A.matrix[start:start + DRAW_BLOCK_ROWS]
     columns.flags.writeable = False
-    copied = MeasurementEnsemble(A.matrix, A.seed)
+    copied = MeasurementEnsemble(A.matrix, A.seed, _finite=True)
     object.__setattr__(copied, "_columns", columns)
     return copied
 
@@ -239,7 +245,7 @@ def gen_gaussian_matrix(seed: int, m: int, N: int) -> MeasurementEnsemble:
     matrix seed.
     """
     with BlockFiller(seed, m, N) as filler:
-        return MeasurementEnsemble(matrix=filler.rows(m), seed=int(seed))
+        return MeasurementEnsemble(matrix=filler.rows(m), seed=int(seed), _finite=True)
 
 
 SUPPORT_RULES = ("uniform_random", "first_s")

@@ -17,12 +17,19 @@ columns from a page-mapped column-major copy (``model._with_columns``), with
 the same bits. The RAIC probe's adjoint of a sign residual is the solvers'
 own (``algorithms._sign_gradient``) on the row-major matrix, which sums only
 the disagreeing rows when they are few; the other adjoint products stay dense.
+The width, projection and decomposition probes draw no matrix. They take
+their samples in blocks: block i of a stream seeded by ``seed`` draws from
+``rng.block_generator(seed, i)`` alone, and the blocks are computed on the
+same share of the CPUs (``_per_block``). A block's result depends only on its
+index, and the blocks' results are combined in block order, so what a probe
+returns does not depend on the thread count.
 """
 
 from __future__ import annotations
 
 import math
 import mmap
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +38,7 @@ from .algorithms import _sign_gradient
 from .errors import InvalidArgumentError, SamplingExhaustedError
 from .harness import _thread_plan
 from .model import (
+    DRAW_BLOCK_ROWS,
     BlockFiller,
     MeasurementEnsemble,
     _with_columns,
@@ -40,10 +48,15 @@ from .model import (
     linear_measurements,
     sign_quantize,
 )
-from .rng import generator_for, substream_seed
+from .rng import block_generator, generator_for, substream_seed
 from .sparse_ops import geodesic_distance, hamming_distance, hard_threshold, sparse_dual_norm
 
 _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
+# Entries in one array of the width and decomposition probes' samples (128 KiB).
+# With whole 512 x 256 blocks (1 MiB arrays) the helper threads' heaps kept
+# about 4 MiB after the probes returned, which the next matrix probe's peak
+# memory then included.
+_CHUNK = 2**14
 
 
 def _mapped(m: int, N: int) -> np.ndarray:
@@ -60,7 +73,43 @@ def _draw(seed: int, m: int, N: int, out: np.ndarray | None = None) -> Measureme
     """The m x N blocked draw from ``seed`` on every CPU, into ``out`` or a new ``_mapped`` buffer."""
     out = _mapped(m, N) if out is None else out
     with BlockFiller(seed, m, N, _thread_plan(1).share, out=out) as filler:
-        return MeasurementEnsemble(filler.rows(m), seed)
+        return MeasurementEnsemble(filler.rows(m), seed, _finite=True)
+
+
+def _per_block(blocks: int, work) -> list:
+    """``[work(0), ..., work(blocks - 1)]``, computed on ``_thread_plan(1).share`` threads.
+
+    The calling thread and its helpers take the next block in turn until
+    none is left; numpy's draws, sorts and reductions release the GIL.
+    """
+    results = [None] * blocks
+    todo = iter(range(blocks))  # next() on it holds the GIL, so each block is taken once
+
+    def drain():
+        for i in todo:
+            results[i] = work(i)
+
+    helpers = min(_thread_plan(1).share, blocks) - 1
+    if helpers == 0:
+        drain()
+        return results
+    with ThreadPoolExecutor(helpers) as pool:
+        pending = [pool.submit(drain) for _ in range(helpers)]
+        drain()
+        for done in pending:
+            done.result()
+    return results
+
+
+def _chunks(count: int, block: int, n: int) -> list[tuple[int, int]]:
+    """The row ranges of block ``block`` of ``count`` rows of length n, of ``_CHUNK`` entries or one row.
+
+    Drawn one after another from the block's generator, the chunks hold the
+    bits of the whole block drawn at once.
+    """
+    stop = min(count, (block + 1) * DRAW_BLOCK_ROWS)
+    step = max(1, _CHUNK // n)
+    return [(lo, min(stop, lo + step)) for lo in range(block * DRAW_BLOCK_ROWS, stop, step)]
 
 
 def check_unbiasedness(y, m: int, trials: int, seed: int) -> float:
@@ -158,12 +207,12 @@ def _sparse_point_at_distance(
     """
     n = x.size
     supp = np.flatnonzero(x)
+    pool = np.setdiff1d(np.arange(n), supp, assume_unique=True)
     j_max = min(s, n - s)
     for _ in range(budget):
         j = int(rng.integers(0, j_max + 1)) if j_max > 0 else 0
         kept = rng.choice(supp, size=s - j, replace=False) if s - j > 0 else np.empty(0, int)
         if j > 0:
-            pool = np.setdiff1d(np.arange(n), supp, assume_unique=True)
             fresh = rng.choice(pool, size=j, replace=False)
             support = np.concatenate([kept, fresh]).astype(int)
         else:
@@ -238,59 +287,95 @@ def _nonneg_intercept_fit(d: np.ndarray, lhs: np.ndarray) -> tuple[float, float]
     return float(slope), float(intercept)
 
 
-def decomposition_check(a, x, y) -> tuple[float, float, float]:
+def decomposition_check(a, x, y):
     """Residuals of the split of a along (x-y), (x+y), and their complement.
 
     Returns (reconstruction residual, |<b, u>|, |<b, v>|) where u, v are the
     normalized difference/sum directions and b is the remainder; all three are
-    zero up to rounding for unit x, y.
+    zero up to rounding for unit x, y. Given (k, n) arrays, it splits each row
+    and returns three length-k arrays, each entry bitwise the one the row's
+    own call returns: a row's sums are taken along that row alone.
     """
-    a = as_vector(a)
-    x = as_vector(x)
-    y = as_vector(y)
-    if not a.shape == x.shape == y.shape:
+    a, x, y = (as_vector(v) for v in (a, x, y))
+    if not a.shape == x.shape == y.shape or a.ndim not in (1, 2):
         raise InvalidArgumentError("vectors must share one length")
+    rows = a.ndim == 2
+    a, x, y = np.atleast_2d(a, x, y)
+
+    def dot(p, q):
+        return (p * q).sum(axis=1)
+
     for name, v in (("x", x), ("y", y)):
-        if abs(float(np.linalg.norm(v)) - 1.0) > 1e-9:
+        if not np.all(np.abs(np.sqrt(dot(v, v)) - 1.0) <= 1e-9):
             raise InvalidArgumentError(f"{name} must be unit norm within 1e-9")
     diff = x - y
     summ = x + y
-    if not np.any(diff) or not np.any(summ):
+    if not (np.any(diff, axis=1).all() and np.any(summ, axis=1).all()):
         raise InvalidArgumentError("x = +/-y leaves the directions undefined")
-    u = diff / np.linalg.norm(diff)
-    v = summ / np.linalg.norm(summ)
-    cu = float(np.dot(a, u))
-    cv = float(np.dot(a, v))
+    u = diff / np.sqrt(dot(diff, diff))[:, None]
+    v = summ / np.sqrt(dot(summ, summ))[:, None]
+    cu = dot(a, u)[:, None]
+    cv = dot(a, v)[:, None]
     b = a - cu * u - cv * v
-    recon = float(np.linalg.norm(a - (cu * u + cv * v + b)))
-    return recon, abs(float(np.dot(b, u))), abs(float(np.dot(b, v)))
+    r = a - (cu * u + cv * v + b)
+    out = (np.sqrt(dot(r, r)), np.abs(dot(b, u)), np.abs(dot(b, v)))
+    return out if rows else tuple(float(part[0]) for part in out)
+
+
+def check_decomposition(n: int, triples: int, seed: int) -> float:
+    """Largest ``decomposition_check`` residual over random triples (a, x, y) in R^n.
+
+    a, x and y are the rows of three blocked Gaussian draws, seeded by
+    substreams 0, 1 and 2 of ``seed``; x and y are normalized row by row, and
+    each block's rows are checked at once.
+    """
+    if triples < 1:
+        raise InvalidArgumentError(f"trials must be >= 1, got {triples}")
+    if n < 1:
+        raise InvalidArgumentError(f"n must be >= 1, got {n}")
+    seeds = [substream_seed(seed, j) for j in range(3)]
+
+    def worst(block: int) -> float:
+        rngs = [block_generator(sd, block) for sd in seeds]
+        out = 0.0
+        for lo, hi in _chunks(triples, block, n):
+            a, x, y = (rng.standard_normal((hi - lo, n)) for rng in rngs)
+            x /= np.linalg.norm(x, axis=1, keepdims=True)
+            y /= np.linalg.norm(y, axis=1, keepdims=True)
+            out = max(out, *(float(part.max()) for part in decomposition_check(a, x, y)))
+        return out
+
+    return max(_per_block(-(-triples // DRAW_BLOCK_ROWS), worst))
 
 
 def gaussian_width_estimate(N: int, s: int, trials: int, seed: int) -> float:
     """Monte Carlo mean of the sparse dual norm of a standard Gaussian vector.
 
     Estimates the Gaussian width of the unit 2s-sparse ball (the norm of the
-    top-2s magnitudes, averaged over draws).
+    top-2s magnitudes, averaged over draws). The draws are the rows of the
+    trials x N blocked draw from ``seed``; each block is folded to absolute
+    values and partitioned in place, and its rows' top-2s norms are summed
+    once, in row order, with the other blocks'.
     """
     if trials < 100:
         raise InvalidArgumentError("need trials >= 100")
     if not 1 <= s <= N:
         raise InvalidArgumentError("need 1 <= s <= N")
-    rng = generator_for(seed)
     k = min(2 * s, N)
-    total = 0.0
-    remaining = trials
-    batch = max(1, min(trials, 2**22 // max(N, 1)))
-    buf = np.empty((batch, N))  # every batch is drawn, folded and partitioned in place here
-    while remaining > 0:
-        rows = min(batch, remaining)
-        h = rng.standard_normal(out=buf[:rows])
-        np.abs(h, out=h)
-        h.partition(N - k, axis=1)
-        top = h[:, N - k:]
-        total += float(np.sqrt((top * top).sum(axis=1)).sum())
-        remaining -= rows
-    return total / trials
+
+    def top_norms(block: int) -> list[np.ndarray]:
+        rng = block_generator(seed, block)
+        norms = []
+        for lo, hi in _chunks(trials, block, N):
+            h = rng.standard_normal((hi - lo, N))
+            np.abs(h, out=h)
+            h.partition(N - k, axis=1)
+            top = h[:, N - k:]
+            norms.append(np.sqrt((top * top).sum(axis=1)))
+        return norms
+
+    blocks = _per_block(-(-trials // DRAW_BLOCK_ROWS), top_norms)
+    return float(np.concatenate([part for block in blocks for part in block]).sum()) / trials
 
 
 def projection_inequality_check(samples: int, N: int, s: int, seed: int) -> float:
@@ -299,42 +384,58 @@ def projection_inequality_check(samples: int, N: int, s: int, seed: int) -> floa
     z ranges over random s-sparse unit vectors and w over perturbations of z
     at scales from 1e-3 to 1e3, including disjoint-support and aligned
     corners. Returns the largest observed lhs - rhs (nonpositive up to
-    rounding; the inequality is deterministic).
+    rounding; the inequality is deterministic). The samples come in blocks
+    of 512 (fewer when N > 2048, so that no array exceeds 2^20 entries), and
+    each block's z and w are drawn with a few array calls from the block's
+    generator; ``hard_threshold`` and ``sparse_dual_norm``, the operators
+    under test, are called once per sample.
     """
     if samples < 1:
         raise InvalidArgumentError("samples must be >= 1")
     if not 1 <= s <= N:
         raise InvalidArgumentError("need 1 <= s <= N")
-    rng = generator_for(seed)
-    worst = -math.inf
-    for k in range(samples):
-        z = np.zeros(N)
-        supp = rng.choice(N, size=s, replace=False)
-        vals = rng.standard_normal(s)
+    per = max(1, min(DRAW_BLOCK_ROWS, 2**20 // N))
+    k2 = min(2 * s, N)
+
+    def worst(block: int) -> float:
+        rng = block_generator(seed, block)
+        lo = block * per
+        count = min(per, samples - lo)
+        kind = np.arange(lo, lo + count) % 5
+        order = rng.random((count, N)).argsort(axis=1)  # a random permutation per sample
+        vals = rng.standard_normal((count, s))
         while not np.all(vals):
-            vals = rng.standard_normal(s)
-        z[supp] = vals / np.linalg.norm(vals)
-        kind = k % 5
-        scale = 10.0 ** rng.uniform(-3.0, 3.0)
-        if kind == 0:
-            w = z + 10.0 ** rng.uniform(-3.0, 1.0) * rng.standard_normal(N)
-        elif kind == 1:
-            w = z.copy()
-            pert_supp = rng.choice(N, size=min(2 * s, N), replace=False)
-            w[pert_supp] += scale * rng.standard_normal(pert_supp.size)
-        elif kind == 2:
-            w = np.zeros(N)
-            pool = np.setdiff1d(np.arange(N), supp)
-            if pool.size == 0:
-                w = -scale * z
-            else:
-                far = rng.choice(pool, size=min(s, pool.size), replace=False)
-                w[far] = scale * rng.standard_normal(far.size)
-        elif kind == 3:
-            w = rng.uniform(-2.0, 2.0) * scale * z
+            vals[vals == 0] = rng.standard_normal(int(np.count_nonzero(vals == 0)))
+        z = np.zeros((count, N))
+        np.put_along_axis(z, order[:, :s], vals / np.linalg.norm(vals, axis=1, keepdims=True), axis=1)
+        scale = 10.0 ** rng.uniform(-3.0, 3.0, (count, 1))
+        noise = rng.standard_normal((count, N))
+        near = 10.0 ** rng.uniform(-3.0, 1.0, (count, 1))
+        pert = rng.random((count, N)).argpartition(k2 - 1, axis=1)[:, :k2]  # a random 2s-subset
+        tilt = rng.uniform(-2.0, 2.0, (count, 1))
+
+        w = noise.copy()  # kind 4: pure noise
+        rows = np.flatnonzero(kind == 0)  # z plus noise at scales 1e-3 to 10
+        w[rows] = z[rows] + near[rows] * noise[rows]
+        rows = np.flatnonzero(kind == 1)  # z plus scaled noise on 2s random coordinates
+        w[rows] = z[rows]
+        w[rows[:, None], pert[rows]] += scale[rows] * noise[rows, :k2]
+        rows = np.flatnonzero(kind == 2)  # scaled noise on up to s coordinates off z's support
+        if N == s:
+            w[rows] = -scale[rows] * z[rows]
         else:
-            w = rng.standard_normal(N)
-        lhs = float(np.linalg.norm(hard_threshold(w, s) - z))
-        rhs = 2.0 * sparse_dual_norm(w - z, s)
-        worst = max(worst, lhs - rhs)
-    return worst
+            far = order[rows, s:2 * s]
+            w[rows] = 0.0
+            w[rows[:, None], far] = scale[rows] * noise[rows, :far.shape[1]]
+        rows = np.flatnonzero(kind == 3)  # z stretched or flipped
+        w[rows] = tilt[rows] * scale[rows] * z[rows]
+
+        d = w - z
+        t = np.empty_like(w)
+        dual = np.empty(count)
+        for j in range(count):
+            t[j] = hard_threshold(w[j], s)
+            dual[j] = sparse_dual_norm(d[j], s)
+        return float(np.max(np.linalg.norm(t - z, axis=1) - 2.0 * dual))
+
+    return max(_per_block(-(-samples // per), worst))

@@ -86,24 +86,26 @@ def chi_mean(n: int) -> float:
     return math.sqrt(2.0) * math.exp(math.lgamma((n + 1) / 2.0) - math.lgamma(n / 2.0))
 
 
-def gaussian_width_fresh_batches(N: int, s: int, trials: int, rng) -> float:
-    """Mean top-2s norm of |h| over ``trials`` draws h ~ N(0, I_N) from ``rng``.
+def gaussian_width_blocked(N: int, s: int, trials: int, seed: int) -> float:
+    """Mean top-2s norm of |h| over the rows h of the trials x N blocked draw from ``seed``.
 
-    Draws in batches of at most 2^22 entries, each into fresh arrays (the
-    draw, its absolute values, the partitioned copy): the estimate as
-    ``probes.gaussian_width_estimate`` took it before it reused one buffer.
+    The 512-row blocks are drawn one by one, block i from
+    ``rng.block_generator(seed, i)``, each in fresh arrays of at most 2^22
+    entries drawn in turn from the block's generator (which gives the bits of
+    the whole block drawn at once); every row's norm is kept, and the norms
+    are summed once, in row order.
     """
     k = min(2 * s, N)
-    total = 0.0
-    remaining = trials
-    batch = max(1, min(trials, 2**22 // max(N, 1)))
-    while remaining > 0:
-        rows = min(batch, remaining)
-        h = np.abs(rng.standard_normal((rows, N)))
-        top = np.partition(h, N - k, axis=1)[:, N - k:]
-        total += float(np.sqrt((top * top).sum(axis=1)).sum())
-        remaining -= rows
-    return total / trials
+    step = max(1, 2**22 // N)
+    norms = []
+    for i in range(-(-trials // 512)):
+        rng = block_generator(seed, i)
+        rows = min(512, trials - 512 * i)
+        for done in range(0, rows, step):
+            h = np.abs(rng.standard_normal((min(step, rows - done), N)))
+            top = np.partition(h, N - k, axis=1)[:, N - k:]
+            norms.append(np.sqrt(np.sum(top**2, axis=1)))
+    return float(np.sum(np.concatenate(norms))) / trials
 
 
 def binomial_band(p: float, draws: int, sigmas: float = 4.0) -> float:

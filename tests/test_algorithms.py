@@ -353,6 +353,23 @@ class TestRawInputValidation:
             iht_run(A, y, AlgorithmConfig(s=3, max_iters=5))
 
 
+class TestNonFiniteMatrix:
+    """A caller's matrix with a NaN or inf entry is rejected before any solver runs on it."""
+
+    ENTRIES = TestRawInputValidation.BINARY + [
+        ("iht_run", lambda A, b: iht_run(A, b.bits, AlgorithmConfig(s=3, max_iters=5))),
+    ]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name,run", ENTRIES, ids=[name for name, _ in ENTRIES])
+    def test_rejected_for_every_entry_point(self, name, run, bad):
+        _, A, b = _instance(20, n=64, m=256)
+        matrix = A.matrix.copy()
+        matrix[17, 5] = bad
+        with pytest.raises(InvalidArgumentError, match="matrix entries must be finite"):
+            run(MeasurementEnsemble(matrix=matrix, seed=0), b)
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",

@@ -62,7 +62,7 @@ class TestBlasThreads:
         (["probe", "width", "--n", "16", "--s", "2", "--trials", "5"], "gaussian_width_estimate", 1),
         (["probe", "projection", "--n", "16", "--s", "2", "--trials", "5"],
          "projection_inequality_check", 0),
-        (["probe", "decomposition", "--n", "16", "--trials", "3"], "decomposition_check", 0),
+        (["probe", "decomposition", "--n", "16", "--trials", "3"], "check_decomposition", 0),
         (["theory", "--m", "1000"], "theory_schedule", 0),
         (["selftest"], "run_selftest", 0),
     ]

@@ -20,9 +20,11 @@ import onebitcs.probes as probes
 from onebitcs import (
     DegenerateIterateError,
     InvalidArgumentError,
+    MeasurementEnsemble,
     SweepConfig,
     SweepRecord,
     check_embedding,
+    check_unbiasedness,
     fit_slope,
     gen_gaussian_matrix,
     run_sweep,
@@ -647,6 +649,36 @@ class TestNoColumnCopy:
         assert copies == [None] * 10
         with pytest.raises(_CopyBuilt):  # the spies do see the probes' copy
             check_embedding(N=16, s=2, m=64, pairs=1, seed=1)
+
+
+class _Scanned(Exception):
+    pass
+
+
+class TestDrawsNotScanned:
+    def test_package_draws_skip_the_non_finite_scan(self, monkeypatch, capsys):
+        # a drawn Gaussian matrix is finite by construction, and scanning a sweep's
+        # matrix would cost every trial. The spy raises on any matrix-shaped scan,
+        # so a scan in a (forked) pool worker or solver process fails its sweep too.
+        real = np.isfinite
+
+        def scanning(v, *args, **kwargs):
+            if np.ndim(v) == 2:
+                raise _Scanned(np.shape(v))
+            return real(v, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", scanning)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # --workers 1 solves on 2 solver processes
+        cfg = _small_config(algorithms=("biht", "iht", "nbiht", "one_shot"), noise_std=0.1)
+        for workers in (1, 2):
+            records, _ = run_sweep(cfg, workers=workers)
+            assert not [r for r in records if r.stop_reason.startswith("error:")]
+        assert parse_and_dispatch(["recover", "--n", "32", "--s", "2", "--m", "600", "--seed", "3"]) == 0
+        gen_gaussian_matrix(4, 600, 8)
+        check_unbiasedness(np.array([1.0]), m=10_000, trials=2, seed=1)
+        check_embedding(N=16, s=2, m=64, pairs=1, seed=1)
+        with pytest.raises(_Scanned):  # the spy does see a caller's matrix
+            MeasurementEnsemble(matrix=np.ones((2, 3)), seed=0)
 
 
 class TestSeedHygiene:

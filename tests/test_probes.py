@@ -11,6 +11,7 @@ from onebitcs import (
     InvalidArgumentError,
     RaicProbeConfig,
     SamplingExhaustedError,
+    check_decomposition,
     check_embedding,
     check_unbiasedness,
     decomposition_check,
@@ -28,7 +29,7 @@ import onebitcs.probes as probes
 from onebitcs.cli import parse_and_dispatch
 from onebitcs.probes import embedding_gap
 from onebitcs.rng import generator_for, substream_seed
-from oracles import chi_mean, gaussian_width_fresh_batches
+from oracles import blocked_gaussian_draw, chi_mean, gaussian_width_blocked
 
 
 class TestUnbiasedness:
@@ -130,19 +131,26 @@ class TestRaicProbe:
 class TestProbeDraw:
     """The matrix probes draw on every CPU into buffers of their own, with the library draw's bits."""
 
-    # m spans 3 blocks of 512 rows, so up to 2 helpers fill it
+    # m, and the width, projection and decomposition samples, span 3 blocks of 512 rows
     PROBES = [["unbiased", "--m", "1100", "--trials", "10"], ["embedding", "--m", "1100", "--trials", "12"],
-              ["raic", "--m", "1100", "--trials", "12"]]
+              ["raic", "--m", "1100", "--trials", "12"], ["width", "--trials", "1100"],
+              ["projection", "--trials", "1100"], ["decomposition", "--trials", "1100"]]
 
     def test_outputs_do_not_depend_on_the_cpu_count(self, monkeypatch, capsys):
-        fillers = []
+        fillers, pools = [], []
 
         class Recording(probes.BlockFiller):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
                 fillers.append((args[3], self))
 
+        class RecordingPool(probes.ThreadPoolExecutor):
+            def __init__(self, threads):
+                super().__init__(threads)
+                pools.append(threads)
+
         monkeypatch.setattr(probes, "BlockFiller", Recording)
+        monkeypatch.setattr(probes, "ThreadPoolExecutor", RecordingPool)
         start = threading.active_count()
         printed = []
         for cpus in (1, 2, 4):
@@ -156,9 +164,28 @@ class TestProbeDraw:
             assert all(filler._closed for _, filler in fillers)  # every draw helper joined
             assert (fillers[0][1]._helpers is None) == (cpus == 1)
             assert len({filler._matrix.ctypes.data for _, filler in fillers[:10]}) == 1  # one buffer
+            # width, projection and decomposition: their 3 blocks on the calling thread
+            # and one helper per further CPU, at most one per block
+            assert pools == ([] if cpus == 1 else [min(cpus, 3) - 1] * 3)
             fillers.clear()
+            pools.clear()
         assert printed[0] == printed[1] == printed[2]
-        assert printed[0].count("\n") == 3
+        assert printed[0].count("\n") == 7
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_blocks_in_order_and_a_raising_block_joins_the_helpers(self, cpus, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        start = threading.active_count()
+        assert probes._per_block(7, lambda i: i * i) == [i * i for i in range(7)]
+
+        def failing(i):
+            if i == 3:
+                raise ValueError("block 3")
+            return i
+
+        with pytest.raises(ValueError, match="block 3"):
+            probes._per_block(7, failing)
+        assert threading.active_count() == start
 
     def test_unbiasedness_and_embedding_are_those_of_the_library_draw(self):
         # the probes' draw, buffers and column-major copy leave every bit as
@@ -227,6 +254,32 @@ class TestDecomposition:
         with pytest.raises(InvalidArgumentError):
             decomposition_check(np.ones(2), np.array([2.0, 0.0]), np.array([0.0, 1.0]))
 
+    @pytest.mark.parametrize("k,n", [(1, 2), (2, 3), (7, 16), (600, 257)])
+    def test_rows_at_once_are_each_rows_own_call(self, k, n):
+        rng = generator_for(42)
+        a = rng.standard_normal((k, n))
+        x, y = (v / np.linalg.norm(v, axis=1, keepdims=True) for v in rng.standard_normal((2, k, n)))
+        parts = decomposition_check(a, x, y)
+        assert all(part.shape == (k,) for part in parts)
+        for r in range(k):
+            assert tuple(float(part[r]) for part in parts) == decomposition_check(a[r], x[r], y[r])
+
+    def test_one_coincident_row_rejects_the_rows(self):
+        x = np.array([[1.0, 0.0], [1.0, 0.0]])
+        y = np.array([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(InvalidArgumentError, match="undefined"):
+            decomposition_check(np.ones((2, 2)), x, y)
+
+    @pytest.mark.parametrize("n,triples", [(16, 1), (16, 1100), (40_000, 30)])
+    def test_probe_is_the_max_over_the_blocked_draws_rows(self, n, triples):
+        # at n = 40000 each block is drawn one row at a time
+        a, x, y = (blocked_gaussian_draw(substream_seed(11, j), triples, n) for j in range(3))
+        x = x / np.linalg.norm(x, axis=1, keepdims=True)
+        y = y / np.linalg.norm(y, axis=1, keepdims=True)
+        expected = max(max(decomposition_check(a[r], x[r], y[r])) for r in range(triples))
+        assert check_decomposition(n, triples=triples, seed=11) == expected
+        assert expected <= 1e-12
+
 
 class TestGaussianWidth:
     def test_full_space_matches_chi_mean(self):
@@ -251,11 +304,16 @@ class TestGaussianWidth:
 
     @pytest.mark.parametrize("extra", [-1, 0, 1, 105])
     def test_reused_buffer_matches_fresh_batches(self, extra):
-        # N = 40000 makes a batch 2^22 // N = 104 rows; the trials end one short of a
-        # batch, on it, one past it and one past two batches
+        # N = 40000 makes the oracle's fresh batches 2^22 // N = 104 rows, while the
+        # estimate draws one row at a time; the trials end one short of a batch, on
+        # it, one past it and one past two batches, all inside the first 512-row block
         n, s, trials = 40_000, 3, 104 + extra
-        expected = gaussian_width_fresh_batches(n, s, trials, generator_for(9))
-        assert gaussian_width_estimate(n, s, trials=trials, seed=9) == expected
+        assert gaussian_width_estimate(n, s, trials=trials, seed=9) == gaussian_width_blocked(n, s, trials, 9)
+
+    @pytest.mark.parametrize("trials", [100, 511, 512, 513, 1100])
+    def test_blocks_drawn_one_by_one(self, trials):
+        # the blocks' norms, summed once in row order, at any block count
+        assert gaussian_width_estimate(48, 3, trials=trials, seed=10) == gaussian_width_blocked(48, 3, trials, 10)
 
 
 class TestProjectionInequality:
