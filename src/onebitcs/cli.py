@@ -3,8 +3,9 @@
 Subcommands: recover (one instance), sweep (Monte Carlo grid + report), probe
 (named theory probe), theory (schedule table), selftest (built-in checks).
 Every flag has a config-file equivalent (INI sections named after the
-subcommand, keys named like the flags with dashes as underscores); explicit
-flags override file values. Randomized commands require a seed, from the
+subcommand, keys named like the flags with dashes as underscores, parsed with
+the flag's type); explicit flags override file values. ``COMMANDS`` declares
+each option once. Randomized commands require a seed, from the
 flag or the config file, never from the wall clock. Exit codes: 0 success,
 1 validation error, 2 runtime failure. Every command runs OpenBLAS at one
 thread fewer than the CPUs, and at least one, restoring the count on exit; a
@@ -22,6 +23,7 @@ import os
 import sys
 from collections import Counter
 from pathlib import Path
+from typing import NamedTuple
 
 from .algorithms import DEFAULT_TAU
 from .errors import DegenerateIterateError, InvalidArgumentError, SamplingExhaustedError
@@ -32,7 +34,7 @@ from .harness import (
     fit_slope,
     run_sweep,
 )
-from .model import gen_sparse_signal
+from .model import SUPPORT_RULES, VALUE_RULES, gen_sparse_signal
 from .probes import (
     RaicProbeConfig,
     check_decomposition,
@@ -64,31 +66,77 @@ def _formatter(prog):
     return argparse.HelpFormatter(prog, width=96)
 
 
-# Built-in defaults per subcommand; config files and flags override in that order.
-DEFAULTS = {
-    "recover": {
-        "n": 512, "s": 4, "m": 4096, "algo": "nbiht", "tau": DEFAULT_TAU,
-        "max_iters": 500, "stop_tol": 1e-10, "init": "random_sparse",
-        "noise_std": 0.0, "seed": None,
-        "support_rule": "uniform_random", "value_rule": "gaussian",
-    },
-    "sweep": {
-        "n": 512, "s": 4, "m_grid": "256,512,1024,2048,4096,8192",
-        "algo": "nbiht,one_shot", "trials": 50, "tau": DEFAULT_TAU,
-        "max_iters": 300, "stop_tol": 1e-10, "init": "random_sparse",
-        "noise_std": 0.0, "workers": os.cpu_count() or 1, "out_dir": "sweep-out",
-        "seed": None, "theory_overlay": False,
-        "support_rule": "uniform_random", "value_rule": "gaussian",
-    },
-    "probe": {
-        "n": 256, "s": 4, "m": 8192, "trials": 200, "seed": None,
-        "raic_r_lb": 0.1, "raic_r_ub": 0.5, "raic_nu": None,
-    },
-    "theory": {
-        "m": 8192, "n": 512, "s": 4, "levels": None,
-        "constants_cb": 1.0, "constants_cb_lower": 1.0, "constants_c10": None,
-    },
-    "selftest": {},
+class _Option(NamedTuple):
+    """Flag ``--key`` (underscores as dashes) and INI key ``key``, both parsed by ``type``
+    (a bool is a store-true flag); an option whose ``help`` is None has no flag."""
+
+    key: str
+    type: type
+    default: object
+    help: str | None
+    choices: tuple[str, ...] | None = None
+
+
+_N = _Option("n", int, 512, "ambient dimension N")
+_S = _Option("s", int, 4, "sparsity level")
+_SEED = _Option("seed", int, None, "master seed (required; no wall-clock default)")
+_TAU = _Option("tau", float, DEFAULT_TAU, "step size (default sqrt(pi/2))")
+# What recover and sweep share after --max-iters, whose help and default differ.
+_RUN_TAIL = (
+    _Option("stop_tol", float, 1e-10, "movement stopping tolerance"),
+    _Option("init", str, "random_sparse", "initialization", ("random_sparse", "matched_filter")),
+    _SEED,
+    _Option("noise_std", float, 0.0, "pre-quantization noise level"),
+    _Option("support_rule", str, "uniform_random", "signal support distribution", SUPPORT_RULES),
+    _Option("value_rule", str, "gaussian", "signal value distribution", VALUE_RULES),
+)
+
+# Each subcommand's help line and options, in help order; config files and flags
+# override the defaults in that order. Every subcommand with options also takes --config.
+COMMANDS = {
+    "recover": ("reconstruct one instance and print the final error", (
+        _N, _S,
+        _Option("m", int, 4096, "number of measurements"),
+        _Option("algo", str, "nbiht", "reconstruction algorithm", ALGORITHMS),
+        _TAU,
+        _Option("max_iters", int, 500, "iteration budget"),
+        *_RUN_TAIL,
+    )),
+    "sweep": ("Monte Carlo sweep over m; writes CSV, manifest, and SVG", (
+        _N, _S,
+        _Option("m_grid", str, "256,512,1024,2048,4096,8192", "comma-separated increasing m values"),
+        _Option("algo", str, "nbiht,one_shot", f"comma-separated subset of {','.join(ALGORITHMS)}"),
+        _Option("trials", int, 50, "trials per (algorithm, m) cell"),
+        _TAU,
+        _Option("max_iters", int, 300, "iteration budget per run"),
+        *_RUN_TAIL,
+        _Option("workers", int, os.cpu_count() or 1,
+                "worker processes (default: logical CPUs), at most one per trial; each "
+                "process draws its matrices on a share of max(1, cpus // pool size) "
+                "threads and runs BLAS at max(1, share // solvers - 1) threads per call, "
+                "with solvers = min(share, runs per trial): pool workers solve inline, "
+                "one process with solvers > 1 forks that many solver processes"),
+        _Option("out_dir", str, "sweep-out", "report output directory"),
+        _Option("theory_overlay", bool, False, "overlay the first-iteration theory curve on the plot"),
+    )),
+    "probe": ("run a named empirical probe of the analysis", (
+        _N._replace(default=256), _S,
+        _Option("m", int, 8192, "measurements per ensemble"),
+        _Option("trials", int, 200, "sample/pair/trial count for the probe"),
+        _SEED,
+        _Option("raic_r_lb", float, 0.1, None),
+        _Option("raic_r_ub", float, 0.5, None),
+        _Option("raic_nu", float, None, None),
+    )),
+    "theory": ("print the deterministic bound schedule table", (
+        _Option("m", float, 8192.0, "number of measurements (may be huge)"),
+        _N, _S,
+        _Option("levels", int, None, "levels to tabulate (default: the attained L)"),
+        _Option("constants_cb", float, 1.0, "width constant cb"),
+        _Option("constants_cb_lower", float, 1.0, "concentration constant cb_lower"),
+        _Option("constants_c10", float, None, "embedding constant c10 (default derived from placeholders)"),
+    )),
+    "selftest": ("run the built-in example checks", ()),
 }
 
 
@@ -98,85 +146,24 @@ def build_parser() -> _Parser:
         description="One-bit compressed sensing: recovery, sweeps, and theory probes.",
         formatter_class=_formatter,
     )
-    sub = parser.add_subparsers(dest="command", metavar="{recover,sweep,probe,theory,selftest}")
-
-    recover = sub.add_parser(
-        "recover", help="reconstruct one instance and print the final error",
-        formatter_class=_formatter,
-    )
-    recover.add_argument("--n", type=int, help="ambient dimension N")
-    recover.add_argument("--s", type=int, help="sparsity level")
-    recover.add_argument("--m", type=int, help="number of measurements")
-    recover.add_argument("--algo", choices=ALGORITHMS, help="reconstruction algorithm")
-    recover.add_argument("--tau", type=float, help="step size (default sqrt(pi/2))")
-    recover.add_argument("--max-iters", type=int, help="iteration budget")
-    recover.add_argument("--stop-tol", type=float, help="movement stopping tolerance")
-    recover.add_argument("--init", choices=("random_sparse", "matched_filter"), help="initialization")
-    recover.add_argument("--seed", type=int, help="master seed (required; no wall-clock default)")
-    recover.add_argument("--noise-std", type=float, help="pre-quantization noise level")
-    recover.add_argument("--support-rule", choices=("uniform_random", "first_s"),
-                         help="signal support distribution")
-    recover.add_argument("--value-rule", choices=("gaussian", "rademacher", "flat"),
-                         help="signal value distribution")
-    recover.add_argument("--config", help="INI config file")
-
-    sweep = sub.add_parser(
-        "sweep", help="Monte Carlo sweep over m; writes CSV, manifest, and SVG",
-        formatter_class=_formatter,
-    )
-    sweep.add_argument("--n", type=int, help="ambient dimension N")
-    sweep.add_argument("--s", type=int, help="sparsity level")
-    sweep.add_argument("--m-grid", help="comma-separated increasing m values")
-    sweep.add_argument("--algo", help="comma-separated subset of biht,iht,nbiht,one_shot")
-    sweep.add_argument("--trials", type=int, help="trials per (algorithm, m) cell")
-    sweep.add_argument("--tau", type=float, help="step size (default sqrt(pi/2))")
-    sweep.add_argument("--max-iters", type=int, help="iteration budget per run")
-    sweep.add_argument("--stop-tol", type=float, help="movement stopping tolerance")
-    sweep.add_argument("--init", choices=("random_sparse", "matched_filter"), help="initialization")
-    sweep.add_argument("--seed", type=int, help="master seed (required; no wall-clock default)")
-    sweep.add_argument("--noise-std", type=float, help="pre-quantization noise level")
-    sweep.add_argument("--support-rule", choices=("uniform_random", "first_s"),
-                       help="signal support distribution")
-    sweep.add_argument("--value-rule", choices=("gaussian", "rademacher", "flat"),
-                       help="signal value distribution")
-    sweep.add_argument("--workers", type=int,
-                       help="worker processes (default: logical CPUs), at most one per trial; each "
-                            "process draws its matrices on a share of max(1, cpus // pool size) "
-                            "threads and runs BLAS at max(1, share // solvers - 1) threads per call, "
-                            "with solvers = min(share, runs per trial): pool workers solve inline, "
-                            "one process with solvers > 1 forks that many solver processes")
-    sweep.add_argument("--out-dir", help="report output directory")
-    sweep.add_argument("--theory-overlay", action="store_true", default=None,
-                       help="overlay the first-iteration theory curve on the plot")
-    sweep.add_argument("--config", help="INI config file")
-
-    probe = sub.add_parser(
-        "probe", help="run a named empirical probe of the analysis",
-        formatter_class=_formatter,
-    )
-    probe.add_argument("name", choices=PROBES, help="which probe to run")
-    probe.add_argument("--n", type=int, help="ambient dimension N")
-    probe.add_argument("--s", type=int, help="sparsity level")
-    probe.add_argument("--m", type=int, help="measurements per ensemble")
-    probe.add_argument("--trials", type=int, help="sample/pair/trial count for the probe")
-    probe.add_argument("--seed", type=int, help="master seed (required; no wall-clock default)")
-    probe.add_argument("--config", help="INI config file (extra keys: raic_r_lb, raic_r_ub, raic_nu)")
-
-    theory = sub.add_parser(
-        "theory", help="print the deterministic bound schedule table",
-        formatter_class=_formatter,
-    )
-    theory.add_argument("--m", type=float, help="number of measurements (may be huge)")
-    theory.add_argument("--n", type=int, help="ambient dimension N")
-    theory.add_argument("--s", type=int, help="sparsity level")
-    theory.add_argument("--levels", type=int, help="levels to tabulate (default: the attained L)")
-    theory.add_argument("--constants-cb", type=float, help="width constant cb")
-    theory.add_argument("--constants-cb-lower", type=float, help="concentration constant cb_lower")
-    theory.add_argument("--constants-c10", type=float,
-                        help="embedding constant c10 (default derived from placeholders)")
-    theory.add_argument("--config", help="INI config file")
-
-    sub.add_parser("selftest", help="run the built-in example checks", formatter_class=_formatter)
+    sub = parser.add_subparsers(dest="command", metavar="{" + ",".join(COMMANDS) + "}")
+    for command, (summary, options) in COMMANDS.items():
+        subparser = sub.add_parser(command, help=summary, formatter_class=_formatter)
+        if command == "probe":
+            subparser.add_argument("name", choices=PROBES, help="which probe to run")
+        for option in options:
+            if option.help is None:
+                continue
+            flag = "--" + option.key.replace("_", "-")
+            if option.type is bool:
+                subparser.add_argument(flag, action="store_true", default=None, help=option.help)
+            else:
+                subparser.add_argument(flag, type=option.type, choices=option.choices, help=option.help)
+        if options:
+            extra = ", ".join(option.key for option in options if option.help is None)
+            subparser.add_argument(
+                "--config", help="INI config file" + (f" (extra keys: {extra})" if extra else ""),
+            )
     return parser
 
 
@@ -191,71 +178,56 @@ def _load_config_section(path: str | None, section: str) -> dict:
         ini.read(file)
     except configparser.Error as exc:
         raise InvalidArgumentError(f"cannot parse config file {file}: {exc}") from exc
-    if not ini.has_section(section):
-        return {}
-    return dict(ini.items(section))
+    return dict(ini.items(section)) if ini.has_section(section) else {}
 
 
-_BOOL_KEYS = {"theory_overlay"}
-_STR_KEYS = {"algo", "init", "out_dir", "m_grid", "name", "support_rule", "value_rule"}
-_FLOAT_KEYS = {"tau", "stop_tol", "noise_std", "raic_r_lb", "raic_r_ub", "raic_nu",
-               "constants_cb", "constants_cb_lower", "constants_c10", "m_theory"}
-
-
-def _coerce(key: str, value: str):
-    if key in _BOOL_KEYS:
-        state = configparser.ConfigParser.BOOLEAN_STATES.get(value.strip().lower())
+def _parse(option: _Option, raw: str):
+    """A config file's value for ``option``, parsed with the option's own type."""
+    if option.type is bool:
+        state = configparser.ConfigParser.BOOLEAN_STATES.get(raw.strip().lower())
         if state is None:
-            raise ValueError(f"not a boolean: {value!r}")
+            raise ValueError(f"not a boolean: {raw!r}")
         return state
-    if key in _STR_KEYS:
-        return value.strip()
-    if key in _FLOAT_KEYS:
-        return float(value)
-    return int(value)
+    return option.type(raw.strip())
 
 
 def _effective(args: argparse.Namespace, command: str) -> dict:
-    """builtin defaults <- config file <- explicit flags."""
-    effective = dict(DEFAULTS[command])
+    """builtin defaults <- config file <- explicit flags; a command with a seed requires one."""
+    options = {option.key: option for option in COMMANDS[command][1]}
+    effective = {key: option.default for key, option in options.items()}
     section = _load_config_section(getattr(args, "config", None), command)
     for key, raw in section.items():
         key = key.strip().lower().replace("-", "_")
-        if key not in effective:
+        if key not in options:
             raise InvalidArgumentError(f"unknown config key {key!r} in section [{command}]")
-        target = "m_theory" if (command == "theory" and key == "m") else key
         try:
-            effective[key] = _coerce(target, raw)
+            effective[key] = _parse(options[key], raw)
         except ValueError as exc:
             raise InvalidArgumentError(f"bad value {raw!r} for key {key!r} in section [{command}]") from exc
     for key in effective:
         given = getattr(args, key, None)
         if given is not None:
             effective[key] = given
+    if "seed" in effective and effective["seed"] is None:
+        raise InvalidArgumentError("a --seed is required (flag or config); there is no wall-clock default")
     return effective
 
 
-def _require_seed(opts: dict) -> int:
-    if opts.get("seed") is None:
-        raise InvalidArgumentError("a --seed is required (flag or config); there is no wall-clock default")
-    return int(opts["seed"])
+def _sweep_config(opts: dict, **fields) -> SweepConfig:
+    """recover's or sweep's SweepConfig: the options the two share, plus ``fields``."""
+    shared = {option.key: opts[option.key] for option in (_N, _S, _TAU, *_RUN_TAIL) if option is not _SEED}
+    return SweepConfig(master_seed=opts["seed"], max_iters=opts["max_iters"], **shared, **fields)
 
 
 def _cmd_recover(args) -> int:
     opts = _effective(args, "recover")
-    seed = _require_seed(opts)
-    cfg = SweepConfig(
-        n=opts["n"], s=opts["s"], m_grid=(opts["m"],), algorithms=(opts["algo"],),
-        trials_per_cell=1, master_seed=seed, noise_std=opts["noise_std"], tau=opts["tau"],
-        max_iters=opts["max_iters"], stop_tol=opts["stop_tol"], init=opts["init"],
-        support_rule=opts["support_rule"], value_rule=opts["value_rule"],
-    )
+    cfg = _sweep_config(opts, m_grid=(opts["m"],), algorithms=(opts["algo"],), trials_per_cell=1)
     (rec,), _ = run_sweep(cfg, workers=1)
     if rec.stop_reason.startswith("error: "):  # the line parse_and_dispatch prints for a runtime failure
         print(f"onebitcs: runtime failure: {rec.stop_reason.removeprefix('error: ')}", file=sys.stderr)
         return 2
     print(f"algorithm = {rec.algorithm}")
-    print(f"n = {cfg.n} s = {cfg.s} m = {rec.m} seed = {seed}")
+    print(f"n = {cfg.n} s = {cfg.s} m = {rec.m} seed = {cfg.master_seed}")
     print(f"final_l2_error = {rec.final_l2_error!r}")
     print(f"iterations_used = {rec.iterations_used}")
     print(f"sign_agreement = {rec.sign_agreement!r}")
@@ -265,26 +237,16 @@ def _cmd_recover(args) -> int:
 
 def _cmd_sweep(args) -> int:
     opts = _effective(args, "sweep")
-    seed = _require_seed(opts)
     try:
         m_grid = tuple(int(v) for v in str(opts["m_grid"]).split(",") if v.strip())
         algorithms = tuple(v.strip() for v in str(opts["algo"]).split(",") if v.strip())
     except ValueError as exc:
         raise InvalidArgumentError(f"bad grid or algorithm list: {exc}") from exc
-    cfg = SweepConfig(
-        n=opts["n"], s=opts["s"], m_grid=m_grid, algorithms=algorithms,
-        trials_per_cell=opts["trials"], master_seed=seed, noise_std=opts["noise_std"],
-        tau=opts["tau"], max_iters=opts["max_iters"], stop_tol=opts["stop_tol"],
-        init=opts["init"], support_rule=opts["support_rule"], value_rule=opts["value_rule"],
-    )
+    cfg = _sweep_config(opts, m_grid=m_grid, algorithms=algorithms, trials_per_cell=opts["trials"])
     records, manifest = run_sweep(cfg, workers=int(opts["workers"]))
     theory_curve = None
     if opts["theory_overlay"]:
-        curve = []
-        for m in cfg.m_grid:
-            sched = theory_schedule(m, cfg.n, cfg.s, levels=1)
-            curve.append((float(m), sched.r[0]))
-        theory_curve = curve
+        theory_curve = [(float(m), theory_schedule(m, cfg.n, cfg.s, levels=1).r[0]) for m in cfg.m_grid]
     paths = emit_report(records, manifest, opts["out_dir"], theory_curve=theory_curve)
     for algo in sorted(set(cfg.algorithms)):
         try:
@@ -310,9 +272,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_probe(args) -> int:
     opts = _effective(args, "probe")
-    seed = _require_seed(opts)
     name = args.name
-    n, s, m, trials = opts["n"], opts["s"], opts["m"], opts["trials"]
+    n, s, m, trials, seed = opts["n"], opts["s"], opts["m"], opts["trials"], opts["seed"]
     if name == "unbiased":
         y = gen_sparse_signal(seed, n, s)
         dev = check_unbiasedness(y.values, m, trials, seed)
@@ -351,9 +312,8 @@ def _cmd_theory(args) -> int:
     constants = ScheduleConstants(
         cb=opts["constants_cb"], cb_lower=opts["constants_cb_lower"], c10=opts["constants_c10"],
     )
-    m = float(opts["m"])
-    levels = opts["levels"]
-    sched = theory_schedule(m, opts["n"], opts["s"], constants=constants, levels=levels)
+    m = opts["m"]
+    sched = theory_schedule(m, opts["n"], opts["s"], constants=constants, levels=opts["levels"])
     print(f"m = {m!r} n = {opts['n']} s = {opts['s']}")
     print(f"C(N,s,m) = {sched.c_nsm!r}")
     print(f"L = {sched.L} threshold_met = {sched.threshold_met}")

@@ -37,6 +37,7 @@ DRAW_BLOCK_ROWS = 512  # rows per seeded block of a blocked draw; fixed, so pref
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` as a read-only C-contiguous float64 array: ``a`` itself when it is one, else a copy."""
     a = np.ascontiguousarray(a, dtype=np.float64)
     a.flags.writeable = False
     return a
@@ -53,7 +54,11 @@ def as_vector(x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SparseVector:
-    """Length-N real vector with at most ``sparsity_budget`` nonzero entries."""
+    """Length-N real vector with at most ``sparsity_budget`` nonzero entries.
+
+    A C-contiguous float64 ``values`` is frozen in place, not copied, so the
+    caller's array becomes read-only; any other input is copied.
+    """
 
     values: np.ndarray
     sparsity_budget: int
@@ -106,6 +111,8 @@ class MeasurementEnsemble:
     Rows are the measurement vectors; m and N are the matrix's shape.
     Regenerating from the same (seed, m, N) yields a bitwise-identical matrix.
     ``_columns`` is None or the matrix stored column by column (see ``_with_columns``).
+    A C-contiguous float64 ``matrix`` is frozen in place, not copied, so the
+    caller's array becomes read-only; any other input is copied.
     A matrix with a NaN or infinite entry is rejected, once, when the
     ensemble is built; the package's own draws pass ``_finite=True``, as a
     Gaussian draw is finite by construction, and are not scanned.
@@ -136,7 +143,11 @@ class MeasurementEnsemble:
 
 @dataclass(frozen=True)
 class BinaryObservation:
-    """Length-m vector of quantized measurements, entries exactly -1 or +1."""
+    """Length-m vector of quantized measurements, entries exactly -1 or +1.
+
+    A C-contiguous float64 ``bits`` is frozen in place, not copied, so the
+    caller's array becomes read-only; any other input is copied.
+    """
 
     bits: np.ndarray
 

@@ -34,7 +34,6 @@ from .harness import (
 
 _RECORD_FIELDS = dataclasses.fields(SweepRecord)
 CSV_FIELDS = [f.name for f in _RECORD_FIELDS]
-CSV_HEADER = ",".join(CSV_FIELDS)
 _row = operator.attrgetter(*CSV_FIELDS)  # not dataclasses.astuple, which deep-copies
 
 # manifest.txt opens with these keys, in this order, for these RunManifest fields

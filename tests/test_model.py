@@ -494,3 +494,34 @@ class TestDomainTypes:
         for bad in (np.ones(3), np.ones((0, 3))):
             with pytest.raises(InvalidArgumentError):
                 MeasurementEnsemble(matrix=bad, seed=0)
+
+    # each type's constructor, returning the array it holds, and the shape it takes
+    _WRAPPERS = [
+        (lambda a: MeasurementEnsemble(matrix=a, seed=0).matrix, (2, 2)),
+        (lambda a: SparseVector(values=a, sparsity_budget=4).values, (4,)),
+        (lambda a: BinaryObservation(bits=a).bits, (4,)),
+    ]
+    _IDS = ["MeasurementEnsemble", "SparseVector", "BinaryObservation"]
+
+    @pytest.mark.parametrize("wrap, shape", _WRAPPERS, ids=_IDS)
+    def test_c_contiguous_float64_input_is_frozen_in_place(self, wrap, shape):
+        caller = np.array([1.0, -1.0, -1.0, 1.0]).reshape(shape).copy()
+        held = wrap(caller)
+        assert held is caller
+        assert not caller.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            caller.flat[0] = 1.0
+
+    @pytest.mark.parametrize("wrap, shape", _WRAPPERS, ids=_IDS)
+    @pytest.mark.parametrize("make", [
+        lambda: np.array([1.0, -1.0, -1.0, 1.0], dtype=np.float32),
+        lambda: np.array([1, -1, -1, 1]),
+        lambda: np.array([1.0, 0.0, -1.0, 0.0, -1.0, 0.0, 1.0, 0.0])[::2],  # strided view
+    ], ids=["float32", "int", "strided"])
+    def test_other_input_is_copied_and_left_writable(self, wrap, shape, make):
+        caller = make().reshape(shape)
+        held = wrap(caller)
+        assert not np.shares_memory(held, caller)
+        assert not held.flags.writeable
+        caller.flat[0] = -1  # the caller's array stays its own
+        assert held.flat[0] == 1.0

@@ -10,7 +10,7 @@ import pytest
 import onebitcs.harness as harness
 from onebitcs import InvalidArgumentError, SweepConfig, SweepRecord, run_from_manifest, run_sweep
 from onebitcs.report import (
-    CSV_HEADER,
+    CSV_FIELDS,
     emit_report,
     load_manifest,
     read_records_csv,
@@ -46,7 +46,7 @@ class TestCsv:
     def test_exact_header(self, small_sweep, tmp_path):
         records, _ = small_sweep
         path = write_records_csv(records, tmp_path / "r.csv")
-        assert path.read_text().splitlines()[0] == CSV_HEADER
+        assert path.read_text().splitlines()[0] == ",".join(CSV_FIELDS)
 
     def test_round_trip_exact(self, small_sweep, tmp_path):
         records, _ = small_sweep
@@ -59,7 +59,7 @@ class TestCsv:
 
     def test_empty_records_header_only(self, small_sweep, tmp_path):
         path = write_records_csv([], tmp_path / "empty.csv")
-        assert path.read_text().strip() == CSV_HEADER
+        assert path.read_text().strip() == ",".join(CSV_FIELDS)
         assert read_records_csv(path) == []
 
     def test_stop_reason_with_comma_round_trips(self, tmp_path):
@@ -80,7 +80,7 @@ class TestCsv:
     ], ids=["short", "long", "malformed"])
     def test_bad_row_rejected(self, tmp_path, row, message):
         p = tmp_path / "r.csv"
-        p.write_text(f"{CSV_HEADER}\nnbiht,10,8,2,0,0.5,3,0.9,converged,1.25\n{row}\n")
+        p.write_text(f"{','.join(CSV_FIELDS)}\nnbiht,10,8,2,0,0.5,3,0.9,converged,1.25\n{row}\n")
         with pytest.raises(InvalidArgumentError, match=f"line 3 {message}"):
             read_records_csv(p)
 
