@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateIterateError, InvalidArgumentError
-from .model import BinaryObservation, MeasurementEnsemble, as_vector, gen_sparse_signal
+from .model import BinaryObservation, MeasurementEnsemble, _sign, as_vector, gen_sparse_signal
 from .sparse_ops import hamming_distance, hard_threshold, normalize
 
 DEFAULT_TAU = math.sqrt(math.pi / 2.0)  # the step size making the first iterate unbiased
@@ -102,7 +102,7 @@ class IterateTrace:
 
 
 class _ForwardSigns:
-    """A x and sign(A x) for the iterates of one run, gathering A's support columns.
+    """A x for the iterates of one run, gathering A's support columns.
 
     x is s-sparse in the hot loop, so the forward product is taken on the
     F-ordered block A[:, nz] (m*s instead of m*N flops). The block of the last
@@ -125,9 +125,6 @@ class _ForwardSigns:
         self.cols, self.block = nz[:0], np.empty((self.matrix.shape[0], 0), order="F")
         return self.matrix @ x
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return _sign(self.product(x))
-
     def _gather(self, nz: np.ndarray) -> np.ndarray:
         # cached columns are contiguous copies; new ones are strided reads of A
         cached = dict(zip(self.cols.tolist(), range(self.cols.size)))
@@ -136,10 +133,6 @@ class _ForwardSigns:
             i = cached.get(col)
             block[:, j] = self.matrix[:, col] if i is None else self.block[:, i]
         return block
-
-
-def _sign(y: np.ndarray) -> np.ndarray:
-    return np.where(y > 0, 1.0, -1.0)
 
 
 def _sign_gradient(matrix: np.ndarray, bits: np.ndarray, signs: np.ndarray) -> np.ndarray:
@@ -157,7 +150,7 @@ def _sign_gradient(matrix: np.ndarray, bits: np.ndarray, signs: np.ndarray) -> n
 def _unwrap(A: MeasurementEnsemble, b) -> tuple[np.ndarray, np.ndarray]:
     """The matrix and the bits, checking raw bits as a BinaryObservation checks its own."""
     matrix = A.matrix
-    bits = b.bits if isinstance(b, BinaryObservation) else np.asarray(b, dtype=np.float64)
+    bits = as_vector(b)
     if bits.shape != (matrix.shape[0],):
         raise InvalidArgumentError(
             f"observation length {bits.size} != ensemble m {matrix.shape[0]}"
@@ -193,7 +186,7 @@ def nbiht_step(
     x = as_vector(x_k)
     if x.shape != (matrix.shape[1],):
         raise InvalidArgumentError("iterate length does not match ensemble N")
-    signs = _ForwardSigns(matrix)(x)
+    signs = _sign(_ForwardSigns(matrix).product(x))
     x_new = _update(matrix, bits, x, signs, tau, s, degenerate_policy, normalized=True)
     return x.copy() if x_new is None else x_new
 

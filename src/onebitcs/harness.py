@@ -32,7 +32,6 @@ import ctypes
 import dataclasses
 import datetime as _dt
 import math
-import mmap
 import multiprocessing
 import operator
 import os
@@ -59,6 +58,7 @@ from .model import (
     VALUE_RULES,
     BlockFiller,
     MeasurementEnsemble,
+    _mapped,
     gen_gaussian_matrix,  # noqa: F401  sweeps stream the same draw through BlockFiller; benchmarks/tracing.py wraps this name
     gen_sparse_signal,
     linear_measurements,
@@ -383,14 +383,14 @@ def _solve_on_shared_rows(cfg, algo, m, trial, x, lin, b, init_seed, matrix_seed
 def _solver_processes(cfg: SweepConfig, plan: ThreadPlan):
     """Yield (pool, rows): ``plan.solvers`` forked solver processes and the buffer they read.
 
-    ``rows`` is one ``MAP_SHARED`` ``max(m_grid) x N`` buffer for each trial's draw. Every
+    ``rows`` is one ``max(m_grid) x N`` ``model._mapped`` buffer for each trial's draw. Every
     process is forked before any draw thread exists. Yields (None, None), to solve inline,
     for one solver or without fork. Unstarted runs are dropped on the way out.
     """
     if plan.solvers < 2 or "fork" not in multiprocessing.get_all_start_methods():
         yield None, None
         return
-    rows = np.frombuffer(mmap.mmap(-1, cfg.m_grid[-1] * cfg.n * 8)).reshape(cfg.m_grid[-1], cfg.n)
+    rows = _mapped(cfg.m_grid[-1], cfg.n)
     pool = ProcessPoolExecutor(max_workers=plan.solvers, mp_context=multiprocessing.get_context("fork"),
                                initializer=_start_solver, initargs=(plan.blas, rows))
     try:

@@ -1,13 +1,16 @@
 """Domain types and the one-bit measurement model b = sign(Ax).
 
-Sign convention: sign(w) = +1 for w > 0 and -1 otherwise, including w = 0.
+Sign convention: sign(w) = +1 for w > 0 and -1 otherwise, including w = 0;
+``_sign`` applies it, for ``sign_quantize`` and the solvers alike. A
+``UnitSparseVector`` is a ``SparseVector`` of unit norm.
 All generated arrays are frozen (read-only) after construction; every
 constructor is a pure function of its seed and parameters. The Gaussian
 ensemble has one draw: independently seeded 512-row blocks, which
 ``BlockFiller`` fills in index order on helper threads and the calling
 thread, handing out row prefixes as soon as their blocks are filled, and
 which ``gen_gaussian_matrix`` fills on the calling thread alone; the first m
-rows of a taller draw are bitwise the m-row draw. A x has one form: the
+rows of a taller draw are bitwise the m-row draw. The filler is a
+``BlockRunner``, on which the probes also run their sample blocks. A x has one form: the
 product of the columns of A on the support of x with the nonzeros of x
 (``linear_measurements``), which every measurement and probe takes. An
 ensemble that takes many such products (a probe's) may carry a read-only
@@ -15,15 +18,17 @@ column-major copy of its matrix (``_with_columns``), from which the support
 columns are read contiguously; the gathered block has the values and the
 layout of the one gathered from the row-major matrix, so the product is
 bitwise the same. Sweeps, solvers and ``recover`` never build the copy. The
-probes fill a ``BlockFiller`` on every CPU, and make their copies, in
-page-mapped buffers of their own (``out=``), which go back to the system
-when a probe returns; the filler's default buffer stays a heap array, as
+probes' draws and copies, and the buffer a sweep shares with its solver
+processes, are page-mapped (``_mapped``) and go back to the system when
+their last view goes; the filler's default buffer stays a heap array, as
 page-mapping it made every trial of a pool worker fault in fresh pages.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import mmap
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import InitVar, dataclass, field
@@ -44,12 +49,22 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def as_vector(x) -> np.ndarray:
-    """Unwrap SparseVector/UnitSparseVector/array-likes to a float64 vector."""
-    if isinstance(x, UnitSparseVector):
-        x = x.inner
+    """The float64 vector a SparseVector or BinaryObservation holds, or an array-like as one."""
     if isinstance(x, SparseVector):
         return x.values
+    if isinstance(x, BinaryObservation):
+        return x.bits
     return np.asarray(x, dtype=np.float64)
+
+
+def _mapped(m: int, N: int) -> np.ndarray:
+    """An m x N zeroed float64 array on shared pages (a later fork sees its writes), unmapped with its last view."""
+    if m < 1 or N < 1:
+        raise InvalidArgumentError(f"matrix dimensions must be positive, got m={m}, N={N}")
+    try:
+        return np.frombuffer(mmap.mmap(-1, m * N * 8)).reshape(m, N)
+    except (OSError, OverflowError) as exc:  # beyond the address space or the system's commit limit
+        raise MemoryError(f"cannot map {m} x {N} float64 entries: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -81,27 +96,14 @@ class SparseVector:
 
 
 @dataclass(frozen=True)
-class UnitSparseVector:
+class UnitSparseVector(SparseVector):
     """SparseVector constrained to the unit sphere (1e-12 relative tolerance)."""
 
-    inner: SparseVector
-
     def __post_init__(self):
-        norm = float(np.linalg.norm(self.inner.values))
+        super().__post_init__()
+        norm = float(np.linalg.norm(self.values))
         if abs(norm - 1.0) > 1e-12:
             raise InvalidArgumentError(f"vector norm {norm!r} is not 1 within 1e-12")
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.inner.values
-
-    @property
-    def sparsity_budget(self) -> int:
-        return self.inner.sparsity_budget
-
-    @property
-    def n(self) -> int:
-        return self.inner.n
 
 
 @dataclass(frozen=True)
@@ -163,72 +165,87 @@ class BinaryObservation:
         return self.bits.size
 
 
-class BlockFiller:
-    """The m x N blocked draw from ``seed``, filled in block order as its rows are asked for.
+class BlockRunner:
+    """``work(0), ..., work(blocks - 1)``, queued in index order on ``threads - 1`` helper threads.
 
-    Rows [512 i, 512 (i + 1)) come from their own stream,
-    ``rng.block_generator(seed, i)``. The matrix is allocated at once and
-    every block is queued, in index order, on ``threads - 1`` helper threads
-    (never more than the blocks or the CPUs allow). ``rows(k)`` fills, on the
-    calling thread, every block below row k that no helper has started, waits
-    for the ones the helpers are filling, and returns the first k rows,
-    re-raising a helper's exception. A block's bits depend only on (seed, i),
-    so the matrix does not depend on the thread count or on which thread
-    filled what. ``close`` (or leaving a ``with`` block) drops the queued
-    blocks and joins the helpers; no block is filled after it returns.
-    Given ``out`` (writable, C-contiguous, float64), the matrix is its first m * N entries.
+    Never more helpers than the blocks or the CPUs allow. ``results(k)`` runs,
+    on the calling thread, every block below k that no helper has started,
+    waits for the rest and returns the first k results, re-raising the first
+    exception among them. ``close`` (or leaving a ``with`` block) drops the
+    queued blocks and joins the helpers. A ``work`` that held the runner would
+    keep what it holds alive until the cyclic collector runs.
     """
 
-    def __init__(self, seed: int, m: int, N: int, threads: int = 1, out: np.ndarray | None = None):
-        if m < 1 or N < 1:
-            raise InvalidArgumentError(f"matrix dimensions must be positive, got m={m}, N={N}")
+    def __init__(self, blocks: int, work, threads: int = 1):
         if threads < 1:
             raise InvalidArgumentError(f"threads must be >= 1, got {threads}")
-        # allocated before any block seed is derived, so an unallocatable size fails at once
-        out = np.empty((m, N)) if out is None else out
-        if not (out.dtype == np.float64 and out.flags.carray and out.size >= m * N):
-            raise InvalidArgumentError(f"out must be a writable C-contiguous float64 array of at "
-                                       f"least {m} x {N} entries")
-        self._matrix = out.reshape(-1)[:m * N].reshape(m, N)
-        self._seed = seed
-        self._ready = 0  # leading blocks known to be filled
+        self._work = work
+        self._results = [None] * blocks
+        self._ready = 0  # leading blocks known to be done
         self._closed = False
-        blocks = -(-m // DRAW_BLOCK_ROWS)
         helpers = min(threads, blocks, os.cpu_count() or 1) - 1
-        self._helpers = ThreadPoolExecutor(helpers) if helpers else None
-        self._queued = [self._helpers.submit(self._fill, i) for i in range(blocks)] if helpers else []
+        self._helpers = ThreadPoolExecutor(helpers) if helpers > 0 else None
+        self._queued = [self._helpers.submit(work, i) for i in range(blocks)] if self._helpers else []
 
-    def __enter__(self) -> BlockFiller:
+    def __enter__(self):
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _fill(self, i: int) -> None:
-        rows = self._matrix[i * DRAW_BLOCK_ROWS:(i + 1) * DRAW_BLOCK_ROWS]
-        block_generator(self._seed, i).standard_normal(out=rows)  # releases the GIL
-
-    def rows(self, k: int) -> np.ndarray:
-        """The first ``k`` rows, filled (a view of the matrix, no copy)."""
-        if not 1 <= k <= self._matrix.shape[0]:
-            raise InvalidArgumentError(f"need 1 <= k <= {self._matrix.shape[0]}, got {k}")
+    def results(self, k: int | None = None) -> list:
+        """The results of the first ``k`` blocks (of all, by default), each run once."""
         if self._closed:
-            raise InvalidArgumentError("the draw is closed")
-        need = -(-k // DRAW_BLOCK_ROWS)
-        for i in range(self._ready, need):
+            raise InvalidArgumentError("the runner is closed")
+        k = len(self._results) if k is None else k
+        for i in range(self._ready, k):
             if not self._queued or self._queued[i].cancel():
-                self._fill(i)  # no helper has started it
-        for block in self._queued[self._ready:need]:
+                self._results[i] = self._work(i)  # no helper has started it
+        for i, block in enumerate(self._queued[self._ready:k], self._ready):
             if not block.cancelled():
-                block.result()  # waits for the helper; raises its exception
-        self._ready = max(self._ready, need)
-        return self._matrix[:k]
+                self._results[i] = block.result()  # waits for the helper; raises its exception
+        self._ready = max(self._ready, k)
+        return self._results[:k]
 
     def close(self) -> None:
         """Drop the blocks no helper has started and join the helpers."""
         self._closed = True
         if self._helpers is not None:
             self._helpers.shutdown(wait=True, cancel_futures=True)
+
+
+def _fill_block(matrix: np.ndarray, seed: int, i: int) -> None:
+    rows = matrix[i * DRAW_BLOCK_ROWS:(i + 1) * DRAW_BLOCK_ROWS]
+    block_generator(seed, i).standard_normal(out=rows)  # releases the GIL
+
+
+class BlockFiller(BlockRunner):
+    """The m x N blocked draw from ``seed``, filled in block order as its rows are asked for.
+
+    Block i's work fills rows [512 i, 512 (i + 1)) from their own stream,
+    ``rng.block_generator(seed, i)``, so the matrix does not depend on the
+    thread count or on which thread filled what. The matrix is allocated at
+    once; given ``out`` (writable, C-contiguous, float64), it is its first m * N entries.
+    """
+
+    def __init__(self, seed: int, m: int, N: int, threads: int = 1, out: np.ndarray | None = None):
+        if m < 1 or N < 1:
+            raise InvalidArgumentError(f"matrix dimensions must be positive, got m={m}, N={N}")
+        # allocated before any block seed is derived, so an unallocatable size fails at once
+        out = np.empty((m, N)) if out is None else out
+        if not (out.dtype == np.float64 and out.flags.carray and out.size >= m * N):
+            raise InvalidArgumentError(f"out must be a writable C-contiguous float64 array of at "
+                                       f"least {m} x {N} entries")
+        self._matrix = out.reshape(-1)[:m * N].reshape(m, N)
+        # the work holds the matrix, not the filler, so dropping the filler frees the matrix
+        super().__init__(-(-m // DRAW_BLOCK_ROWS), functools.partial(_fill_block, self._matrix, seed), threads)
+
+    def rows(self, k: int) -> np.ndarray:
+        """The first ``k`` rows, filled (a view of the matrix, no copy)."""
+        if not 1 <= k <= self._matrix.shape[0]:
+            raise InvalidArgumentError(f"need 1 <= k <= {self._matrix.shape[0]}, got {k}")
+        self.results(-(-k // DRAW_BLOCK_ROWS))
+        return self._matrix[:k]
 
 
 def _with_columns(A: MeasurementEnsemble, out: np.ndarray) -> MeasurementEnsemble:
@@ -292,7 +309,12 @@ def gen_sparse_signal(
             vals = rng.standard_normal(s)
     out = np.zeros(N)
     out[support] = vals / np.linalg.norm(vals)
-    return UnitSparseVector(SparseVector(values=out, sparsity_budget=s))
+    return UnitSparseVector(values=out, sparsity_budget=s)
+
+
+def _sign(v: np.ndarray) -> np.ndarray:
+    """sign(v) under the package's convention, +1.0 where v > 0 and -1.0 elsewhere, unchecked."""
+    return np.where(v > 0, 1.0, -1.0)
 
 
 def sign_quantize(v) -> BinaryObservation:
@@ -303,7 +325,7 @@ def sign_quantize(v) -> BinaryObservation:
     v = np.asarray(v, dtype=np.float64)
     if not np.all(np.isfinite(v)):
         raise InvalidArgumentError("cannot quantize NaN or infinite measurements")
-    return BinaryObservation(bits=np.where(v > 0, 1.0, -1.0))
+    return BinaryObservation(bits=_sign(v))
 
 
 def linear_measurements(A: MeasurementEnsemble, x, noise_std: float = 0.0, noise_seed: int = 0) -> np.ndarray:

@@ -9,8 +9,8 @@ asymptotic constants, which live beyond desk scale. Their matrices are the
 package's one blocked draw, filled by ``model.BlockFiller`` on every CPU
 (``harness._thread_plan(1).share``) with the bits of
 ``model.gen_gaussian_matrix``, into page-mapped buffers of the probe's own
-(``_mapped``), which go back to the system when the probe returns, where heap
-blocks of this size would stay with the process. Forward products A x come
+(``model._mapped``), which go back to the system when the probe returns, where
+heap blocks of this size would stay with the process. Forward products A x come
 from ``model.linear_measurements``, on the support of x as in the sweeps; the
 embedding and RAIC probes, which take many on one matrix, read the support
 columns from a page-mapped column-major copy (``model._with_columns``), with
@@ -19,28 +19,29 @@ own (``algorithms._sign_gradient``) on the row-major matrix, which sums only
 the disagreeing rows when they are few; the other adjoint products stay dense.
 The width, projection and decomposition probes draw no matrix. They take
 their samples in blocks: block i of a stream seeded by ``seed`` draws from
-``rng.block_generator(seed, i)`` alone, and the blocks are computed on the
-same share of the CPUs (``_per_block``). A block's result depends only on its
-index, and the blocks' results are combined in block order, so what a probe
-returns does not depend on the thread count.
+``rng.block_generator(seed, i)`` alone, and the blocks are run on the same
+share of the CPUs by ``model.BlockRunner``, the runner under ``BlockFiller``.
+A block's result depends only on its index, and the blocks' results are
+combined in block order, so what a probe returns does not depend on the
+thread count.
 """
 
 from __future__ import annotations
 
 import math
-import mmap
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algorithms import _sign_gradient
+from .algorithms import DEFAULT_TAU, _sign_gradient
 from .errors import InvalidArgumentError, SamplingExhaustedError
 from .harness import _thread_plan
 from .model import (
     DRAW_BLOCK_ROWS,
     BlockFiller,
+    BlockRunner,
     MeasurementEnsemble,
+    _mapped,
     _with_columns,
     as_vector,
     gen_gaussian_matrix,  # noqa: F401  the probes draw through BlockFiller; benchmarks/tracing.py wraps this name
@@ -51,7 +52,6 @@ from .model import (
 from .rng import block_generator, generator_for, substream_seed
 from .sparse_ops import geodesic_distance, hamming_distance, hard_threshold, sparse_dual_norm
 
-_SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 # Entries in one array of the width and decomposition probes' samples (128 KiB).
 # With whole 512 x 256 blocks (1 MiB arrays) the helper threads' heaps kept
 # about 4 MiB after the probes returned, which the next matrix probe's peak
@@ -59,46 +59,11 @@ _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 _CHUNK = 2**14
 
 
-def _mapped(m: int, N: int) -> np.ndarray:
-    """m * N zeroed float64 entries on pages of their own, unmapped when their last view goes."""
-    if m < 1 or N < 1:
-        raise InvalidArgumentError(f"matrix dimensions must be positive, got m={m}, N={N}")
-    try:
-        return np.frombuffer(mmap.mmap(-1, m * N * 8))
-    except (OSError, OverflowError) as exc:  # beyond the address space or the system's commit limit
-        raise MemoryError(f"cannot map {m} x {N} float64 entries: {exc}") from exc
-
-
 def _draw(seed: int, m: int, N: int, out: np.ndarray | None = None) -> MeasurementEnsemble:
     """The m x N blocked draw from ``seed`` on every CPU, into ``out`` or a new ``_mapped`` buffer."""
     out = _mapped(m, N) if out is None else out
     with BlockFiller(seed, m, N, _thread_plan(1).share, out=out) as filler:
         return MeasurementEnsemble(filler.rows(m), seed, _finite=True)
-
-
-def _per_block(blocks: int, work) -> list:
-    """``[work(0), ..., work(blocks - 1)]``, computed on ``_thread_plan(1).share`` threads.
-
-    The calling thread and its helpers take the next block in turn until
-    none is left; numpy's draws, sorts and reductions release the GIL.
-    """
-    results = [None] * blocks
-    todo = iter(range(blocks))  # next() on it holds the GIL, so each block is taken once
-
-    def drain():
-        for i in todo:
-            results[i] = work(i)
-
-    helpers = min(_thread_plan(1).share, blocks) - 1
-    if helpers == 0:
-        drain()
-        return results
-    with ThreadPoolExecutor(helpers) as pool:
-        pending = [pool.submit(drain) for _ in range(helpers)]
-        drain()
-        for done in pending:
-            done.result()
-    return results
 
 
 def _chunks(count: int, block: int, n: int) -> list[tuple[int, int]]:
@@ -128,7 +93,7 @@ def check_unbiasedness(y, m: int, trials: int, seed: int) -> float:
     for t in range(trials):
         A = _draw(substream_seed(seed, t), m, y.size, buf)
         acc += A.matrix.T @ sign_quantize(linear_measurements(A, y)).bits
-    estimate = _SQRT_HALF_PI / (trials * m) * acc
+    estimate = DEFAULT_TAU / (trials * m) * acc
     return float(np.max(np.abs(estimate - y)))
 
 
@@ -183,7 +148,7 @@ class RaicProbeConfig:
 
     @property
     def effective_nu(self) -> float:
-        return self.nu if self.nu is not None else _SQRT_HALF_PI / self.m
+        return self.nu if self.nu is not None else DEFAULT_TAU / self.m
 
 
 @dataclass
@@ -345,7 +310,8 @@ def check_decomposition(n: int, triples: int, seed: int) -> float:
             out = max(out, *(float(part.max()) for part in decomposition_check(a, x, y)))
         return out
 
-    return max(_per_block(-(-triples // DRAW_BLOCK_ROWS), worst))
+    with BlockRunner(-(-triples // DRAW_BLOCK_ROWS), worst, _thread_plan(1).share) as runner:
+        return max(runner.results())
 
 
 def gaussian_width_estimate(N: int, s: int, trials: int, seed: int) -> float:
@@ -374,7 +340,8 @@ def gaussian_width_estimate(N: int, s: int, trials: int, seed: int) -> float:
             norms.append(np.sqrt((top * top).sum(axis=1)))
         return norms
 
-    blocks = _per_block(-(-trials // DRAW_BLOCK_ROWS), top_norms)
+    with BlockRunner(-(-trials // DRAW_BLOCK_ROWS), top_norms, _thread_plan(1).share) as runner:
+        blocks = runner.results()
     return float(np.concatenate([part for block in blocks for part in block]).sum()) / trials
 
 
@@ -438,4 +405,5 @@ def projection_inequality_check(samples: int, N: int, s: int, seed: int) -> floa
             dual[j] = sparse_dual_norm(d[j], s)
         return float(np.max(np.linalg.norm(t - z, axis=1) - 2.0 * dual))
 
-    return max(_per_block(-(-samples // per), worst))
+    with BlockRunner(-(-samples // per), worst, _thread_plan(1).share) as runner:
+        return max(runner.results())

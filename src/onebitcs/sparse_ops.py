@@ -12,13 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateIterateError, InvalidArgumentError
-from .model import BinaryObservation, as_vector
-
-
-def _bits(b) -> np.ndarray:
-    if isinstance(b, BinaryObservation):
-        return b.bits
-    return np.asarray(b, dtype=np.float64)
+from .model import as_vector
 
 
 def hard_threshold(v, s: int) -> np.ndarray:
@@ -86,8 +80,8 @@ def geodesic_distance(x, y) -> float:
 
 def hamming_distance(b1, b2) -> float:
     """Fraction of disagreeing positions, (1/2m)||b1 - b2||_1 for sign vectors."""
-    a = _bits(b1)
-    b = _bits(b2)
+    a = as_vector(b1)
+    b = as_vector(b2)
     if a.shape != b.shape:
         raise InvalidArgumentError("observations must share one length")
     return float(np.abs(a - b).sum() / (2.0 * a.size))

@@ -215,6 +215,26 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("onebitcs: runtime failure: BrokenProcessPool: ")
         assert multiprocessing.active_children() == []
 
+    def test_unmappable_solver_buffer_exits_two(self, tmp_path, capsys, monkeypatch):
+        # a one-process sweep at a share of 2 maps a buffer for its solver processes
+        import errno
+        import mmap
+        import os
+
+        def enomem(*args, **kwargs):
+            raise OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(mmap, "mmap", enomem)
+        code = parse_and_dispatch(
+            ["sweep", "--n", "16", "--s", "2", "--m-grid", "32,64", "--trials", "2",
+             "--seed", "1", "--workers", "1", "--out-dir", str(tmp_path / "out")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"onebitcs: runtime failure: cannot map 64 x 16 float64 entries: "
+                       f"[Errno {errno.ENOMEM}] {os.strerror(errno.ENOMEM)}"]
+
     def test_unallocatable_size_is_validation_error(self, capsys):
         # 10^12 x 512 float64 exceeds any physical memory, so it is refused before the draw
         assert parse_and_dispatch(["recover", "--m", "1000000000000", "--seed", "1"]) == 1

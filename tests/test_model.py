@@ -1,9 +1,11 @@
 """Measurement model: generators, quantizer, determinism, scale invariance."""
 
+import gc
 import os
 import sys
 import threading
 import time
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -278,6 +280,41 @@ class TestBlockFiller:
         with pytest.raises(InvalidArgumentError, match="closed"):
             filler.rows(5)
 
+    def test_closed_filler_freed_by_reference_counting(self, monkeypatch):
+        # its work holds the matrix, not the filler, so no cycle waits for the collector
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        gc.disable()
+        try:
+            with model.BlockFiller(1, 2100, 3, threads=4) as filler:
+                filler.rows(2100)
+            dead = weakref.ref(filler)
+            del filler
+            assert dead() is None
+        finally:
+            gc.enable()
+
+
+class TestBlockRunner:
+    @pytest.mark.parametrize("threads", [1, 2, 4])  # 0, 1 and 3 helpers
+    def test_blocks_in_order_and_a_raising_block_joins_the_helpers(self, threads, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)  # let 3 helpers run on any host
+        start = threading.active_count()
+        with model.BlockRunner(7, lambda i: i * i, threads) as runner:
+            assert runner.results(3) == [0, 1, 4]
+            assert runner.results() == [i * i for i in range(7)]
+        with pytest.raises(InvalidArgumentError, match="closed"):
+            runner.results()
+
+        def failing(i):
+            if i == 3:
+                raise ValueError("block 3")
+            return i
+
+        with pytest.raises(ValueError, match="block 3"):
+            with model.BlockRunner(7, failing, threads) as runner:
+                runner.results()
+        assert threading.active_count() == start
+
 
 class TestSparseSignal:
     def test_flat_first_s_is_half_vector(self):
@@ -481,7 +518,7 @@ class TestDomainTypes:
 
     def test_unit_vector_norm_enforced(self):
         with pytest.raises(InvalidArgumentError):
-            UnitSparseVector(SparseVector(values=np.array([1.0, 1.0, 0.0]), sparsity_budget=2))
+            UnitSparseVector(values=np.array([1.0, 1.0, 0.0]), sparsity_budget=2)
 
     def test_binary_observation_rejects_other_values(self):
         with pytest.raises(InvalidArgumentError):
@@ -495,31 +532,36 @@ class TestDomainTypes:
             with pytest.raises(InvalidArgumentError):
                 MeasurementEnsemble(matrix=bad, seed=0)
 
-    # each type's constructor, returning the array it holds, and the shape it takes
+    # each type's constructor, returning the array it holds, the shape it takes and values it accepts
+    _SIGNS = (1.0, -1.0, -1.0, 1.0)
     _WRAPPERS = [
-        (lambda a: MeasurementEnsemble(matrix=a, seed=0).matrix, (2, 2)),
-        (lambda a: SparseVector(values=a, sparsity_budget=4).values, (4,)),
-        (lambda a: BinaryObservation(bits=a).bits, (4,)),
+        (lambda a: MeasurementEnsemble(matrix=a, seed=0).matrix, (2, 2), _SIGNS),
+        (lambda a: SparseVector(values=a, sparsity_budget=4).values, (4,), _SIGNS),
+        (lambda a: BinaryObservation(bits=a).bits, (4,), _SIGNS),
+        # a unit vector is a SparseVector, so as_vector unwraps it as one
+        (lambda a: model.as_vector(UnitSparseVector(values=a, sparsity_budget=1)), (4,), (1.0, 0.0, 0.0, 0.0)),
+        (lambda a: model.as_vector(BinaryObservation(bits=a)), (4,), _SIGNS),
     ]
-    _IDS = ["MeasurementEnsemble", "SparseVector", "BinaryObservation"]
+    _IDS = ["MeasurementEnsemble", "SparseVector", "BinaryObservation", "as_vector(UnitSparseVector)",
+            "as_vector(BinaryObservation)"]
 
-    @pytest.mark.parametrize("wrap, shape", _WRAPPERS, ids=_IDS)
-    def test_c_contiguous_float64_input_is_frozen_in_place(self, wrap, shape):
-        caller = np.array([1.0, -1.0, -1.0, 1.0]).reshape(shape).copy()
+    @pytest.mark.parametrize("wrap, shape, values", _WRAPPERS, ids=_IDS)
+    def test_c_contiguous_float64_input_is_frozen_in_place(self, wrap, shape, values):
+        caller = np.array(values).reshape(shape).copy()
         held = wrap(caller)
         assert held is caller
         assert not caller.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             caller.flat[0] = 1.0
 
-    @pytest.mark.parametrize("wrap, shape", _WRAPPERS, ids=_IDS)
+    @pytest.mark.parametrize("wrap, shape, values", _WRAPPERS, ids=_IDS)
     @pytest.mark.parametrize("make", [
-        lambda: np.array([1.0, -1.0, -1.0, 1.0], dtype=np.float32),
-        lambda: np.array([1, -1, -1, 1]),
-        lambda: np.array([1.0, 0.0, -1.0, 0.0, -1.0, 0.0, 1.0, 0.0])[::2],  # strided view
+        lambda v: np.array(v, dtype=np.float32),
+        lambda v: np.array(v, dtype=np.int64),
+        lambda v: np.array([[e, 0.0] for e in v]).ravel()[::2],  # strided view
     ], ids=["float32", "int", "strided"])
-    def test_other_input_is_copied_and_left_writable(self, wrap, shape, make):
-        caller = make().reshape(shape)
+    def test_other_input_is_copied_and_left_writable(self, wrap, shape, values, make):
+        caller = make(values).reshape(shape)
         held = wrap(caller)
         assert not np.shares_memory(held, caller)
         assert not held.flags.writeable

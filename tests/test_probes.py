@@ -1,8 +1,11 @@
 """Empirical probes: unbiasedness, embedding, invertibility fit, widths."""
 
+import gc
 import math
+import mmap
 import os
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -144,13 +147,14 @@ class TestProbeDraw:
                 super().__init__(*args, **kwargs)
                 fillers.append((args[3], self))
 
-        class RecordingPool(probes.ThreadPoolExecutor):
-            def __init__(self, threads):
-                super().__init__(threads)
-                pools.append(threads)
+        class RecordingRunner(probes.BlockRunner):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                if self._helpers is not None:
+                    pools.append(self._helpers._max_workers)
 
         monkeypatch.setattr(probes, "BlockFiller", Recording)
-        monkeypatch.setattr(probes, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(probes, "BlockRunner", RecordingRunner)
         start = threading.active_count()
         printed = []
         for cpus in (1, 2, 4):
@@ -172,20 +176,29 @@ class TestProbeDraw:
         assert printed[0] == printed[1] == printed[2]
         assert printed[0].count("\n") == 7
 
-    @pytest.mark.parametrize("cpus", [1, 2, 4])
-    def test_blocks_in_order_and_a_raising_block_joins_the_helpers(self, cpus, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        start = threading.active_count()
-        assert probes._per_block(7, lambda i: i * i) == [i * i for i in range(7)]
+    @pytest.mark.parametrize("probe", [
+        lambda: check_unbiasedness(gen_sparse_signal(1, 48, 3).values, m=1100, trials=10, seed=2),
+        lambda: check_embedding(N=48, s=3, m=1100, pairs=4, seed=2),
+        lambda: raic_probe(RaicProbeConfig(N=48, s=3, m=1100, samples=4, seed=2)),
+    ], ids=["unbiased", "embedding", "raic"])
+    def test_buffers_freed_by_reference_counting(self, probe, monkeypatch):
+        # each page-mapped buffer is unmapped as the probe returns, not when the collector runs
+        mappings = []
 
-        def failing(i):
-            if i == 3:
-                raise ValueError("block 3")
-            return i
+        class Recording(mmap.mmap):
+            def __new__(cls, *args, **kwargs):
+                mapping = super().__new__(cls, *args, **kwargs)
+                mappings.append(weakref.ref(mapping))
+                return mapping
 
-        with pytest.raises(ValueError, match="block 3"):
-            probes._per_block(7, failing)
-        assert threading.active_count() == start
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(mmap, "mmap", Recording)
+        gc.disable()
+        try:
+            probe()
+            assert mappings and all(mapping() is None for mapping in mappings)
+        finally:
+            gc.enable()
 
     def test_unbiasedness_and_embedding_are_those_of_the_library_draw(self):
         # the probes' draw, buffers and column-major copy leave every bit as
