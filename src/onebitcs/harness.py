@@ -59,6 +59,7 @@ from .model import (
     BlockFiller,
     MeasurementEnsemble,
     _mapped,
+    _require_physical_memory,
     gen_gaussian_matrix,  # noqa: F401  sweeps stream the same draw through BlockFiller; benchmarks/tracing.py wraps this name
     gen_sparse_signal,
     linear_measurements,
@@ -274,16 +275,8 @@ def _thread_plan(pool_size: int, runs: int = 1) -> ThreadPlan:
 
 def require_memory(cfg: SweepConfig, processes: int) -> None:
     """Reject a run whose ``processes`` matrices of ``max(m_grid)`` rows exceed physical memory."""
-    need = processes * cfg.m_grid[-1] * cfg.n * 8
-    try:
-        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name here
-        return
-    if need > have:
-        raise InvalidArgumentError(
-            f"{processes} process(es) x {cfg.m_grid[-1]} x {cfg.n} float64 matrix entries "
-            f"need {need / 2**30:.3g} GiB, more than the {have / 2**30:.3g} GiB of physical memory"
-        )
+    _require_physical_memory(processes * cfg.m_grid[-1] * cfg.n * 8,
+                             f"{processes} process(es) x {cfg.m_grid[-1]} x {cfg.n} float64 matrix entries")
 
 
 def draw_instances(
@@ -292,18 +285,16 @@ def draw_instances(
     """Yield (m, instance) for each m of ``ms`` (increasing) from one seed table.
 
     The matrix is drawn once with ``ms[-1]`` rows, in 512-row blocks on
-    ``threads`` threads, the calling one included (``_thread_plan(1).share``
-    when None): the helpers fill ahead while
-    the caller works on an instance, and the rows of the next m are
-    completed before it is yielded. The instance at m uses a view of the
-    first m rows, which is bitwise the m-row draw from the same seed, and
-    draws its noise at m entries. An instance is
+    ``threads`` threads, the calling one included (every CPU when None): the
+    helpers fill ahead while the caller works on an instance, and the rows
+    of the next m are completed before it is yielded. The instance at m uses
+    a view of the first m rows, which is bitwise the m-row draw from the
+    same seed, and draws its noise at m entries. An instance is
     (signal, ensemble, A x + eps, sign(A x + eps)), with A x taken by support
     gather; every algorithm in the cell runs on it. Closing the generator
     joins the helpers. Given ``out``, the matrix is drawn into it.
     """
     x = gen_sparse_signal(seeds["signal"], cfg.n, cfg.s, cfg.support_rule, cfg.value_rule)
-    threads = _thread_plan(1).share if threads is None else threads
     with BlockFiller(seeds["matrix"], ms[-1], cfg.n, threads, out=out) as filler:
         for m in ms:
             A = MeasurementEnsemble(filler.rows(m), seeds["matrix"], _finite=True)  # C-contiguous view, no copy

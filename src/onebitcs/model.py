@@ -7,21 +7,22 @@ All generated arrays are frozen (read-only) after construction; every
 constructor is a pure function of its seed and parameters. The Gaussian
 ensemble has one draw: independently seeded 512-row blocks, which
 ``BlockFiller`` fills in index order on helper threads and the calling
-thread, handing out row prefixes as soon as their blocks are filled, and
-which ``gen_gaussian_matrix`` fills on the calling thread alone; the first m
-rows of a taller draw are bitwise the m-row draw. The filler is a
-``BlockRunner``, on which the probes also run their sample blocks. A x has one form: the
-product of the columns of A on the support of x with the nonzeros of x
+thread, handing out row prefixes as soon as their blocks are filled; the
+first m rows of a taller draw are bitwise the m-row draw, which
+``gen_gaussian_matrix`` returns. The filler is a ``BlockRunner``, on which
+the probes also run their sample blocks; a runner works on every CPU unless
+a sweep gives it its process's share. A x has one form: the product of the
+columns of A on the support of x with the nonzeros of x
 (``linear_measurements``), which every measurement and probe takes. An
 ensemble that takes many such products (a probe's) may carry a read-only
 column-major copy of its matrix (``_with_columns``), from which the support
 columns are read contiguously; the gathered block has the values and the
 layout of the one gathered from the row-major matrix, so the product is
 bitwise the same. Sweeps, solvers and ``recover`` never build the copy. The
-probes' draws and copies, and the buffer a sweep shares with its solver
-processes, are page-mapped (``_mapped``) and go back to the system when
-their last view goes; the filler's default buffer stays a heap array, as
-page-mapping it made every trial of a pool worker fault in fresh pages.
+copies, ``gen_gaussian_matrix``'s draws and the buffer a sweep shares with
+its solver processes are page-mapped (``_mapped``) and go back to the system
+when their last view goes; the filler's default buffer stays a heap array,
+as page-mapping it made every trial of a pool worker fault in fresh pages.
 """
 
 from __future__ import annotations
@@ -55,6 +56,20 @@ def as_vector(x) -> np.ndarray:
     if isinstance(x, BinaryObservation):
         return x.bits
     return np.asarray(x, dtype=np.float64)
+
+
+def _require_physical_memory(nbytes: int, what: str) -> None:
+    """Reject ``what`` if its ``nbytes`` exceed physical memory, where that is known.
+
+    A larger mapping may succeed under overcommit, and its fill then end in the OOM killer.
+    """
+    try:
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name here
+        return
+    if nbytes > have:
+        raise InvalidArgumentError(f"{what} need {nbytes / 2**30:.3g} GiB, more than the "
+                                   f"{have / 2**30:.3g} GiB of physical memory")
 
 
 def _mapped(m: int, N: int) -> np.ndarray:
@@ -168,22 +183,22 @@ class BinaryObservation:
 class BlockRunner:
     """``work(0), ..., work(blocks - 1)``, queued in index order on ``threads - 1`` helper threads.
 
-    Never more helpers than the blocks or the CPUs allow. ``results(k)`` runs,
-    on the calling thread, every block below k that no helper has started,
-    waits for the rest and returns the first k results, re-raising the first
-    exception among them. ``close`` (or leaving a ``with`` block) drops the
+    ``threads`` None means every CPU; never more helpers than the blocks or
+    the CPUs allow. ``results(k)`` runs, on the calling thread, every block
+    below k that no helper has started, waits for the rest and returns the
+    first k results, re-raising the first exception among them. ``close`` (or leaving a ``with`` block) drops the
     queued blocks and joins the helpers. A ``work`` that held the runner would
     keep what it holds alive until the cyclic collector runs.
     """
 
-    def __init__(self, blocks: int, work, threads: int = 1):
-        if threads < 1:
+    def __init__(self, blocks: int, work, threads: int | None = None):
+        if threads is not None and threads < 1:
             raise InvalidArgumentError(f"threads must be >= 1, got {threads}")
         self._work = work
         self._results = [None] * blocks
         self._ready = 0  # leading blocks known to be done
         self._closed = False
-        helpers = min(threads, blocks, os.cpu_count() or 1) - 1
+        helpers = min(threads or blocks, blocks, os.cpu_count() or 1) - 1  # threads None: as the CPUs allow
         self._helpers = ThreadPoolExecutor(helpers) if helpers > 0 else None
         self._queued = [self._helpers.submit(work, i) for i in range(blocks)] if self._helpers else []
 
@@ -228,7 +243,7 @@ class BlockFiller(BlockRunner):
     once; given ``out`` (writable, C-contiguous, float64), it is its first m * N entries.
     """
 
-    def __init__(self, seed: int, m: int, N: int, threads: int = 1, out: np.ndarray | None = None):
+    def __init__(self, seed: int, m: int, N: int, threads: int | None = None, out: np.ndarray | None = None):
         if m < 1 or N < 1:
             raise InvalidArgumentError(f"matrix dimensions must be positive, got m={m}, N={N}")
         # allocated before any block seed is derived, so an unallocatable size fails at once
@@ -248,15 +263,15 @@ class BlockFiller(BlockRunner):
         return self._matrix[:k]
 
 
-def _with_columns(A: MeasurementEnsemble, out: np.ndarray) -> MeasurementEnsemble:
-    """``A`` with a read-only column-major copy of its matrix in ``out``, for repeated ``A x``.
+def _with_columns(A: MeasurementEnsemble) -> MeasurementEnsemble:
+    """``A`` with a read-only column-major copy of its matrix in a new ``_mapped`` buffer, for repeated ``A x``.
 
-    ``out`` is a writable float64 array of ``A.m * A.N`` entries. The copy is
-    made in 512-row blocks, faster than one whole-matrix assignment (about 21
-    against 36 ms at 8192 x 256). ``linear_measurements`` then gathers the support columns from it:
-    contiguous reads instead of strided ones, and the same product bits.
+    The copy is made in 512-row blocks, faster than one whole-matrix
+    assignment (about 21 against 36 ms at 8192 x 256). ``linear_measurements``
+    then gathers the support columns from it: contiguous reads instead of
+    strided ones, and the same product bits.
     """
-    columns = out.reshape(A.N, A.m).T
+    columns = _mapped(A.N, A.m).T
     for start in range(0, A.m, DRAW_BLOCK_ROWS):
         columns[start:start + DRAW_BLOCK_ROWS] = A.matrix[start:start + DRAW_BLOCK_ROWS]
     columns.flags.writeable = False
@@ -265,14 +280,14 @@ def _with_columns(A: MeasurementEnsemble, out: np.ndarray) -> MeasurementEnsembl
     return copied
 
 
-def gen_gaussian_matrix(seed: int, m: int, N: int) -> MeasurementEnsemble:
-    """The m x N blocked draw from ``seed``, filled on the calling thread.
+def gen_gaussian_matrix(seed: int, m: int, N: int, out: np.ndarray | None = None) -> MeasurementEnsemble:
+    """The m x N blocked draw from ``seed``, filled on every CPU into ``out`` or a new ``_mapped`` buffer.
 
     Bitwise the matrix ``BlockFiller(seed, m, N)`` fills at any thread count,
     so it equals a sweep trial's matrix at m when ``seed`` is the trial's
-    matrix seed.
+    matrix seed. ``out`` is as ``BlockFiller``'s.
     """
-    with BlockFiller(seed, m, N) as filler:
+    with BlockFiller(seed, m, N, out=_mapped(m, N) if out is None else out) as filler:
         return MeasurementEnsemble(matrix=filler.rows(m), seed=int(seed), _finite=True)
 
 

@@ -6,23 +6,23 @@ restricted approximate invertibility slope on an annulus, orthogonal
 decomposition residuals, Gaussian widths of sparse balls, the metric
 projection inequality) and reports the observed deviation or fit, never the
 asymptotic constants, which live beyond desk scale. Their matrices are the
-package's one blocked draw, filled by ``model.BlockFiller`` on every CPU
-(``harness._thread_plan(1).share``) with the bits of
-``model.gen_gaussian_matrix``, into page-mapped buffers of the probe's own
-(``model._mapped``), which go back to the system when the probe returns, where
-heap blocks of this size would stay with the process. Forward products A x come
-from ``model.linear_measurements``, on the support of x as in the sweeps; the
-embedding and RAIC probes, which take many on one matrix, read the support
-columns from a page-mapped column-major copy (``model._with_columns``), with
-the same bits. The RAIC probe's adjoint of a sign residual is the solvers'
-own (``algorithms._sign_gradient``) on the row-major matrix, which sums only
-the disagreeing rows when they are few; the other adjoint products stay dense.
-The width, projection and decomposition probes draw no matrix. They take
-their samples in blocks: block i of a stream seeded by ``seed`` draws from
-``rng.block_generator(seed, i)`` alone, and the blocks are run on the same
-share of the CPUs by ``model.BlockRunner``, the runner under ``BlockFiller``.
-A block's result depends only on its index, and the blocks' results are
-combined in block order, so what a probe returns does not depend on the
+package's one whole-matrix draw, ``model.gen_gaussian_matrix``, into
+page-mapped buffers that go back to the system when the probe returns, where
+heap blocks of this size would stay with the process; each matrix probe
+first checks that its buffers fit in physical memory. Forward products A x
+come from ``model.linear_measurements``, on the support of x as in the
+sweeps; the embedding and RAIC probes, which take many on one matrix, read
+the support columns from a page-mapped column-major copy
+(``model._with_columns``), with the same bits. The RAIC probe's adjoint of a
+sign residual is the solvers' own (``algorithms._sign_gradient``) on the
+row-major matrix, which sums only the disagreeing rows when they are few;
+the other adjoint products stay dense. The width, projection and
+decomposition probes draw no matrix. They take their samples in blocks:
+block i of a stream seeded by ``seed`` draws from
+``rng.block_generator(seed, i)`` alone, and the blocks are run by
+``model.BlockRunner``, the runner under the matrix draw. Both work on every
+CPU. A block's result depends only on its index, and the blocks' results
+are combined in block order, so what a probe returns does not depend on the
 thread count.
 """
 
@@ -35,16 +35,14 @@ import numpy as np
 
 from .algorithms import DEFAULT_TAU, _sign_gradient
 from .errors import InvalidArgumentError, SamplingExhaustedError
-from .harness import _thread_plan
 from .model import (
     DRAW_BLOCK_ROWS,
-    BlockFiller,
     BlockRunner,
-    MeasurementEnsemble,
     _mapped,
+    _require_physical_memory,
     _with_columns,
     as_vector,
-    gen_gaussian_matrix,  # noqa: F401  the probes draw through BlockFiller; benchmarks/tracing.py wraps this name
+    gen_gaussian_matrix,
     gen_sparse_signal,
     linear_measurements,
     sign_quantize,
@@ -57,13 +55,6 @@ from .sparse_ops import geodesic_distance, hamming_distance, hard_threshold, spa
 # about 4 MiB after the probes returned, which the next matrix probe's peak
 # memory then included.
 _CHUNK = 2**14
-
-
-def _draw(seed: int, m: int, N: int, out: np.ndarray | None = None) -> MeasurementEnsemble:
-    """The m x N blocked draw from ``seed`` on every CPU, into ``out`` or a new ``_mapped`` buffer."""
-    out = _mapped(m, N) if out is None else out
-    with BlockFiller(seed, m, N, _thread_plan(1).share, out=out) as filler:
-        return MeasurementEnsemble(filler.rows(m), seed, _finite=True)
 
 
 def _chunks(count: int, block: int, n: int) -> list[tuple[int, int]]:
@@ -88,10 +79,11 @@ def check_unbiasedness(y, m: int, trials: int, seed: int) -> float:
         raise InvalidArgumentError("y must be unit norm within 1e-9")
     if trials < 1 or m < 1 or trials * m < 10_000:
         raise InvalidArgumentError("need trials*m >= 10^4 measurements")
+    _require_physical_memory(m * y.size * 8, f"{m} x {y.size} float64 matrix entries")
     acc = np.zeros(y.size)
     buf = _mapped(m, y.size)  # every trial is drawn into it
     for t in range(trials):
-        A = _draw(substream_seed(seed, t), m, y.size, buf)
+        A = gen_gaussian_matrix(substream_seed(seed, t), m, y.size, buf)
         acc += A.matrix.T @ sign_quantize(linear_measurements(A, y)).bits
     estimate = DEFAULT_TAU / (trials * m) * acc
     return float(np.max(np.abs(estimate - y)))
@@ -108,7 +100,8 @@ def check_embedding(N: int, s: int, m: int, pairs: int, seed: int) -> float:
     """Max embedding gap over random s-sparse unit pairs on one ensemble."""
     if pairs < 1:
         raise InvalidArgumentError("pairs must be >= 1")
-    A = _with_columns(_draw(substream_seed(seed, 0), m, N), _mapped(m, N))
+    _require_physical_memory(2 * m * N * 8, f"2 x {m} x {N} float64 matrix entries")  # the matrix and its copy
+    A = _with_columns(gen_gaussian_matrix(substream_seed(seed, 0), m, N))
     worst = 0.0
     for k in range(pairs):
         x = gen_sparse_signal(substream_seed(seed, 1, 2 * k), N, s)
@@ -213,8 +206,9 @@ def raic_probe(cfg: RaicProbeConfig) -> RaicProbeResult:
     the intercept clamped to be nonnegative, and max_residual is the largest
     excess of any sample above the fitted line.
     """
+    _require_physical_memory(2 * cfg.m * cfg.N * 8, f"2 x {cfg.m} x {cfg.N} float64 matrix entries")
     x = gen_sparse_signal(substream_seed(cfg.seed, 0), cfg.N, cfg.s).values
-    A = _with_columns(_draw(substream_seed(cfg.seed, 1), cfg.m, cfg.N), _mapped(cfg.m, cfg.N))
+    A = _with_columns(gen_gaussian_matrix(substream_seed(cfg.seed, 1), cfg.m, cfg.N))
     sign_x = sign_quantize(linear_measurements(A, x)).bits
     nu = cfg.effective_nu
 
@@ -296,8 +290,8 @@ def check_decomposition(n: int, triples: int, seed: int) -> float:
     """
     if triples < 1:
         raise InvalidArgumentError(f"trials must be >= 1, got {triples}")
-    if n < 1:
-        raise InvalidArgumentError(f"n must be >= 1, got {n}")
+    if n < 2:
+        raise InvalidArgumentError(f"n must be >= 2, got {n}: in R^1 every unit x equals +/-y")
     seeds = [substream_seed(seed, j) for j in range(3)]
 
     def worst(block: int) -> float:
@@ -310,7 +304,7 @@ def check_decomposition(n: int, triples: int, seed: int) -> float:
             out = max(out, *(float(part.max()) for part in decomposition_check(a, x, y)))
         return out
 
-    with BlockRunner(-(-triples // DRAW_BLOCK_ROWS), worst, _thread_plan(1).share) as runner:
+    with BlockRunner(-(-triples // DRAW_BLOCK_ROWS), worst) as runner:
         return max(runner.results())
 
 
@@ -340,7 +334,7 @@ def gaussian_width_estimate(N: int, s: int, trials: int, seed: int) -> float:
             norms.append(np.sqrt((top * top).sum(axis=1)))
         return norms
 
-    with BlockRunner(-(-trials // DRAW_BLOCK_ROWS), top_norms, _thread_plan(1).share) as runner:
+    with BlockRunner(-(-trials // DRAW_BLOCK_ROWS), top_norms) as runner:
         blocks = runner.results()
     return float(np.concatenate([part for block in blocks for part in block]).sum()) / trials
 
@@ -405,5 +399,5 @@ def projection_inequality_check(samples: int, N: int, s: int, seed: int) -> floa
             dual[j] = sparse_dual_norm(d[j], s)
         return float(np.max(np.linalg.norm(t - z, axis=1) - 2.0 * dual))
 
-    with BlockRunner(-(-samples // per), worst, _thread_plan(1).share) as runner:
+    with BlockRunner(-(-samples // per), worst) as runner:
         return max(runner.results())

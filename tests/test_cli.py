@@ -8,6 +8,8 @@ import pytest
 
 import onebitcs.cli as cli
 import onebitcs.harness as harness
+import onebitcs.model as model
+import onebitcs.probes as probes
 from onebitcs.cli import build_parser, parse_and_dispatch
 from onebitcs.harness import ALGORITHMS, SweepConfig, run_sweep
 
@@ -504,9 +506,15 @@ class TestProbeAndTheory:
         ("width", ["--trials", "99"]),
         ("projection", ["--trials", "-5"]),
         ("decomposition", ["--trials", "0"]),
+        ("decomposition", ["--n", "1", "--trials", "5"]),  # in R^1 every unit x is +/-y
     ])
-    def test_probe_rejected_trial_count_is_validation_error(self, name, argv, capsys):
+    def test_probe_rejected_trial_count_is_validation_error(self, name, argv, monkeypatch, capsys):
         # each probe runs the count asked or none at all; none rounds it up
+        def drawn(*args):
+            raise AssertionError("a block was drawn before the arguments were validated")
+
+        monkeypatch.setattr(model, "block_generator", drawn)
+        monkeypatch.setattr(probes, "block_generator", drawn)
         assert parse_and_dispatch(["probe", name, "--n", "16", "--s", "2", *argv, "--seed", "1"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -629,7 +629,7 @@ class TestNoColumnCopy:
         copies = []
         real_measure = harness.linear_measurements
 
-        def copying(A, out):
+        def copying(A):
             raise _CopyBuilt(A.matrix.shape)
 
         def measuring(A, *args):

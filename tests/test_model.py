@@ -109,13 +109,16 @@ class TestBlockedGaussianMatrix:
     @example(seed=5, n=4, m=2100)  # five blocks over four threads
     @settings(max_examples=25, deadline=None)
     def test_thread_count_does_not_change_the_draw(self, seed, n, m):
-        # gen_gaussian_matrix on the calling thread, and BlockFiller with 0, 1
-        # and 3 helpers, all fill the reference draw
+        # BlockFiller with 0, 1 and 3 helpers, and gen_gaussian_matrix on every
+        # CPU, into its own buffer or a caller's, all fill the reference draw
         reference = blocked_gaussian_draw(seed, m, n).tobytes()
-        assert gen_gaussian_matrix(seed, m, n).matrix.tobytes() == reference
         with mock.patch.object(os, "cpu_count", return_value=4):  # let 3 helpers run on any host
             for threads in (1, 2, 4):
                 assert _blocked(seed, m, n, threads).tobytes() == reference
+            assert gen_gaussian_matrix(seed, m, n).matrix.tobytes() == reference
+            buf = np.full((m + 1, n), np.nan)  # taller than the draw, which takes its first rows
+            A = gen_gaussian_matrix(seed, m, n, out=buf)
+            assert np.shares_memory(A.matrix, buf) and A.matrix.tobytes() == reference
 
     def test_blocks_follow_the_spawn_rule(self):
         seed, n = 2**64 - 5, 3
@@ -137,9 +140,10 @@ class TestBlockedGaussianMatrix:
 
         monkeypatch.setattr(model, "ThreadPoolExecutor", recording)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        for m in (5000, 1000, 500):  # 10 blocks on 3 CPUs, 2 blocks, 1 block
-            _blocked(1, m, 2, threads=10**6)
-        assert sizes == [2, 1]  # helpers besides the calling thread; none for one block
+        for threads in (10**6, None):  # None: every CPU
+            for m in (5000, 1000, 500):  # 10 blocks on 3 CPUs, 2 blocks, 1 block
+                _blocked(1, m, 2, threads)
+        assert sizes == [2, 1] * 2  # helpers besides the calling thread; none for one block
 
     def test_unallocatable_size_derives_no_block_seed(self, monkeypatch):
         def derived(*args):
@@ -478,7 +482,7 @@ class TestColumnCopy:
     @example(seed=4, m=1025, n=24, data=None, noisy=True)
     def test_product_from_the_copy_is_bitwise_the_row_major_one(self, seed, m, n, data, noisy):
         A = gen_gaussian_matrix(seed, m, n)
-        copied = model._with_columns(A, np.empty(m * n))
+        copied = model._with_columns(A)
         s = n if data is None else data.draw(st.integers(1, n), label="support size")
         x = gen_sparse_signal(seed % 1000, n, s).values
         nz = np.flatnonzero(x)

@@ -28,6 +28,7 @@ from onebitcs import (
     sign_quantize,
     sparse_dual_norm,
 )
+import onebitcs.model as model
 import onebitcs.probes as probes
 from onebitcs.cli import parse_and_dispatch
 from onebitcs.probes import embedding_gap
@@ -132,7 +133,7 @@ class TestRaicProbe:
 
 
 class TestProbeDraw:
-    """The matrix probes draw on every CPU into buffers of their own, with the library draw's bits."""
+    """The matrix probes take the library draw, on every CPU into buffers of their own."""
 
     # m, and the width, projection and decomposition samples, span 3 blocks of 512 rows
     PROBES = [["unbiased", "--m", "1100", "--trials", "10"], ["embedding", "--m", "1100", "--trials", "12"],
@@ -142,10 +143,10 @@ class TestProbeDraw:
     def test_outputs_do_not_depend_on_the_cpu_count(self, monkeypatch, capsys):
         fillers, pools = [], []
 
-        class Recording(probes.BlockFiller):
+        class Recording(model.BlockFiller):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
-                fillers.append((args[3], self))
+                fillers.append(self)
 
         class RecordingRunner(probes.BlockRunner):
             def __init__(self, *args, **kwargs):
@@ -153,7 +154,7 @@ class TestProbeDraw:
                 if self._helpers is not None:
                     pools.append(self._helpers._max_workers)
 
-        monkeypatch.setattr(probes, "BlockFiller", Recording)
+        monkeypatch.setattr(model, "BlockFiller", Recording)
         monkeypatch.setattr(probes, "BlockRunner", RecordingRunner)
         start = threading.active_count()
         printed = []
@@ -163,11 +164,12 @@ class TestProbeDraw:
                 assert parse_and_dispatch(["probe", *argv, "--n", "48", "--s", "3", "--seed", "5"]) == 0
             printed.append(capsys.readouterr().out)
             assert threading.active_count() == start
-            # 10 trials into one buffer, then one matrix each for embedding and raic, on every CPU
-            assert [threads for threads, _ in fillers] == [cpus] * 12
-            assert all(filler._closed for _, filler in fillers)  # every draw helper joined
-            assert (fillers[0][1]._helpers is None) == (cpus == 1)
-            assert len({filler._matrix.ctypes.data for _, filler in fillers[:10]}) == 1  # one buffer
+            # 10 trials into one buffer, then one matrix each for embedding and raic, their
+            # 3 blocks on the calling thread and one helper per further CPU
+            helpers = [0 if filler._helpers is None else filler._helpers._max_workers for filler in fillers]
+            assert helpers == [min(cpus, 3) - 1] * 12
+            assert all(filler._closed for filler in fillers)  # every draw helper joined
+            assert len({filler._matrix.ctypes.data for filler in fillers[:10]}) == 1  # one buffer
             # width, projection and decomposition: their 3 blocks on the calling thread
             # and one helper per further CPU, at most one per block
             assert pools == ([] if cpus == 1 else [min(cpus, 3) - 1] * 3)
@@ -180,7 +182,8 @@ class TestProbeDraw:
         lambda: check_unbiasedness(gen_sparse_signal(1, 48, 3).values, m=1100, trials=10, seed=2),
         lambda: check_embedding(N=48, s=3, m=1100, pairs=4, seed=2),
         lambda: raic_probe(RaicProbeConfig(N=48, s=3, m=1100, samples=4, seed=2)),
-    ], ids=["unbiased", "embedding", "raic"])
+        lambda: gen_gaussian_matrix(2, 1100, 48),
+    ], ids=["unbiased", "embedding", "raic", "library"])
     def test_buffers_freed_by_reference_counting(self, probe, monkeypatch):
         # each page-mapped buffer is unmapped as the probe returns, not when the collector runs
         mappings = []
@@ -219,8 +222,45 @@ class TestProbeDraw:
         ]
         assert check_embedding(N=48, s=3, m=1100, pairs=12, seed=24) == max(gaps)
 
+    def test_matrix_probes_take_the_library_draw(self, monkeypatch, capsys):
+        # through the name benchmarks/tracing.py wraps, so a traced pass counts the probes' draws
+        drawn = []
+        real = probes.gen_gaussian_matrix
+
+        def counting(seed, m, N, out=None):
+            drawn.append((m, N, out is None))
+            return real(seed, m, N, out)
+
+        monkeypatch.setattr(probes, "gen_gaussian_matrix", counting)
+        for argv in self.PROBES:
+            assert parse_and_dispatch(["probe", *argv, "--n", "48", "--s", "3", "--seed", "5"]) == 0
+        # 10 unbiasedness trials into the probe's one buffer, then a matrix each for embedding and raic
+        assert drawn == [(1100, 48, False)] * 10 + [(1100, 48, True)] * 2
+
+    @pytest.mark.parametrize("argv, need", [
+        (["unbiased", "--m", "1100", "--trials", "10"], "1100 x 48 float64 matrix entries need 0.000393"),
+        # the matrix and its column-major copy
+        (["embedding", "--m", "1100"], "2 x 1100 x 48 float64 matrix entries need 0.000787"),
+        (["raic", "--m", "1100"], "2 x 1100 x 48 float64 matrix entries need 0.000787"),
+    ], ids=["unbiased", "embedding", "raic"])
+    def test_matrices_beyond_physical_memory_rejected(self, argv, need, monkeypatch, capsys):
+        # 1100 x 48 float64 entries are 0.4 MiB, against 96 KiB of memory: rejected before any
+        # mapping, where a mapping beyond free memory could succeed and its fill be OOM-killed
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 24}
+        real = os.sysconf
+        monkeypatch.setattr(os, "sysconf", lambda name: pages[name] if name in pages else real(name))
+        mapped = []
+        monkeypatch.setattr(mmap, "mmap", lambda *args: mapped.append(args))
+        assert parse_and_dispatch(["probe", *argv, "--n", "48", "--s", "3", "--seed", "5"]) == 1
+        assert capsys.readouterr().err == (
+            f"onebitcs: error: {need} GiB, more than the 9.16e-05 GiB of physical memory\n"
+        )
+        assert mapped == []
+
     @pytest.mark.parametrize("m", [10**11, 10**19], ids=["beyond-memory", "beyond-ssize_t"])
-    def test_unmappable_matrix_is_a_memory_error(self, m):
+    def test_unmappable_matrix_is_a_memory_error(self, m, monkeypatch):
+        # with physical memory reported larger than the matrix, the mapping itself fails
+        monkeypatch.setattr(os, "sysconf", lambda name: {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**80}[name])
         with pytest.raises(MemoryError, match="cannot map"):
             check_embedding(N=10**5, s=2, m=m, pairs=1, seed=1)
 
