@@ -6,11 +6,10 @@ sees the same instance (paired comparison) and any execution order or worker
 count reproduces the same records bitwise. A trial draws one
 ``max(m_grid)``-row matrix in seeded 512-row blocks, and every m runs on its
 first m rows, which are bitwise an m-row draw from the same seed, so the
-instances of a trial are nested across m. The draw is streamed: helper
-threads (the process's share of the CPUs, less the task thread) fill the
-blocks in index order while the smaller m are solved, and the task thread
-fills or waits for only the blocks below the next m; each m's runs are then
-solved inline or on forked solver processes (``_solver_processes``).
+instances of a trial are nested across m. The task thread draws the whole
+matrix first, through ``gen_gaussian_matrix`` on the process's share of the
+CPUs, and then solves every m's runs inline or on forked solver processes
+(``_solver_processes``).
 ``_thread_plan`` sets these counts and OpenBLAS's threads per call; pool
 workers and solvers are pinned at start, and the serial sweep and every CLI
 command set the BLAS count for their duration and restore it afterwards
@@ -56,11 +55,10 @@ from .errors import DegenerateIterateError, InvalidArgumentError, SamplingExhaus
 from .model import (
     SUPPORT_RULES,
     VALUE_RULES,
-    BlockFiller,
     MeasurementEnsemble,
     _mapped,
     _require_physical_memory,
-    gen_gaussian_matrix,  # noqa: F401  sweeps stream the same draw through BlockFiller; benchmarks/tracing.py wraps this name
+    gen_gaussian_matrix,
     gen_sparse_signal,
     linear_measurements,
     sign_quantize,
@@ -125,6 +123,8 @@ class SweepConfig:
             raise InvalidArgumentError("m_grid must be strictly increasing")
         if self.trials_per_cell < 1:
             raise InvalidArgumentError("trials_per_cell must be >= 1")
+        if not 0 <= self.master_seed < 2**64:  # the seed streams take 64 bits; a wider one would wrap
+            raise InvalidArgumentError(f"master_seed must be in [0, 2^64), got {self.master_seed}")
         if not self.algorithms:
             raise InvalidArgumentError("need at least one algorithm")
         unknown = set(self.algorithms) - set(ALGORITHMS)
@@ -185,7 +185,7 @@ class RunManifest:
     workers: int = 1  # processes the tasks ran in (the pool size, 1 when serial)
     blas_threads_per_worker: str = "default"  # threads each process's OpenBLAS ran, "default" if unknown
     draw_threads: int = 1  # threads given to each matrix draw, the task thread included
-    draw_s: float = 0.0  # task-thread seconds in the draw (filling or waiting for rows), summed
+    draw_s: float = 0.0  # task-thread seconds drawing each trial's instances, summed
     solve_s: float = 0.0  # seconds spent in solve, summed over records; overlapping runs each count
 
 
@@ -281,25 +281,26 @@ def require_memory(cfg: SweepConfig, processes: int) -> None:
 
 def draw_instances(
     cfg: SweepConfig, ms: tuple[int, ...], seeds: dict[str, int], threads: int | None = None, out=None
-):
-    """Yield (m, instance) for each m of ``ms`` (increasing) from one seed table.
+) -> list[tuple[int, tuple]]:
+    """(m, instance) for each m of ``ms`` (increasing) from one seed table.
 
-    The matrix is drawn once with ``ms[-1]`` rows, in 512-row blocks on
-    ``threads`` threads, the calling one included (every CPU when None): the
-    helpers fill ahead while the caller works on an instance, and the rows
-    of the next m are completed before it is yielded. The instance at m uses
-    a view of the first m rows, which is bitwise the m-row draw from the
-    same seed, and draws its noise at m entries. An instance is
-    (signal, ensemble, A x + eps, sign(A x + eps)), with A x taken by support
-    gather; every algorithm in the cell runs on it. Closing the generator
-    joins the helpers. Given ``out``, the matrix is drawn into it.
+    The matrix is drawn once, whole, with ``ms[-1]`` rows, by
+    ``gen_gaussian_matrix`` on ``threads`` threads (every CPU when None) into
+    ``out``, or a new heap array. The instance at m uses a view of its first
+    m rows, which is bitwise the m-row draw from the same seed, and draws its
+    noise at m entries. An instance is (signal, ensemble, A x + eps,
+    sign(A x + eps)), with A x taken by support gather; every algorithm in
+    the cell runs on it.
     """
     x = gen_sparse_signal(seeds["signal"], cfg.n, cfg.s, cfg.support_rule, cfg.value_rule)
-    with BlockFiller(seeds["matrix"], ms[-1], cfg.n, threads, out=out) as filler:
-        for m in ms:
-            A = MeasurementEnsemble(filler.rows(m), seeds["matrix"], _finite=True)  # C-contiguous view, no copy
-            lin = linear_measurements(A, x, cfg.noise_std, seeds["noise"])
-            yield m, (x, A, lin, sign_quantize(lin))
+    out = np.empty((ms[-1], cfg.n)) if out is None else out
+    whole = gen_gaussian_matrix(seeds["matrix"], ms[-1], cfg.n, out, threads)
+    instances = []
+    for m in ms:
+        A = MeasurementEnsemble(whole.matrix[:m], whole.seed, _finite=True)  # C-contiguous view, no copy
+        lin = linear_measurements(A, x, cfg.noise_std, seeds["noise"])
+        instances.append((m, (x, A, lin, sign_quantize(lin))))
+    return instances
 
 
 def solve(cfg: SweepConfig, algo: str, instance: tuple, init_seed: int) -> tuple[float, int, float, str]:
@@ -394,37 +395,28 @@ def _solver_processes(cfg: SweepConfig, plan: ThreadPlan):
 def _run_task(
     cfg: SweepConfig, trial: int, seeds: dict[str, int], plan: ThreadPlan, solvers=None, rows=None
 ) -> tuple[list[SweepRecord], float]:
-    """Run every cell of one trial, in increasing m, from the trial's seed table.
+    """Run every cell of one trial from the trial's seed table.
 
-    The runs of each m are solved as soon as it is drawn: inline, or on the
-    ``solvers`` of ``_solver_processes`` while this thread draws the next m
-    into their ``rows``; all have returned when this returns, so the next
-    trial may reuse the rows. Returns the records and this thread's seconds
-    in the draw. A failed run is an ``error:`` row. A failed draw raises, and
-    so does a run the solvers reject, once the m being drawn is complete;
-    the draw threads are joined before it propagates.
+    The trial's instances are drawn first, into ``rows`` when given; their
+    runs are then solved inline, or on the ``solvers`` of
+    ``_solver_processes``, which read the matrix from ``rows``. All have
+    returned when this returns, so the next trial may reuse the rows.
+    Returns the records and this thread's seconds in the draw. A failed run
+    is an ``error:`` row; a failed draw raises, and so does a run the
+    solvers reject.
     """
-    draw_s = 0.0
-    records, runs = [], []
-    # closed on the way out, so a raising task joins the draw's helpers at once
-    with contextlib.closing(draw_instances(cfg, cfg.m_grid, seeds, plan.share, rows)) as instances:
-        while True:
-            start = time.perf_counter()
-            drawn = next(instances, None)
-            draw_s += time.perf_counter() - start
-            for run in runs:
-                if run.done():
-                    run.result()  # a run the solvers rejected stops the draw here
-            if drawn is None:
-                break
-            m, (x, A, lin, b) = drawn
-            for algo in sorted(cfg.algorithms):
-                if solvers is None:
-                    records.append(_run_one(cfg, algo, m, trial, (x, A, lin, b), seeds[f"init.{algo}"]))
-                else:  # sent without the matrix, which the solvers read from rows
-                    runs.append(solvers.submit(_solve_on_shared_rows, cfg, algo, m, trial, x, lin, b,
-                                               seeds[f"init.{algo}"], A.seed))
-    return records + [run.result() for run in runs], draw_s
+    start = time.perf_counter()
+    instances = draw_instances(cfg, cfg.m_grid, seeds, plan.share, rows)
+    draw_s = time.perf_counter() - start
+    runs = [(algo, m, instance, seeds[f"init.{algo}"])
+            for m, instance in instances for algo in sorted(cfg.algorithms)]
+    if solvers is None:
+        records = [_run_one(cfg, algo, m, trial, instance, init) for algo, m, instance, init in runs]
+    else:  # each run is sent without the matrix, which the solvers read from rows
+        sent = [solvers.submit(_solve_on_shared_rows, cfg, algo, m, trial, x, lin, b, init, A.seed)
+                for algo, m, (x, A, lin, b), init in runs]
+        records = [run.result() for run in sent]
+    return records, draw_s
 
 
 def _loaded_blas_function(names: tuple[str, ...]):

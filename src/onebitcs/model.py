@@ -5,24 +5,24 @@ Sign convention: sign(w) = +1 for w > 0 and -1 otherwise, including w = 0;
 ``UnitSparseVector`` is a ``SparseVector`` of unit norm.
 All generated arrays are frozen (read-only) after construction; every
 constructor is a pure function of its seed and parameters. The Gaussian
-ensemble has one draw: independently seeded 512-row blocks, which
-``BlockFiller`` fills in index order on helper threads and the calling
-thread, handing out row prefixes as soon as their blocks are filled; the
-first m rows of a taller draw are bitwise the m-row draw, which
-``gen_gaussian_matrix`` returns. The filler is a ``BlockRunner``, on which
-the probes also run their sample blocks; a runner works on every CPU unless
-a sweep gives it its process's share. A x has one form: the product of the
-columns of A on the support of x with the nonzeros of x
+ensemble has one draw, ``gen_gaussian_matrix``: independently seeded 512-row
+blocks, which a ``BlockRunner`` fills on helper threads and the calling
+thread; the first m rows of a taller draw are bitwise the m-row draw, so a
+sweep draws each trial's matrix once, whole, and runs every m on a prefix.
+The probes also run their sample blocks on a ``BlockRunner``; a runner works
+on every CPU unless a sweep gives it its process's share. A x has one form:
+the product of the columns of A on the support of x with the nonzeros of x
 (``linear_measurements``), which every measurement and probe takes. An
 ensemble that takes many such products (a probe's) may carry a read-only
 column-major copy of its matrix (``_with_columns``), from which the support
 columns are read contiguously; the gathered block has the values and the
 layout of the one gathered from the row-major matrix, so the product is
 bitwise the same. Sweeps, solvers and ``recover`` never build the copy. The
-copies, ``gen_gaussian_matrix``'s draws and the buffer a sweep shares with
-its solver processes are page-mapped (``_mapped``) and go back to the system
-when their last view goes; the filler's default buffer stays a heap array,
-as page-mapping it made every trial of a pool worker fault in fresh pages.
+copies, ``gen_gaussian_matrix``'s default buffers and the buffer a sweep
+shares with its solver processes are page-mapped (``_mapped``) and go back to
+the system when their last view goes; a sweep draws into that shared buffer
+or a heap array, as page-mapping a pool worker's draws made every trial fault
+in fresh pages.
 """
 
 from __future__ import annotations
@@ -184,83 +184,46 @@ class BlockRunner:
     """``work(0), ..., work(blocks - 1)``, queued in index order on ``threads - 1`` helper threads.
 
     ``threads`` None means every CPU; never more helpers than the blocks or
-    the CPUs allow. ``results(k)`` runs, on the calling thread, every block
-    below k that no helper has started, waits for the rest and returns the
-    first k results, re-raising the first exception among them. ``close`` (or leaving a ``with`` block) drops the
-    queued blocks and joins the helpers. A ``work`` that held the runner would
-    keep what it holds alive until the cyclic collector runs.
+    the CPUs allow. ``results()``, which a runner gives once, runs on the
+    calling thread every block that no helper has started, waits for the
+    rest and returns the results in block order, re-raising the first
+    exception among them; on the way out it drops the blocks still queued
+    and joins the helpers. A ``work`` that held the runner would keep what
+    it holds alive until the cyclic collector runs.
     """
 
     def __init__(self, blocks: int, work, threads: int | None = None):
         if threads is not None and threads < 1:
             raise InvalidArgumentError(f"threads must be >= 1, got {threads}")
         self._work = work
-        self._results = [None] * blocks
-        self._ready = 0  # leading blocks known to be done
-        self._closed = False
+        self._blocks = blocks
+        self._done = False
         helpers = min(threads or blocks, blocks, os.cpu_count() or 1) - 1  # threads None: as the CPUs allow
         self._helpers = ThreadPoolExecutor(helpers) if helpers > 0 else None
         self._queued = [self._helpers.submit(work, i) for i in range(blocks)] if self._helpers else []
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def results(self, k: int | None = None) -> list:
-        """The results of the first ``k`` blocks (of all, by default), each run once."""
-        if self._closed:
-            raise InvalidArgumentError("the runner is closed")
-        k = len(self._results) if k is None else k
-        for i in range(self._ready, k):
-            if not self._queued or self._queued[i].cancel():
-                self._results[i] = self._work(i)  # no helper has started it
-        for i, block in enumerate(self._queued[self._ready:k], self._ready):
-            if not block.cancelled():
-                self._results[i] = block.result()  # waits for the helper; raises its exception
-        self._ready = max(self._ready, k)
-        return self._results[:k]
-
-    def close(self) -> None:
-        """Drop the blocks no helper has started and join the helpers."""
-        self._closed = True
-        if self._helpers is not None:
-            self._helpers.shutdown(wait=True, cancel_futures=True)
+    def results(self) -> list:
+        """The result of every block, each run once."""
+        if self._done:
+            raise InvalidArgumentError("the runner has given its results")
+        self._done = True
+        try:
+            results = [None] * self._blocks
+            for i in range(self._blocks):
+                if not self._queued or self._queued[i].cancel():
+                    results[i] = self._work(i)  # no helper has started it
+            for i, block in enumerate(self._queued):
+                if not block.cancelled():
+                    results[i] = block.result()  # waits for the helper; raises its exception
+            return results
+        finally:
+            if self._helpers is not None:
+                self._helpers.shutdown(wait=True, cancel_futures=True)
 
 
 def _fill_block(matrix: np.ndarray, seed: int, i: int) -> None:
     rows = matrix[i * DRAW_BLOCK_ROWS:(i + 1) * DRAW_BLOCK_ROWS]
     block_generator(seed, i).standard_normal(out=rows)  # releases the GIL
-
-
-class BlockFiller(BlockRunner):
-    """The m x N blocked draw from ``seed``, filled in block order as its rows are asked for.
-
-    Block i's work fills rows [512 i, 512 (i + 1)) from their own stream,
-    ``rng.block_generator(seed, i)``, so the matrix does not depend on the
-    thread count or on which thread filled what. The matrix is allocated at
-    once; given ``out`` (writable, C-contiguous, float64), it is its first m * N entries.
-    """
-
-    def __init__(self, seed: int, m: int, N: int, threads: int | None = None, out: np.ndarray | None = None):
-        if m < 1 or N < 1:
-            raise InvalidArgumentError(f"matrix dimensions must be positive, got m={m}, N={N}")
-        # allocated before any block seed is derived, so an unallocatable size fails at once
-        out = np.empty((m, N)) if out is None else out
-        if not (out.dtype == np.float64 and out.flags.carray and out.size >= m * N):
-            raise InvalidArgumentError(f"out must be a writable C-contiguous float64 array of at "
-                                       f"least {m} x {N} entries")
-        self._matrix = out.reshape(-1)[:m * N].reshape(m, N)
-        # the work holds the matrix, not the filler, so dropping the filler frees the matrix
-        super().__init__(-(-m // DRAW_BLOCK_ROWS), functools.partial(_fill_block, self._matrix, seed), threads)
-
-    def rows(self, k: int) -> np.ndarray:
-        """The first ``k`` rows, filled (a view of the matrix, no copy)."""
-        if not 1 <= k <= self._matrix.shape[0]:
-            raise InvalidArgumentError(f"need 1 <= k <= {self._matrix.shape[0]}, got {k}")
-        self.results(-(-k // DRAW_BLOCK_ROWS))
-        return self._matrix[:k]
 
 
 def _with_columns(A: MeasurementEnsemble) -> MeasurementEnsemble:
@@ -280,15 +243,28 @@ def _with_columns(A: MeasurementEnsemble) -> MeasurementEnsemble:
     return copied
 
 
-def gen_gaussian_matrix(seed: int, m: int, N: int, out: np.ndarray | None = None) -> MeasurementEnsemble:
-    """The m x N blocked draw from ``seed``, filled on every CPU into ``out`` or a new ``_mapped`` buffer.
+def gen_gaussian_matrix(
+    seed: int, m: int, N: int, out: np.ndarray | None = None, threads: int | None = None
+) -> MeasurementEnsemble:
+    """The m x N blocked draw from ``seed``, on ``threads`` threads, into ``out`` or a new ``_mapped`` buffer.
 
-    Bitwise the matrix ``BlockFiller(seed, m, N)`` fills at any thread count,
-    so it equals a sweep trial's matrix at m when ``seed`` is the trial's
-    matrix seed. ``out`` is as ``BlockFiller``'s.
+    Block i fills rows [512 i, 512 (i + 1)) from its own stream,
+    ``rng.block_generator(seed, i)``, so the matrix depends neither on the
+    thread count (every CPU when None) nor on which thread filled what, and
+    with a sweep trial's matrix seed it is that trial's matrix at m. The
+    buffer is allocated before any block seed is derived, so an
+    unallocatable size fails at once. Given ``out`` (writable, C-contiguous,
+    float64), the matrix is its first m * N entries.
     """
-    with BlockFiller(seed, m, N, out=_mapped(m, N) if out is None else out) as filler:
-        return MeasurementEnsemble(matrix=filler.rows(m), seed=int(seed), _finite=True)
+    if m < 1 or N < 1:
+        raise InvalidArgumentError(f"matrix dimensions must be positive, got m={m}, N={N}")
+    out = _mapped(m, N) if out is None else out
+    if not (out.dtype == np.float64 and out.flags.carray and out.size >= m * N):
+        raise InvalidArgumentError(f"out must be a writable C-contiguous float64 array of at "
+                                   f"least {m} x {N} entries")
+    matrix = out.reshape(-1)[:m * N].reshape(m, N)
+    BlockRunner(-(-m // DRAW_BLOCK_ROWS), functools.partial(_fill_block, matrix, seed), threads).results()
+    return MeasurementEnsemble(matrix=matrix, seed=int(seed), _finite=True)
 
 
 SUPPORT_RULES = ("uniform_random", "first_s")

@@ -304,8 +304,7 @@ def check_decomposition(n: int, triples: int, seed: int) -> float:
             out = max(out, *(float(part.max()) for part in decomposition_check(a, x, y)))
         return out
 
-    with BlockRunner(-(-triples // DRAW_BLOCK_ROWS), worst) as runner:
-        return max(runner.results())
+    return max(BlockRunner(-(-triples // DRAW_BLOCK_ROWS), worst).results())
 
 
 def gaussian_width_estimate(N: int, s: int, trials: int, seed: int) -> float:
@@ -334,8 +333,7 @@ def gaussian_width_estimate(N: int, s: int, trials: int, seed: int) -> float:
             norms.append(np.sqrt((top * top).sum(axis=1)))
         return norms
 
-    with BlockRunner(-(-trials // DRAW_BLOCK_ROWS), top_norms) as runner:
-        blocks = runner.results()
+    blocks = BlockRunner(-(-trials // DRAW_BLOCK_ROWS), top_norms).results()
     return float(np.concatenate([part for block in blocks for part in block]).sum()) / trials
 
 
@@ -399,5 +397,4 @@ def projection_inequality_check(samples: int, N: int, s: int, seed: int) -> floa
             dual[j] = sparse_dual_norm(d[j], s)
         return float(np.max(np.linalg.norm(t - z, axis=1) - 2.0 * dual))
 
-    with BlockRunner(-(-samples // per), worst) as runner:
-        return max(runner.results())
+    return max(BlockRunner(-(-samples // per), worst).results())

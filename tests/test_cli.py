@@ -111,6 +111,33 @@ class TestExitCodes:
         assert parse_and_dispatch(["recover", "--n", "16", "--s", "2", "--m", "32"]) == 1
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**64 + 5)])
+    @pytest.mark.parametrize("argv", [
+        ["recover", "--n", "16", "--s", "2", "--m", "32"],
+        ["sweep", "--n", "16", "--s", "2", "--m-grid", "32", "--trials", "1"],
+        ["probe", "width", "--n", "16", "--s", "2", "--trials", "100"],
+    ], ids=["recover", "sweep", "probe"])
+    def test_seed_outside_64_bits_rejected(self, argv, seed, tmp_path, capsys):
+        # the seed streams take 64 bits, so 2^64 + 5 would otherwise run as seed 5
+        out_dir = tmp_path / "out"
+        extra = ["--out-dir", str(out_dir)] if argv[0] == "sweep" else []
+        assert parse_and_dispatch(argv + ["--seed", seed] + extra) == 1
+        assert capsys.readouterr() == ("", f"onebitcs: error: seed must be in [0, 2^64), got {seed}\n")
+        assert not out_dir.exists()
+
+    def test_seed_outside_64_bits_rejected_from_config(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[recover]\nseed = -1\n")
+        assert parse_and_dispatch(["recover", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == "onebitcs: error: seed must be in [0, 2^64), got -1\n"
+
+    def test_largest_seed_accepted(self, capsys):
+        seed = str(2**64 - 1)
+        assert parse_and_dispatch(["recover", "--n", "16", "--s", "2", "--m", "32", "--seed", seed]) == 0
+        assert f"seed = {seed}" in capsys.readouterr().out
+        assert parse_and_dispatch(["probe", "width", "--n", "16", "--s", "2", "--trials", "100",
+                                   "--seed", seed]) == 0
+
     def test_invalid_argument_is_validation_error(self, capsys):
         assert parse_and_dispatch(
             ["recover", "--n", "4", "--s", "9", "--m", "16", "--seed", "1"]
@@ -128,21 +155,21 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("noise", ["inf", "nan", "-0.5"])
     def test_bad_noise_rejected_before_any_draw(self, noise, monkeypatch, tmp_path, capsys):
-        fillers = []
+        drawn = []
+        real = harness.gen_gaussian_matrix
 
-        class Spy(harness.BlockFiller):
-            def __init__(self, *args, **kwargs):
-                fillers.append(args)
-                super().__init__(*args, **kwargs)
+        def spy(*args, **kwargs):
+            drawn.append(args)
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "BlockFiller", Spy)
+        monkeypatch.setattr(harness, "gen_gaussian_matrix", spy)
         argv = ["sweep", "--n", "512", "--s", "4", "--m-grid", "256,8192", "--trials", "2",
                 "--workers", "1", "--seed", "1", "--out-dir", str(tmp_path / "out")]
         assert parse_and_dispatch(argv + ["--noise-std", noise]) == 1
         assert "noise_std must be finite and nonnegative" in capsys.readouterr().err
-        assert fillers == [] and not (tmp_path / "out").exists()
+        assert drawn == [] and not (tmp_path / "out").exists()
         assert parse_and_dispatch(argv[:6] + ["256,512"] + argv[7:] + ["--noise-std", "0.1"]) == 0
-        assert fillers  # the spy sees a sweep's draws
+        assert drawn  # the spy sees a sweep's draws
 
     def test_infinite_tau_is_validation_error(self, capsys):
         assert parse_and_dispatch(

@@ -112,20 +112,21 @@ class TestRunSweep:
 
     def test_trial_reads_prefixes_of_one_draw(self, monkeypatch):
         calls = []
-        real = harness.BlockFiller
+        real = harness.gen_gaussian_matrix
 
-        def recording(seed, m, N, threads, out=None):
-            calls.append((seed, m))
-            return real(seed, m, N, threads, out=out)
+        def recording(seed, m, N, out=None, threads=None):
+            calls.append((seed, m, out is None))
+            return real(seed, m, N, out, threads)
 
-        monkeypatch.setattr(harness, "BlockFiller", recording)
+        monkeypatch.setattr(harness, "gen_gaussian_matrix", recording)
         cfg = _small_config()
         run_sweep(cfg)
-        # one blocked draw per trial, at the largest m
-        assert sorted(m for _, m in calls) == [256] * cfg.trials_per_cell
-        assert len({seed for seed, _ in calls}) == cfg.trials_per_cell
+        # one blocked draw per trial, at the largest m, never into a page-mapped buffer of its own
+        assert sorted(m for _, m, _ in calls) == [256] * cfg.trials_per_cell
+        assert len({seed for seed, _, _ in calls}) == cfg.trials_per_cell
+        assert not any(mapped for _, _, mapped in calls)
 
-    def test_closed_stream_joins_its_helpers(self, monkeypatch):
+    def test_draw_joins_its_helpers_before_the_first_instance(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 4)  # let 3 helpers run on any host
         real = model.block_generator
         taken = []
@@ -139,22 +140,16 @@ class TestRunSweep:
         monkeypatch.setattr(model, "block_generator", slow)
         cfg = _small_config(n=4, s=1, m_grid=(64, 512 * 40))
         start = threading.active_count()
-        stream = harness.draw_instances(cfg, cfg.m_grid, trial_seed_table(cfg, 0), threads=4)
-        m, _ = next(stream)
-        assert m == 64 and threading.active_count() == start + 3
-        stream.close()
+        instances = harness.draw_instances(cfg, cfg.m_grid, trial_seed_table(cfg, 0), threads=4)
+        assert [m for m, _ in instances] == [64, 512 * 40]
         assert threading.active_count() == start
-        filled = len(taken)
-        time.sleep(0.05)
-        assert len(taken) == filled < 40  # nothing after the close, and not the whole draw
+        assert sorted(taken) == list(range(40))  # the whole draw, each block once
 
     def test_raising_task_joins_the_draw_helpers(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 4)  # let 3 helpers run on any host
         real = model.block_generator
-        taken = []
 
         def slow(seed, i):
-            taken.append(i)
             if threading.current_thread() is not threading.main_thread():
                 time.sleep(0.02)
             return real(seed, i)
@@ -170,7 +165,6 @@ class TestRunSweep:
             harness._run_task(cfg, 0, trial_seed_table(cfg, 0), harness._thread_plan(1, 2))
         # the exception (and its traceback) is still held here
         assert raised.value is not None and threading.active_count() == start
-        assert len(taken) < 40  # the failed run stopped the draw, long before its end
 
     def test_rejected_setting_fails_before_the_draw(self, monkeypatch):
         taken = []
@@ -244,6 +238,15 @@ class TestRunSweep:
         # an infinite tau fails every run alike: a validation error, not error rows
         with pytest.raises(InvalidArgumentError, match="tau"):
             run_sweep(_small_config(tau=float("inf")))
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_master_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(InvalidArgumentError, match=rf"master_seed must be in \[0, 2\^64\), got {seed}"):
+            _small_config(master_seed=seed)
+
+    def test_largest_master_seed_accepted(self):
+        records, manifest = run_sweep(_small_config(master_seed=2**64 - 1, trials_per_cell=1))
+        assert manifest.config.master_seed == 2**64 - 1 and len(records) == 6
 
     def test_config_validation(self):
         with pytest.raises(InvalidArgumentError):
@@ -326,13 +329,13 @@ class TestPool:
     def test_draw_threads_are_the_process_share(self, fake_pool, monkeypatch):
         # 12 CPUs: every one on the serial path, 12 // pool size in a pool
         given = []
-        real = harness.BlockFiller
+        real = harness.gen_gaussian_matrix
 
-        def recording(seed, m, N, threads, out=None):
+        def recording(seed, m, N, out=None, threads=None):
             given.append(threads)
-            return real(seed, m, N, threads, out=out)
+            return real(seed, m, N, out, threads)
 
-        monkeypatch.setattr(harness, "BlockFiller", recording)
+        monkeypatch.setattr(harness, "gen_gaussian_matrix", recording)
         cfg = _small_config(trials_per_cell=2)
         manifests = [
             run_sweep(cfg, workers=1)[1],
@@ -460,23 +463,23 @@ class TestConcurrentSolves:
 
     def test_draw_seconds_are_the_task_threads_own(self, monkeypatch):
         # overlapping runs take 6 x 50 ms in all, more than the task's own time,
-        # so task time less solve time would read below the draw's 3 x 20 ms
+        # so task time less solve time would read below the draw's 60 ms
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        real_rows, real_solve = model.BlockFiller.rows, harness.solve
+        real_draw, real_solve = harness.gen_gaussian_matrix, harness.solve
 
-        def slow_rows(filler, k):
-            time.sleep(0.02)
-            return real_rows(filler, k)
+        def slow_draw(*args, **kwargs):
+            time.sleep(0.06)
+            return real_draw(*args, **kwargs)
 
         def slow_solve(*args, **kwargs):
             time.sleep(0.05)
             return real_solve(*args, **kwargs)
 
-        monkeypatch.setattr(model.BlockFiller, "rows", slow_rows)
+        monkeypatch.setattr(harness, "gen_gaussian_matrix", slow_draw)
         monkeypatch.setattr(harness, "solve", slow_solve)
         start = time.perf_counter()
         _, manifest = run_sweep(_small_config(trials_per_cell=1), workers=1)  # 3 m values, 2 algorithms
-        assert 3 * 0.02 <= manifest.draw_s <= time.perf_counter() - start
+        assert 0.06 <= manifest.draw_s <= time.perf_counter() - start
         assert manifest.solve_s >= 6 * 0.05
 
     def test_rejected_setting_cancels_the_queued_runs(self, monkeypatch, tmp_path):

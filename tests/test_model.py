@@ -36,9 +36,8 @@ _SEEDS = st.integers(0, 2**64 - 1)
 
 
 def _blocked(seed: int, m: int, n: int, threads: int = 1) -> np.ndarray:
-    """The m x n blocked draw, filled by BlockFiller on up to ``threads`` threads."""
-    with model.BlockFiller(seed, m, n, threads) as filler:
-        return filler.rows(m)
+    """The m x n blocked draw, filled on up to ``threads`` threads into a heap array, as a sweep draws."""
+    return gen_gaussian_matrix(seed, m, n, np.empty((m, n)), threads).matrix
 
 
 class TestBlockedGaussianMatrix:
@@ -109,8 +108,8 @@ class TestBlockedGaussianMatrix:
     @example(seed=5, n=4, m=2100)  # five blocks over four threads
     @settings(max_examples=25, deadline=None)
     def test_thread_count_does_not_change_the_draw(self, seed, n, m):
-        # BlockFiller with 0, 1 and 3 helpers, and gen_gaussian_matrix on every
-        # CPU, into its own buffer or a caller's, all fill the reference draw
+        # 0, 1 and 3 helpers, and every CPU, into its own buffer or a caller's,
+        # all fill the reference draw
         reference = blocked_gaussian_draw(seed, m, n).tobytes()
         with mock.patch.object(os, "cpu_count", return_value=4):  # let 3 helpers run on any host
             for threads in (1, 2, 4):
@@ -151,14 +150,16 @@ class TestBlockedGaussianMatrix:
 
         monkeypatch.setattr(model, "block_generator", derived)
         with pytest.raises(MemoryError):  # 10^12 x 512 float64 exceeds the address space
-            model.BlockFiller(1, 10**12, 512, threads=2)
+            gen_gaussian_matrix(1, 10**12, 512, threads=2)
 
     def test_threads_must_be_positive(self):
         with pytest.raises(InvalidArgumentError):
-            model.BlockFiller(1, 5, 5, threads=0)
+            gen_gaussian_matrix(1, 5, 5, threads=0)
 
 
 class TestBlockFiller:
+    """The fill of ``gen_gaussian_matrix``'s 512-row blocks on 1, 2 and 4 threads."""
+
     M, N = 2100, 3  # five blocks, the last one short
 
     @pytest.mark.parametrize("threads", [1, 2, 4])  # 0, 1 and 3 helpers
@@ -167,33 +168,31 @@ class TestBlockFiller:
         monkeypatch.setattr(os, "cpu_count", lambda: 4)  # let 3 helpers run on any host
         if slow_helper:
             real = model.block_generator
-            slowed = []
 
             def sleepy(seed, i):
-                # one helper sleeps before each block it fills, so the calling
+                # a helper sleeps before each block it fills, so the calling
                 # thread both fills blocks itself and waits for held ones
-                on_helper = threading.current_thread() is not threading.main_thread()
-                if on_helper and (not slowed or slowed[0] == threading.get_ident()):
-                    slowed[:] = [threading.get_ident()]
-                    time.sleep(0.02)
+                if threading.current_thread() is not threading.main_thread():
+                    time.sleep(0.005)
                 return real(seed, i)
 
             monkeypatch.setattr(model, "block_generator", sleepy)
         reference = blocked_gaussian_draw(11, self.M, self.N)
-        with model.BlockFiller(11, self.M, self.N, threads) as filler:
-            for k in [*range(1, self.M + 1, 97), 511, 512, 513, 1024, 1025, self.M]:
-                assert filler.rows(k).tobytes() == reference[:k].tobytes()
+        out = np.full((self.M, self.N), np.nan)  # one buffer for every draw, as a sweep reuses its rows
+        for k in [*range(1, self.M + 1, 233), 511, 512, 513, 1024, 1025, self.M]:
+            A = gen_gaussian_matrix(11, k, self.N, out=out, threads=threads)
+            assert np.shares_memory(A.matrix, out)
+            assert A.matrix.tobytes() == reference[:k].tobytes()
 
     @pytest.mark.parametrize("threads", [1, 2, 4])  # 0, 1 and 3 helpers
     def test_every_prefix_filled_into_a_callers_buffer(self, threads, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 4)  # let 3 helpers run on any host
         reference = blocked_gaussian_draw(11, self.M, self.N)
         out = np.full((self.M + 7, self.N), np.nan)  # taller than the draw, which takes its first rows
-        with model.BlockFiller(11, self.M, self.N, threads, out=out) as filler:
-            for k in [*range(1, self.M + 1, 97), 511, 512, 513, 1024, 1025, self.M]:
-                rows = filler.rows(k)
-                assert np.shares_memory(rows, out)
-                assert rows.tobytes() == reference[:k].tobytes()
+        A = gen_gaussian_matrix(11, self.M, self.N, out=out, threads=threads)
+        assert np.shares_memory(A.matrix, out)
+        for k in [*range(1, self.M + 1, 97), 511, 512, 513, 1024, 1025, self.M]:
+            assert A.matrix[:k].tobytes() == reference[:k].tobytes()
         assert out[:self.M].tobytes() == reference.tobytes()
         assert np.isnan(out[self.M:]).all()
 
@@ -208,7 +207,7 @@ class TestBlockFiller:
         start = threading.active_count()
         with pytest.raises(InvalidArgumentError, match=f"out must be a writable C-contiguous float64 "
                                                         f"array of at least {self.M} x {self.N} entries"):
-            model.BlockFiller(11, self.M, self.N, threads=2, out=out)
+            gen_gaussian_matrix(11, self.M, self.N, out=out, threads=2)
         assert threading.active_count() == start
 
     def test_helper_exception_raised_on_caller(self, monkeypatch):
@@ -227,8 +226,7 @@ class TestBlockFiller:
         def ask():
             caller.append(threading.get_ident())
             try:
-                with model.BlockFiller(3, self.M, self.N, threads=2) as filler:
-                    filler.rows(self.M)
+                gen_gaussian_matrix(3, self.M, self.N, threads=2)
             except RuntimeError as exc:
                 seen.append(exc)
 
@@ -242,8 +240,8 @@ class TestBlockFiller:
         assert threading.active_count() == start
 
     def test_each_block_filled_once_under_contention(self, monkeypatch):
-        # more helpers than cores and a short switch interval, so a lost update
-        # of the next-block counter would fill a block twice or never
+        # more helpers than cores and a short switch interval, so a block that
+        # both a helper and the calling thread took would be filled twice
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         real = model.block_generator
         taken = []
@@ -257,42 +255,31 @@ class TestBlockFiller:
         reference = blocked_gaussian_draw(5, m, 1)
         same = []
 
-        def stream():
-            with model.BlockFiller(5, m, 1, threads=8) as filler:
-                same.extend(
-                    filler.rows(k).tobytes() == reference[:k].tobytes() for k in range(1, m + 1, 1001)
-                )
-                same.append(filler.rows(m).tobytes() == reference.tobytes())
+        def draw():
+            same.append(gen_gaussian_matrix(5, m, 1, threads=8).matrix.tobytes() == reference.tobytes())
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            streamer = threading.Thread(target=stream, daemon=True)  # a hang must not hold the suite
-            streamer.start()
-            streamer.join(timeout=60)
+            drawer = threading.Thread(target=draw, daemon=True)  # a hang must not hold the suite
+            drawer.start()
+            drawer.join(timeout=60)
         finally:
             sys.setswitchinterval(interval)
-        assert not streamer.is_alive()
-        assert same and all(same)
+        assert not drawer.is_alive()
+        assert same == [True]
         assert sorted(taken) == list(range(64))
 
-    def test_rows_outside_the_draw_rejected(self):
-        with model.BlockFiller(1, 10, 2) as filler:
-            for k in (0, 11):
-                with pytest.raises(InvalidArgumentError):
-                    filler.rows(k)
-        with pytest.raises(InvalidArgumentError, match="closed"):
-            filler.rows(5)
-
-    def test_closed_filler_freed_by_reference_counting(self, monkeypatch):
-        # its work holds the matrix, not the filler, so no cycle waits for the collector
+    def test_drawn_matrix_freed_by_reference_counting(self, monkeypatch):
+        # the blocks' work holds the matrix and the runner drops its threads, so
+        # no cycle keeps the buffer for the collector
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         gc.disable()
         try:
-            with model.BlockFiller(1, 2100, 3, threads=4) as filler:
-                filler.rows(2100)
-            dead = weakref.ref(filler)
-            del filler
+            out = np.empty((2100, 3))
+            A = gen_gaussian_matrix(1, 2100, 3, out=out, threads=4)
+            dead = weakref.ref(out)
+            del A, out
             assert dead() is None
         finally:
             gc.enable()
@@ -303,10 +290,10 @@ class TestBlockRunner:
     def test_blocks_in_order_and_a_raising_block_joins_the_helpers(self, threads, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 4)  # let 3 helpers run on any host
         start = threading.active_count()
-        with model.BlockRunner(7, lambda i: i * i, threads) as runner:
-            assert runner.results(3) == [0, 1, 4]
-            assert runner.results() == [i * i for i in range(7)]
-        with pytest.raises(InvalidArgumentError, match="closed"):
+        runner = model.BlockRunner(7, lambda i: i * i, threads)
+        assert runner.results() == [i * i for i in range(7)]
+        assert threading.active_count() == start
+        with pytest.raises(InvalidArgumentError, match="given its results"):
             runner.results()
 
         def failing(i):
@@ -315,8 +302,7 @@ class TestBlockRunner:
             return i
 
         with pytest.raises(ValueError, match="block 3"):
-            with model.BlockRunner(7, failing, threads) as runner:
-                runner.results()
+            model.BlockRunner(7, failing, threads).results()
         assert threading.active_count() == start
 
 

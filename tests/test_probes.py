@@ -141,21 +141,22 @@ class TestProbeDraw:
               ["projection", "--trials", "1100"], ["decomposition", "--trials", "1100"]]
 
     def test_outputs_do_not_depend_on_the_cpu_count(self, monkeypatch, capsys):
-        fillers, pools = [], []
+        runners, drawn = [], []
+        real = probes.gen_gaussian_matrix
 
-        class Recording(model.BlockFiller):
+        class RecordingRunner(model.BlockRunner):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
-                fillers.append(self)
+                runners.append(0 if self._helpers is None else self._helpers._max_workers)
 
-        class RecordingRunner(probes.BlockRunner):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                if self._helpers is not None:
-                    pools.append(self._helpers._max_workers)
+        def drawing(*args, **kwargs):
+            A = real(*args, **kwargs)
+            drawn.append(A.matrix.ctypes.data)
+            return A
 
-        monkeypatch.setattr(model, "BlockFiller", Recording)
+        monkeypatch.setattr(model, "BlockRunner", RecordingRunner)
         monkeypatch.setattr(probes, "BlockRunner", RecordingRunner)
+        monkeypatch.setattr(probes, "gen_gaussian_matrix", drawing)
         start = threading.active_count()
         printed = []
         for cpus in (1, 2, 4):
@@ -163,18 +164,14 @@ class TestProbeDraw:
             for argv in self.PROBES:
                 assert parse_and_dispatch(["probe", *argv, "--n", "48", "--s", "3", "--seed", "5"]) == 0
             printed.append(capsys.readouterr().out)
-            assert threading.active_count() == start
-            # 10 trials into one buffer, then one matrix each for embedding and raic, their
-            # 3 blocks on the calling thread and one helper per further CPU
-            helpers = [0 if filler._helpers is None else filler._helpers._max_workers for filler in fillers]
-            assert helpers == [min(cpus, 3) - 1] * 12
-            assert all(filler._closed for filler in fillers)  # every draw helper joined
-            assert len({filler._matrix.ctypes.data for filler in fillers[:10]}) == 1  # one buffer
-            # width, projection and decomposition: their 3 blocks on the calling thread
-            # and one helper per further CPU, at most one per block
-            assert pools == ([] if cpus == 1 else [min(cpus, 3) - 1] * 3)
-            fillers.clear()
-            pools.clear()
+            assert threading.active_count() == start  # every helper joined
+            # 10 trials into one buffer, then one matrix each for embedding and raic
+            assert len(drawn) == 12 and len(set(drawn[:10])) == 1
+            # those 12 draws, then the width, projection and decomposition samples:
+            # 3 blocks each, on the calling thread and one helper per further CPU
+            assert runners == [min(cpus, 3) - 1] * 15
+            runners.clear()
+            drawn.clear()
         assert printed[0] == printed[1] == printed[2]
         assert printed[0].count("\n") == 7
 
