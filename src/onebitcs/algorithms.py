@@ -40,7 +40,7 @@ from .sparse_ops import hamming_distance, hard_threshold, normalize
 
 DEFAULT_TAU = math.sqrt(math.pi / 2.0)  # the step size making the first iterate unbiased
 
-INIT_MODES = ("random_sparse", "matched_filter", "provided")
+INIT_MODES = ("random_sparse", "matched_filter")
 DEGENERATE_POLICIES = ("keep_previous", "fail")
 
 
@@ -58,7 +58,6 @@ class AlgorithmConfig:
     stop_tol: float = 1e-10
     init: str = "random_sparse"
     init_seed: int = 0
-    init_vector: np.ndarray | None = None
     degenerate_policy: str = "keep_previous"
 
     def __post_init__(self):
@@ -74,8 +73,6 @@ class AlgorithmConfig:
             raise InvalidArgumentError(f"unknown init {self.init!r}")
         if self.degenerate_policy not in DEGENERATE_POLICIES:
             raise InvalidArgumentError(f"unknown degenerate_policy {self.degenerate_policy!r}")
-        if self.init == "provided" and self.init_vector is None:
-            raise InvalidArgumentError("init='provided' needs init_vector")
 
 
 @dataclass
@@ -194,15 +191,6 @@ def nbiht_step(
 def _initial_iterate(A: MeasurementEnsemble, b, cfg: AlgorithmConfig) -> np.ndarray:
     if cfg.init == "matched_filter":
         return one_shot_estimate(A, b, cfg.s, cfg.tau)
-    if cfg.init == "provided":
-        x0 = as_vector(cfg.init_vector)
-        if x0.shape != (A.N,):
-            raise InvalidArgumentError("init_vector length does not match ensemble N")
-        if np.count_nonzero(x0) > cfg.s:
-            raise InvalidArgumentError("init_vector is not s-sparse")
-        if abs(float(np.linalg.norm(x0)) - 1.0) > 1e-9:
-            raise InvalidArgumentError("init_vector must be unit norm within 1e-9")
-        return x0.copy()
     return gen_sparse_signal(cfg.init_seed, A.N, cfg.s).values.copy()
 
 

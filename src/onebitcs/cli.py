@@ -192,7 +192,7 @@ def _parse(option: _Option, raw: str):
 
 
 def _effective(args: argparse.Namespace, command: str) -> dict:
-    """builtin defaults <- config file <- explicit flags; a command with a seed needs one in [0, 2^64)."""
+    """builtin defaults <- config file <- explicit flags; a command with a seed needs one."""
     options = {option.key: option for option in COMMANDS[command][1]}
     effective = {key: option.default for key, option in options.items()}
     section = _load_config_section(getattr(args, "config", None), command)
@@ -208,11 +208,8 @@ def _effective(args: argparse.Namespace, command: str) -> dict:
         given = getattr(args, key, None)
         if given is not None:
             effective[key] = given
-    seed = effective.get("seed", 0)
-    if seed is None:
+    if effective.get("seed", 0) is None:
         raise InvalidArgumentError("a --seed is required (flag or config); there is no wall-clock default")
-    if not 0 <= seed < 2**64:  # the seed streams take 64 bits; a wider seed would wrap
-        raise InvalidArgumentError(f"seed must be in [0, 2^64), got {seed}")
     return effective
 
 

@@ -123,8 +123,6 @@ class SweepConfig:
             raise InvalidArgumentError("m_grid must be strictly increasing")
         if self.trials_per_cell < 1:
             raise InvalidArgumentError("trials_per_cell must be >= 1")
-        if not 0 <= self.master_seed < 2**64:  # the seed streams take 64 bits; a wider one would wrap
-            raise InvalidArgumentError(f"master_seed must be in [0, 2^64), got {self.master_seed}")
         if not self.algorithms:
             raise InvalidArgumentError("need at least one algorithm")
         unknown = set(self.algorithms) - set(ALGORITHMS)
@@ -271,12 +269,6 @@ def _thread_plan(pool_size: int, runs: int = 1) -> ThreadPlan:
     share = max(1, (os.cpu_count() or 1) // pool_size)
     solvers = min(share, runs)
     return ThreadPlan(share, solvers, max(1, share // solvers - 1))
-
-
-def require_memory(cfg: SweepConfig, processes: int) -> None:
-    """Reject a run whose ``processes`` matrices of ``max(m_grid)`` rows exceed physical memory."""
-    _require_physical_memory(processes * cfg.m_grid[-1] * cfg.n * 8,
-                             f"{processes} process(es) x {cfg.m_grid[-1]} x {cfg.n} float64 matrix entries")
 
 
 def draw_instances(
@@ -492,8 +484,9 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> tuple[list[SweepRecord], Ru
     this process's OpenBLAS thread count, which is process-wide, for the
     sweep's duration and restores it afterwards. No thread or process count
     changes the records.
-    ``workers`` below 1, and a pool whose matrices of ``max(m_grid)`` rows
-    exceed physical memory together, are rejected.
+    A master seed outside [0, 2^64) is rejected as the seed tables are
+    derived, before any draw; so are ``workers`` below 1, and a pool whose
+    matrices of ``max(m_grid)`` rows exceed physical memory together.
     """
     return _execute(build_manifest(cfg), workers)
 
@@ -503,7 +496,8 @@ def _execute(manifest: RunManifest, workers: int) -> tuple[list[SweepRecord], Ru
         raise InvalidArgumentError(f"workers must be >= 1, got {workers}")
     cfg = manifest.config
     pool_size = min(workers, cfg.trials_per_cell)
-    require_memory(cfg, pool_size)
+    _require_physical_memory(pool_size * cfg.m_grid[-1] * cfg.n * 8,
+                             f"{pool_size} process(es) x {cfg.m_grid[-1]} x {cfg.n} float64 matrix entries")
     plan = _thread_plan(pool_size, len(cfg.m_grid) * len(cfg.algorithms))
     tasks = [(cfg, trial, manifest.trial_seeds[trial], plan) for trial in range(cfg.trials_per_cell)]
     if pool_size > 1:

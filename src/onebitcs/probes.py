@@ -56,6 +56,8 @@ from .sparse_ops import geodesic_distance, hamming_distance, hard_threshold, spa
 # memory then included.
 _CHUNK = 2**14
 
+_RETRY_BUDGET = 100_000  # attempts per RAIC sample before its distance is taken as unreachable
+
 
 def _chunks(count: int, block: int, n: int) -> list[tuple[int, int]]:
     """The row ranges of block ``block`` of ``count`` rows of length n, of ``_CHUNK`` entries or one row.
@@ -127,7 +129,6 @@ class RaicProbeConfig:
     r_lb: float = 0.1
     r_ub: float = 0.5
     nu: float | None = None
-    retry_budget: int = 100_000
 
     def __post_init__(self):
         if not 1 <= self.s <= self.N:
@@ -154,9 +155,7 @@ class RaicProbeResult:
     per_sample: list[tuple[float, float]] = field(default_factory=list)
 
 
-def _sparse_point_at_distance(
-    x: np.ndarray, s: int, target: float, rng: np.random.Generator, budget: int
-) -> np.ndarray:
+def _sparse_point_at_distance(x: np.ndarray, s: int, target: float, rng: np.random.Generator) -> np.ndarray:
     """s-sparse unit y at prescribed Euclidean distance from s-sparse unit x.
 
     Builds y = cos(t)*u + sin(t)*g on a support overlapping x's, where u is the
@@ -167,7 +166,7 @@ def _sparse_point_at_distance(
     supp = np.flatnonzero(x)
     pool = np.setdiff1d(np.arange(n), supp, assume_unique=True)
     j_max = min(s, n - s)
-    for _ in range(budget):
+    for _ in range(_RETRY_BUDGET):
         j = int(rng.integers(0, j_max + 1)) if j_max > 0 else 0
         kept = rng.choice(supp, size=s - j, replace=False) if s - j > 0 else np.empty(0, int)
         if j > 0:
@@ -195,7 +194,7 @@ def _sparse_point_at_distance(
             continue
         return cos_t * u + (sin_t / gn) * g
     raise SamplingExhaustedError(
-        f"no admissible s-sparse point at distance {target} within {budget} attempts"
+        f"no admissible s-sparse point at distance {target} within {_RETRY_BUDGET} attempts"
     )
 
 
@@ -217,7 +216,7 @@ def raic_probe(cfg: RaicProbeConfig) -> RaicProbeResult:
     for k in range(cfg.samples):
         rng = generator_for(substream_seed(cfg.seed, 2, k))
         target = cfg.r_lb + (k + rng.uniform(0.0, 1.0)) * width / cfg.samples
-        y = _sparse_point_at_distance(x, cfg.s, target, rng, cfg.retry_budget)
+        y = _sparse_point_at_distance(x, cfg.s, target, rng)
         sign_y = sign_quantize(linear_measurements(A, y)).bits
         lhs = sparse_dual_norm(nu * _sign_gradient(A.matrix, sign_x, sign_y) - (x - y), cfg.s)
         cloud.append((float(np.linalg.norm(x - y)), float(lhs)))

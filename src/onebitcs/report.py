@@ -249,10 +249,9 @@ def emit_report(
     records: list[SweepRecord],
     manifest: RunManifest,
     out_dir,
-    error_stat: str = "median",
     theory_curve: list[tuple[float, float]] | None = None,
 ) -> dict[str, Path | None]:
-    """Write records.csv, manifest.txt, and (when some run succeeded) plot.svg."""
+    """Write records.csv, manifest.txt, and (when some run succeeded) plot.svg of median errors."""
     out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -262,12 +261,12 @@ def emit_report(
             "svg": None,
         }
         algorithms = sorted({rec.algorithm for rec in records})
-        series = {a: [(float(m), v) for m, v in error_stat_by_m(records, a, error_stat)] for a in algorithms}
+        series = {a: [(float(m), v) for m, v in error_stat_by_m(records, a)] for a in algorithms}
         if any(series.values()):
             annotations = []
             for algo in algorithms:
                 try:
-                    slope, _, r2 = fit_slope(records, algo, error_stat)
+                    slope, _, r2 = fit_slope(records, algo)
                     annotations.append(f"{algo}: slope {slope:+.3f} (r2={r2:.3f})")
                 except InvalidArgumentError:
                     pass  # fewer than 3 m values: plot without a fit
@@ -275,7 +274,7 @@ def emit_report(
                 series,
                 annotations,
                 theory_curve,
-                title=f"{error_stat} error vs m (N={manifest.config.n}, s={manifest.config.s})",
+                title=f"median error vs m (N={manifest.config.n}, s={manifest.config.s})",
             )
             svg_path = out_dir / "plot.svg"
             svg_path.write_text(svg)

@@ -6,22 +6,25 @@ seeded through SeedSequence. Independent substreams are derived from
 sampling transform are named in run manifests, beside the sweep's substream
 rule, so results stay reproducible across builds. A blocked matrix draw fills
 each row block from its own child of the matrix seed, ``block_generator(seed, i)``.
+Every seed the package takes passes through here and must be in [0, 2^64),
+the 64 bits the streams take; any other is rejected, not wrapped onto a seed in range.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvalidArgumentError
+
 # Names recorded in manifests.
 RNG_ALGORITHM = "pcg64-seedsequence"
 GAUSSIAN_TRANSFORM = "ziggurat (numpy Generator.standard_normal)"
 
-_U64 = np.uint64(2**64 - 1)
-
 
 def _as_entropy(seed: int) -> int:
-    # SeedSequence wants nonnegative entropy; fold negative seeds into uint64.
-    return int(seed) & int(_U64)
+    if not 0 <= int(seed) < 2**64:
+        raise InvalidArgumentError(f"seed must be in [0, 2^64), got {seed}")
+    return int(seed)
 
 
 def substream_seed(master_seed: int, *indices: int) -> int:
@@ -37,7 +40,6 @@ def substream_seed(master_seed: int, *indices: int) -> int:
 def generator_for(seed: int) -> np.random.Generator:
     """Build the package's named generator (PCG64) for a 64-bit seed."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(_as_entropy(seed))))
-
 
 
 def block_generator(seed: int, block: int) -> np.random.Generator:

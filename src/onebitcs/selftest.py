@@ -25,7 +25,7 @@ from .probes import (
     decomposition_check,
     projection_inequality_check,
 )
-from .rng import generator_for
+from .rng import generator_for, substream_seed
 from .sparse_ops import geodesic_distance, hamming_distance, hard_threshold, sparse_dual_norm
 from .theory import error_exponent, theory_schedule
 
@@ -190,6 +190,8 @@ def _check_error_guards():
         lambda: hard_threshold([1.0, 2.0], 3),
         lambda: sparse_dual_norm([1.0], 0),
         lambda: check_unbiasedness(np.array([1.0]), 10, 10, 1),
+        lambda: substream_seed(-1),  # the seed rule: every seed is in [0, 2^64)
+        lambda: gen_gaussian_matrix(2**64 + 5, 4, 4),
     ):
         try:
             fn()
@@ -228,7 +230,7 @@ CHECKS = [
 ]
 
 
-def run_selftest(out=print) -> int:
+def run_selftest() -> int:
     """Run every check; report one line each; return count of failures."""
     failures = 0
     for name, fn in CHECKS:
@@ -236,9 +238,9 @@ def run_selftest(out=print) -> int:
             fn()
         except Exception as exc:  # report and keep going
             failures += 1
-            out(f"FAIL - {name}: {exc!r}")
-            out("       " + traceback.format_exc().splitlines()[-1])
+            print(f"FAIL - {name}: {exc!r}")
+            print("       " + traceback.format_exc().splitlines()[-1])
         else:
-            out(f"ok   - {name}")
-    out(f"{len(CHECKS) - failures}/{len(CHECKS)} checks passed")
+            print(f"ok   - {name}")
+    print(f"{len(CHECKS) - failures}/{len(CHECKS)} checks passed")
     return failures

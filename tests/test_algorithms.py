@@ -17,6 +17,7 @@ from onebitcs import (
     biht_run,
     gen_gaussian_matrix,
     gen_sparse_signal,
+    hamming_distance,
     hard_threshold,
     iht_run,
     measure,
@@ -154,16 +155,17 @@ class TestNbihtRun:
 
     def test_truth_start_stops_immediately(self):
         x, A, b = _instance(7, n=32, s=4, m=256)
-        cfg = AlgorithmConfig(s=4, init="provided", init_vector=x.values)
+        cfg = AlgorithmConfig(s=4, init_seed=substream_seed(7, 0))  # _instance's signal stream: x itself
         trace = nbiht_run(A, b, cfg, truth=x)
         assert trace.iterations_used == 0 and trace.stop_reason == "converged"
+        assert trace.errors_vs_truth == [0.0]
 
     def test_matched_filter_initialization(self):
         x, A, b = _instance(8, n=64, s=4, m=512)
         trace = nbiht_run(A, b, AlgorithmConfig(s=4, init="matched_filter", max_iters=50), truth=x)
         start = one_shot_estimate(A, b, 4)
-        provided = AlgorithmConfig(s=4, init="provided", init_vector=start, max_iters=50)
-        _assert_same_run(trace, nbiht_run(A, b, provided, truth=x))
+        assert trace.sign_agreement[0] == 1.0 - hamming_distance(measure(A, start), b)
+        assert trace.errors_vs_truth[0] == float(np.linalg.norm(start - x.values))
 
     def test_sign_agreement_within_unit_interval(self):
         x, A, b = _instance(9, n=32, s=4, m=128)
@@ -182,14 +184,14 @@ class TestNbihtRun:
 class TestBihtRun:
     def test_sign_consistent_start_is_fixed_point(self):
         x, A, b = _instance(11, n=32, s=4, m=256)
-        cfg = AlgorithmConfig(s=4, init="provided", init_vector=x.values)
+        cfg = AlgorithmConfig(s=4, init_seed=substream_seed(11, 0))  # x itself
         trace = biht_run(A, b, cfg, truth=x)
         assert trace.iterations_used == 0 and trace.stop_reason == "converged"
+        assert trace.errors_vs_truth == [0.0]
 
     def test_iterates_sparse_but_not_normalized(self):
         x, A, b = _instance(12, n=48, s=5, m=96)
-        start = gen_sparse_signal(substream_seed(12, 2), 48, 5).values
-        cfg = AlgorithmConfig(s=5, max_iters=1, init="provided", init_vector=start)
+        cfg = AlgorithmConfig(s=5, max_iters=1, init_seed=substream_seed(12, 2))
         biht = biht_run(A, b, cfg, truth=x)
         nbiht = nbiht_run(A, b, cfg, truth=x)
         assert biht.iterations_used == nbiht.iterations_used == 1
@@ -208,14 +210,12 @@ class TestBihtRun:
 
 @pytest.mark.parametrize("run", [nbiht_run, biht_run])
 class TestDegenerateRun:
-    # signs of A x0 are (1, -1) against b = (-1, 1): z = 1 + (0.5/2) * (-4) = 0
+    # init seed 0 draws x0 = (1.0,), whose signs (1, -1) meet b = (-1, 1): z = 1 + (0.5/2) * (-4) = 0
     A = MeasurementEnsemble(matrix=np.array([[1.0], [-1.0]]), seed=0)
     b = BinaryObservation(bits=np.array([-1.0, 1.0]))
 
     def _cfg(self, policy):
-        return AlgorithmConfig(
-            s=1, tau=0.5, init="provided", init_vector=np.array([1.0]), degenerate_policy=policy
-        )
+        return AlgorithmConfig(s=1, tau=0.5, init_seed=0, degenerate_policy=policy)
 
     def test_keep_previous_stops(self, run):
         trace = run(self.A, self.b, self._cfg("keep_previous"))
@@ -231,9 +231,10 @@ class TestIhtRun:
     def test_truth_start_is_fixed_point(self):
         x, A, _ = _instance(14, n=32, s=4, m=64)
         y = A.matrix @ x.values
-        cfg = AlgorithmConfig(s=4, init="provided", init_vector=x.values)
+        cfg = AlgorithmConfig(s=4, init_seed=substream_seed(14, 0))  # x itself
         trace = iht_run(A, y, cfg, truth=x)
         assert trace.iterations_used == 0 and trace.stop_reason == "converged"
+        assert trace.errors_vs_truth == [0.0]
 
     def test_noiseless_exact_recovery(self):
         hits = 0
@@ -391,9 +392,3 @@ class TestConfigValidation:
     def test_rejected(self, kwargs):
         with pytest.raises(InvalidArgumentError):
             AlgorithmConfig(**kwargs)
-
-    def test_provided_init_must_be_unit_sparse(self):
-        x, A, b = _instance(17)
-        bad = np.ones(16)
-        with pytest.raises(InvalidArgumentError):
-            nbiht_run(A, b, AlgorithmConfig(s=3, init="provided", init_vector=bad))

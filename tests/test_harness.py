@@ -241,8 +241,9 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_master_seed_outside_64_bits_rejected(self, seed):
-        with pytest.raises(InvalidArgumentError, match=rf"master_seed must be in \[0, 2\^64\), got {seed}"):
-            _small_config(master_seed=seed)
+        # rng rejects it as build_manifest derives the seed tables, before any draw
+        with pytest.raises(InvalidArgumentError, match=rf"seed must be in \[0, 2\^64\), got {seed}"):
+            run_sweep(_small_config(master_seed=seed))
 
     def test_largest_master_seed_accepted(self):
         records, manifest = run_sweep(_small_config(master_seed=2**64 - 1, trials_per_cell=1))

@@ -28,6 +28,7 @@ from onebitcs import (
     sign_quantize,
     substream_seed,
 )
+from onebitcs.probes import check_embedding, gaussian_width_estimate
 from onebitcs.rng import block_generator
 from oracles import blocked_gaussian_draw
 
@@ -76,9 +77,6 @@ class TestBlockedGaussianMatrix:
         a = gen_gaussian_matrix(1, 3, 3)
         with pytest.raises(ValueError):
             a.matrix[0, 0] = 5.0
-
-    def test_negative_seed_accepted_deterministically(self):
-        assert np.array_equal(gen_gaussian_matrix(-3, 4, 4).matrix, gen_gaussian_matrix(-3, 4, 4).matrix)
 
     @given(
         seed=_SEEDS,
@@ -157,8 +155,37 @@ class TestBlockedGaussianMatrix:
             gen_gaussian_matrix(1, 5, 5, threads=0)
 
 
+# Functions that take a seed, each on a small input; the two probes stand for the others.
+_SEEDED = {
+    "substream_seed": lambda seed: substream_seed(seed),
+    "substream_index": lambda seed: substream_seed(1, seed),
+    "generator_for": lambda seed: generator_for(seed),
+    "block_generator": lambda seed: block_generator(seed, 0),
+    "gen_gaussian_matrix": lambda seed: gen_gaussian_matrix(seed, 4, 4),
+    "gen_sparse_signal": lambda seed: gen_sparse_signal(seed, 4, 2),
+    "check_embedding": lambda seed: check_embedding(N=16, s=2, m=64, pairs=2, seed=seed),
+    "gaussian_width_estimate": lambda seed: gaussian_width_estimate(16, 2, trials=100, seed=seed),
+}
+
+
+@pytest.mark.parametrize("draw", list(_SEEDED.values()), ids=list(_SEEDED))
+class TestSeedRule:
+    """Every seed is in [0, 2^64), the 64 bits the streams take; no other wraps onto one in range."""
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+    def test_seed_outside_64_bits_rejected(self, draw, seed):
+        with pytest.raises(InvalidArgumentError, match=rf"^seed must be in \[0, 2\^64\), got {seed}$"):
+            draw(seed)
+
+    def test_largest_seed_accepted(self, draw):
+        draw(2**64 - 1)
+
+
 class TestBlockFiller:
-    """The fill of ``gen_gaussian_matrix``'s 512-row blocks on 1, 2 and 4 threads."""
+    """The fill of ``gen_gaussian_matrix(out=…, threads=…)``'s 512-row blocks on 1, 2 and 4 threads.
+
+    The class keeps the name of the streamed filler it first tested, so that its test ids stay stable.
+    """
 
     M, N = 2100, 3  # five blocks, the last one short
 

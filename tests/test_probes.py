@@ -116,10 +116,11 @@ class TestRaicProbe:
         assert 0.0 <= res.fitted_delta < 1.0
         assert res.fitted_eta >= 0.0
 
-    def test_sampling_exhaustion_on_impossible_annulus(self):
+    def test_sampling_exhaustion_on_impossible_annulus(self, monkeypatch):
         # s = 1 sparse unit vectors sit at distances {0, sqrt(2), 2} only
-        cfg = RaicProbeConfig(N=8, s=1, m=16, samples=1, seed=1, r_lb=0.3, r_ub=0.4, retry_budget=200)
-        with pytest.raises(SamplingExhaustedError):
+        monkeypatch.setattr(probes, "_RETRY_BUDGET", 200)
+        cfg = RaicProbeConfig(N=8, s=1, m=16, samples=1, seed=1, r_lb=0.3, r_ub=0.4)
+        with pytest.raises(SamplingExhaustedError, match="within 200 attempts"):
             raic_probe(cfg)
 
     def test_invalid_annulus(self):
