@@ -175,8 +175,8 @@ def _load_config_section(path: str | None, section: str) -> dict:
         raise InvalidArgumentError(f"config file not found: {file}")
     ini = configparser.ConfigParser()
     try:
-        ini.read(file)
-    except configparser.Error as exc:
+        ini.read_string(file.read_text(), str(file))  # ini.read would skip a file it cannot open
+    except (OSError, UnicodeDecodeError, configparser.Error) as exc:
         raise InvalidArgumentError(f"cannot parse config file {file}: {exc}") from exc
     return dict(ini.items(section)) if ini.has_section(section) else {}
 

@@ -6,9 +6,9 @@ sees the same instance (paired comparison) and any execution order or worker
 count reproduces the same records bitwise. A trial draws one
 ``max(m_grid)``-row matrix in seeded 512-row blocks, and every m runs on its
 first m rows, which are bitwise an m-row draw from the same seed, so the
-instances of a trial are nested across m. The task thread draws the whole
-matrix first, through ``gen_gaussian_matrix`` on the process's share of the
-CPUs, and then solves every m's runs inline or on forked solver processes
+instances of a trial are nested across m. A task draws the whole matrix
+first, through ``gen_gaussian_matrix`` on the process's share of the CPUs,
+and then solves every m's runs inline or on forked solver processes
 (``_solver_processes``).
 ``_thread_plan`` sets these counts and OpenBLAS's threads per call; pool
 workers and solvers are pinned at start, and the serial sweep and every CLI
@@ -128,6 +128,8 @@ class SweepConfig:
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if unknown:
             raise InvalidArgumentError(f"unknown algorithms: {sorted(unknown)}")
+        if len(set(self.algorithms)) < len(self.algorithms):
+            raise InvalidArgumentError(f"each algorithm may be listed once, got {list(self.algorithms)}")
         if not 0 <= self.noise_std < math.inf:  # also rejects NaN
             raise InvalidArgumentError(f"noise_std must be finite and nonnegative, got {self.noise_std!r}")
         if self.support_rule not in SUPPORT_RULES:
@@ -182,7 +184,7 @@ class RunManifest:
     blas: str = "unknown"  # name and version of the BLAS numpy was built against
     workers: int = 1  # processes the tasks ran in (the pool size, 1 when serial)
     blas_threads_per_worker: str = "default"  # threads each process's OpenBLAS ran, "default" if unknown
-    draw_threads: int = 1  # threads given to each matrix draw, the task thread included
+    draw_threads: int = 1  # threads that fill each matrix draw while the task thread waits
     draw_s: float = 0.0  # task-thread seconds drawing each trial's instances, summed
     solve_s: float = 0.0  # seconds spent in solve, summed over records; overlapping runs each count
 
@@ -248,7 +250,7 @@ def _sphere_error(estimate: np.ndarray, truth: np.ndarray) -> float:
 class ThreadPlan(NamedTuple):
     """The threads of one sweep process (see ``_thread_plan``)."""
 
-    share: int  # threads drawing a matrix, the task thread included
+    share: int  # threads drawing a matrix while the task thread waits
     solvers: int  # processes a one-process sweep solves its runs on; 1 solves them inline
     blas: int  # OpenBLAS threads per call
 
@@ -256,12 +258,12 @@ class ThreadPlan(NamedTuple):
 def _thread_plan(pool_size: int, runs: int = 1) -> ThreadPlan:
     """The threads of each process when ``pool_size`` processes share the CPUs.
 
-    A process's share is ``max(1, cpus // pool_size)``, and every thread of
-    it draws: the task thread and ``share - 1`` helpers. One process solves
-    a trial's ``runs`` on ``min(share, runs)`` solver processes (inline at
-    1), pool workers inline. Each BLAS call runs on one thread fewer than a
+    A process's share is ``max(1, cpus // pool_size)``: that many threads
+    draw a matrix while the task thread waits. One process solves a trial's
+    ``runs`` on ``min(share, runs)`` solver processes (inline at 1), pool
+    workers inline. Each BLAS call runs on one thread fewer than a
     solver's part of the share, and at least one: between small BLAS calls
-    an extra OpenBLAS thread busy-waits on a core that a draw helper or
+    an extra OpenBLAS thread busy-waits on a core that a draw thread or
     another solver could use. So a command with one run (``recover``, the
     probes) runs BLAS at ``share - 1``, and a sweep with a run for every
     thread of its share at one. Only shares of 1 and 2 have been measured.

@@ -6,11 +6,11 @@ Sign convention: sign(w) = +1 for w > 0 and -1 otherwise, including w = 0;
 All generated arrays are frozen (read-only) after construction; every
 constructor is a pure function of its seed and parameters. The Gaussian
 ensemble has one draw, ``gen_gaussian_matrix``: independently seeded 512-row
-blocks, which a ``BlockRunner`` fills on helper threads and the calling
-thread; the first m rows of a taller draw are bitwise the m-row draw, so a
+blocks, which ``_map_blocks`` fills on a thread pool while the calling thread
+waits; the first m rows of a taller draw are bitwise the m-row draw, so a
 sweep draws each trial's matrix once, whole, and runs every m on a prefix.
-The probes also run their sample blocks on a ``BlockRunner``; a runner works
-on every CPU unless a sweep gives it its process's share. A x has one form:
+The probes also run their sample blocks through ``_map_blocks``; it works on
+every CPU unless a sweep gives it its process's share. A x has one form:
 the product of the columns of A on the support of x with the nonzeros of x
 (``linear_measurements``), which every measurement and probe takes. An
 ensemble that takes many such products (a probe's) may carry a read-only
@@ -180,45 +180,17 @@ class BinaryObservation:
         return self.bits.size
 
 
-class BlockRunner:
-    """``work(0), ..., work(blocks - 1)``, queued in index order on ``threads - 1`` helper threads.
+def _map_blocks(blocks: int, work, threads: int | None = None) -> list:
+    """``[work(0), ..., work(blocks - 1)]`` on ``threads`` threads, every CPU when None.
 
-    ``threads`` None means every CPU; never more helpers than the blocks or
-    the CPUs allow. ``results()``, which a runner gives once, runs on the
-    calling thread every block that no helper has started, waits for the
-    rest and returns the results in block order, re-raising the first
-    exception among them; on the way out it drops the blocks still queued
-    and joins the helpers. A ``work`` that held the runner would keep what
-    it holds alive until the cyclic collector runs.
+    Never more threads than blocks or CPUs; the calling thread waits. The
+    first exception in block order is raised after the queued blocks are
+    dropped and every thread is joined.
     """
-
-    def __init__(self, blocks: int, work, threads: int | None = None):
-        if threads is not None and threads < 1:
-            raise InvalidArgumentError(f"threads must be >= 1, got {threads}")
-        self._work = work
-        self._blocks = blocks
-        self._done = False
-        helpers = min(threads or blocks, blocks, os.cpu_count() or 1) - 1  # threads None: as the CPUs allow
-        self._helpers = ThreadPoolExecutor(helpers) if helpers > 0 else None
-        self._queued = [self._helpers.submit(work, i) for i in range(blocks)] if self._helpers else []
-
-    def results(self) -> list:
-        """The result of every block, each run once."""
-        if self._done:
-            raise InvalidArgumentError("the runner has given its results")
-        self._done = True
-        try:
-            results = [None] * self._blocks
-            for i in range(self._blocks):
-                if not self._queued or self._queued[i].cancel():
-                    results[i] = self._work(i)  # no helper has started it
-            for i, block in enumerate(self._queued):
-                if not block.cancelled():
-                    results[i] = block.result()  # waits for the helper; raises its exception
-            return results
-        finally:
-            if self._helpers is not None:
-                self._helpers.shutdown(wait=True, cancel_futures=True)
+    if threads is not None and threads < 1:
+        raise InvalidArgumentError(f"threads must be >= 1, got {threads}")
+    with ThreadPoolExecutor(min(threads or blocks, blocks, os.cpu_count() or 1)) as pool:
+        return list(pool.map(work, range(blocks)))
 
 
 def _fill_block(matrix: np.ndarray, seed: int, i: int) -> None:
@@ -263,7 +235,7 @@ def gen_gaussian_matrix(
         raise InvalidArgumentError(f"out must be a writable C-contiguous float64 array of at "
                                    f"least {m} x {N} entries")
     matrix = out.reshape(-1)[:m * N].reshape(m, N)
-    BlockRunner(-(-m // DRAW_BLOCK_ROWS), functools.partial(_fill_block, matrix, seed), threads).results()
+    _map_blocks(-(-m // DRAW_BLOCK_ROWS), functools.partial(_fill_block, matrix, seed), threads)
     return MeasurementEnsemble(matrix=matrix, seed=int(seed), _finite=True)
 
 

@@ -20,8 +20,8 @@ the other adjoint products stay dense. The width, projection and
 decomposition probes draw no matrix. They take their samples in blocks:
 block i of a stream seeded by ``seed`` draws from
 ``rng.block_generator(seed, i)`` alone, and the blocks are run by
-``model.BlockRunner``, the runner under the matrix draw. Both work on every
-CPU. A block's result depends only on its index, and the blocks' results
+``model._map_blocks``, the thread pool under the matrix draw. Both work on
+every CPU. A block's result depends only on its index, and the blocks' results
 are combined in block order, so what a probe returns does not depend on the
 thread count.
 """
@@ -37,7 +37,7 @@ from .algorithms import DEFAULT_TAU, _sign_gradient
 from .errors import InvalidArgumentError, SamplingExhaustedError
 from .model import (
     DRAW_BLOCK_ROWS,
-    BlockRunner,
+    _map_blocks,
     _mapped,
     _require_physical_memory,
     _with_columns,
@@ -51,7 +51,7 @@ from .rng import block_generator, generator_for, substream_seed
 from .sparse_ops import geodesic_distance, hamming_distance, hard_threshold, sparse_dual_norm
 
 # Entries in one array of the width and decomposition probes' samples (128 KiB).
-# With whole 512 x 256 blocks (1 MiB arrays) the helper threads' heaps kept
+# With whole 512 x 256 blocks (1 MiB arrays) the pool threads' heaps kept
 # about 4 MiB after the probes returned, which the next matrix probe's peak
 # memory then included.
 _CHUNK = 2**14
@@ -303,7 +303,7 @@ def check_decomposition(n: int, triples: int, seed: int) -> float:
             out = max(out, *(float(part.max()) for part in decomposition_check(a, x, y)))
         return out
 
-    return max(BlockRunner(-(-triples // DRAW_BLOCK_ROWS), worst).results())
+    return max(_map_blocks(-(-triples // DRAW_BLOCK_ROWS), worst))
 
 
 def gaussian_width_estimate(N: int, s: int, trials: int, seed: int) -> float:
@@ -332,7 +332,7 @@ def gaussian_width_estimate(N: int, s: int, trials: int, seed: int) -> float:
             norms.append(np.sqrt((top * top).sum(axis=1)))
         return norms
 
-    blocks = BlockRunner(-(-trials // DRAW_BLOCK_ROWS), top_norms).results()
+    blocks = _map_blocks(-(-trials // DRAW_BLOCK_ROWS), top_norms)
     return float(np.concatenate([part for block in blocks for part in block]).sum()) / trials
 
 
@@ -396,4 +396,4 @@ def projection_inequality_check(samples: int, N: int, s: int, seed: int) -> floa
             dual[j] = sparse_dual_norm(d[j], s)
         return float(np.max(np.linalg.norm(t - z, axis=1) - 2.0 * dual))
 
-    return max(BlockRunner(-(-samples // per), worst).results())
+    return max(_map_blocks(-(-samples // per), worst))

@@ -6,11 +6,13 @@ seeded through SeedSequence. Independent substreams are derived from
 sampling transform are named in run manifests, beside the sweep's substream
 rule, so results stay reproducible across builds. A blocked matrix draw fills
 each row block from its own child of the matrix seed, ``block_generator(seed, i)``.
-Every seed the package takes passes through here and must be in [0, 2^64),
-the 64 bits the streams take; any other is rejected, not wrapped onto a seed in range.
+Every seed the package takes passes through here and must be an integer in
+[0, 2^64), the 64 bits the streams take; any other is rejected, not wrapped onto a seed in range.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -22,9 +24,13 @@ GAUSSIAN_TRANSFORM = "ziggurat (numpy Generator.standard_normal)"
 
 
 def _as_entropy(seed: int) -> int:
-    if not 0 <= int(seed) < 2**64:
+    try:
+        entropy = operator.index(seed)  # 5.5, 5.0 and "5" are rejected, not truncated or parsed
+    except TypeError:
+        entropy = -1
+    if not 0 <= entropy < 2**64:
         raise InvalidArgumentError(f"seed must be in [0, 2^64), got {seed}")
-    return int(seed)
+    return entropy
 
 
 def substream_seed(master_seed: int, *indices: int) -> int:

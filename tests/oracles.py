@@ -72,7 +72,7 @@ def blocked_gaussian_draw(seed: int, m: int, n: int) -> np.ndarray:
     """The m x n blocked Gaussian draw, one 512-row block after another.
 
     Block i is ``standard_normal`` from ``rng.block_generator(seed, i)``,
-    drawn on its own and stacked; no ``BlockRunner`` is involved.
+    drawn on its own and stacked; no thread pool is involved.
     """
     blocks = []
     for i in range(-(-m // 512)):

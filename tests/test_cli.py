@@ -171,6 +171,16 @@ class TestExitCodes:
         assert parse_and_dispatch(argv[:6] + ["256,512"] + argv[7:] + ["--noise-std", "0.1"]) == 0
         assert drawn  # the spy sees a sweep's draws
 
+    def test_algorithm_listed_twice_is_validation_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert parse_and_dispatch(
+            ["sweep", "--n", "32", "--s", "2", "--m-grid", "64,128,256", "--algo", "nbiht,nbiht",
+             "--trials", "2", "--seed", "1", "--out-dir", str(out)]
+        ) == 1
+        assert capsys.readouterr() == (
+            "", "onebitcs: error: each algorithm may be listed once, got ['nbiht', 'nbiht']\n")
+        assert not out.exists()
+
     def test_infinite_tau_is_validation_error(self, capsys):
         assert parse_and_dispatch(
             ["recover", "--seed", "1", "--n", "64", "--s", "2", "--m", "256", "--tau", "inf"]
@@ -484,6 +494,21 @@ class TestConfigFile:
         assert parse_and_dispatch(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert f"'{value}'" in err and f"'{key}'" in err and "[sweep]" in err
+
+    def test_unreadable_config_is_validation_error(self, tmp_path, capsys):
+        # a path that cannot be opened as a file; reading it would skip it and run on the defaults
+        assert parse_and_dispatch(["theory", "--config", str(tmp_path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"onebitcs: error: cannot parse config file {tmp_path}: ")
+        assert err.count("\n") == 1
+
+    def test_undecodable_config_is_validation_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"[theory]\nn = \xff\xfe\n")
+        assert parse_and_dispatch(["theory", "--config", str(cfg)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"onebitcs: error: cannot parse config file {cfg}: ")
+        assert err.count("\n") == 1
 
     def test_seed_from_config_satisfies_requirement(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -239,7 +239,7 @@ class TestRunSweep:
         with pytest.raises(InvalidArgumentError, match="tau"):
             run_sweep(_small_config(tau=float("inf")))
 
-    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 5.5])  # 5.5 would otherwise run seed 5's tables
     def test_master_seed_outside_64_bits_rejected(self, seed):
         # rng rejects it as build_manifest derives the seed tables, before any draw
         with pytest.raises(InvalidArgumentError, match=rf"seed must be in \[0, 2\^64\), got {seed}"):
@@ -260,6 +260,8 @@ class TestRunSweep:
             _small_config(value_rule="cauchy")
         with pytest.raises(InvalidArgumentError):
             _small_config(noise_std=float("nan"))
+        with pytest.raises(InvalidArgumentError, match="each algorithm may be listed once"):
+            _small_config(algorithms=("nbiht", "one_shot", "nbiht"))
 
 
 class _RecordingPool:

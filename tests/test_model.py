@@ -106,10 +106,10 @@ class TestBlockedGaussianMatrix:
     @example(seed=5, n=4, m=2100)  # five blocks over four threads
     @settings(max_examples=25, deadline=None)
     def test_thread_count_does_not_change_the_draw(self, seed, n, m):
-        # 0, 1 and 3 helpers, and every CPU, into its own buffer or a caller's,
+        # 1, 2 and 4 threads, and every CPU, into its own buffer or a caller's,
         # all fill the reference draw
         reference = blocked_gaussian_draw(seed, m, n).tobytes()
-        with mock.patch.object(os, "cpu_count", return_value=4):  # let 3 helpers run on any host
+        with mock.patch.object(os, "cpu_count", return_value=4):  # let 4 threads run on any host
             for threads in (1, 2, 4):
                 assert _blocked(seed, m, n, threads).tobytes() == reference
             assert gen_gaussian_matrix(seed, m, n).matrix.tobytes() == reference
@@ -140,7 +140,7 @@ class TestBlockedGaussianMatrix:
         for threads in (10**6, None):  # None: every CPU
             for m in (5000, 1000, 500):  # 10 blocks on 3 CPUs, 2 blocks, 1 block
                 _blocked(1, m, 2, threads)
-        assert sizes == [2, 1] * 2  # helpers besides the calling thread; none for one block
+        assert sizes == [3, 2, 1] * 2  # every thread draws while the caller waits; one for one block
 
     def test_unallocatable_size_derives_no_block_seed(self, monkeypatch):
         def derived(*args):
@@ -172,7 +172,7 @@ _SEEDED = {
 class TestSeedRule:
     """Every seed is in [0, 2^64), the 64 bits the streams take; no other wraps onto one in range."""
 
-    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5, 5.5, 5.0])  # no float is truncated to a seed
     def test_seed_outside_64_bits_rejected(self, draw, seed):
         with pytest.raises(InvalidArgumentError, match=rf"^seed must be in \[0, 2\^64\), got {seed}$"):
             draw(seed)
@@ -313,23 +313,22 @@ class TestBlockFiller:
 
 
 class TestBlockRunner:
-    @pytest.mark.parametrize("threads", [1, 2, 4])  # 0, 1 and 3 helpers
+    """``model._map_blocks``, the thread pool under every blocked draw; the class keeps its test ids."""
+
+    @pytest.mark.parametrize("threads", [1, 2, 4])
     def test_blocks_in_order_and_a_raising_block_joins_the_helpers(self, threads, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)  # let 3 helpers run on any host
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)  # let 4 threads run on any host
         start = threading.active_count()
-        runner = model.BlockRunner(7, lambda i: i * i, threads)
-        assert runner.results() == [i * i for i in range(7)]
+        assert model._map_blocks(7, lambda i: i * i, threads) == [i * i for i in range(7)]
         assert threading.active_count() == start
-        with pytest.raises(InvalidArgumentError, match="given its results"):
-            runner.results()
 
         def failing(i):
-            if i == 3:
-                raise ValueError("block 3")
+            if i in (3, 5):
+                raise ValueError(f"block {i}")
             return i
 
-        with pytest.raises(ValueError, match="block 3"):
-            model.BlockRunner(7, failing, threads).results()
+        with pytest.raises(ValueError, match="^block 3$"):  # the first in block order
+            model._map_blocks(7, failing, threads)
         assert threading.active_count() == start
 
 

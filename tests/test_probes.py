@@ -143,20 +143,18 @@ class TestProbeDraw:
 
     def test_outputs_do_not_depend_on_the_cpu_count(self, monkeypatch, capsys):
         runners, drawn = [], []
-        real = probes.gen_gaussian_matrix
+        real, real_pool = probes.gen_gaussian_matrix, model.ThreadPoolExecutor
 
-        class RecordingRunner(model.BlockRunner):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                runners.append(0 if self._helpers is None else self._helpers._max_workers)
+        def recording(max_workers):
+            runners.append(max_workers)
+            return real_pool(max_workers)
 
         def drawing(*args, **kwargs):
             A = real(*args, **kwargs)
             drawn.append(A.matrix.ctypes.data)
             return A
 
-        monkeypatch.setattr(model, "BlockRunner", RecordingRunner)
-        monkeypatch.setattr(probes, "BlockRunner", RecordingRunner)
+        monkeypatch.setattr(model, "ThreadPoolExecutor", recording)
         monkeypatch.setattr(probes, "gen_gaussian_matrix", drawing)
         start = threading.active_count()
         printed = []
@@ -165,12 +163,12 @@ class TestProbeDraw:
             for argv in self.PROBES:
                 assert parse_and_dispatch(["probe", *argv, "--n", "48", "--s", "3", "--seed", "5"]) == 0
             printed.append(capsys.readouterr().out)
-            assert threading.active_count() == start  # every helper joined
+            assert threading.active_count() == start  # every pool thread joined
             # 10 trials into one buffer, then one matrix each for embedding and raic
             assert len(drawn) == 12 and len(set(drawn[:10])) == 1
             # those 12 draws, then the width, projection and decomposition samples:
-            # 3 blocks each, on the calling thread and one helper per further CPU
-            assert runners == [min(cpus, 3) - 1] * 15
+            # 3 blocks each, on one thread per CPU
+            assert runners == [min(cpus, 3)] * 15
             runners.clear()
             drawn.clear()
         assert printed[0] == printed[1] == printed[2]
