@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import onebitcs.harness as harness
-from onebitcs import InvalidArgumentError, SweepConfig, SweepRecord, run_from_manifest, run_sweep
+from onebitcs import InvalidArgumentError, SweepConfig, SweepRecord, fit_slope, run_from_manifest, run_sweep
 from onebitcs.report import (
     CSV_FIELDS,
     emit_report,
@@ -215,6 +215,13 @@ class TestManifestFile:
 
 DATA = Path(__file__).parent / "data"
 V4_SWEEP = DATA / "v4_sweep"
+# each algorithm's fitted slope on the v4 fixture's records, as plot.svg annotates it
+V4_SLOPES = {
+    "biht": 0.014821411855867415,
+    "iht": -0.9601804605024276,
+    "nbiht": -0.35723070082419234,
+    "one_shot": -0.577266884107604,
+}
 
 
 def _with_version_line(src: Path, dst: Path, line: str | None) -> Path:
@@ -365,3 +372,11 @@ class TestEmitReport:
         svg = paths["svg"].read_text()
         assert svg.count("<polyline") == 1
         assert svg.count('class="slope-annotation"') == 0
+
+    def test_fixture_report_matches_golden(self, tmp_path):
+        # on any numpy: the report is computed from the stored records, not a replay
+        records = read_records_csv(V4_SWEEP / "records.csv")
+        paths = emit_report(records, load_manifest(V4_SWEEP / "manifest.txt"), tmp_path / "report")
+        assert paths["svg"].read_bytes() == (V4_SWEEP / "plot.svg").read_bytes()
+        for algo, slope in V4_SLOPES.items():
+            assert abs(fit_slope(records, algo)[0] - slope) <= 1e-12, algo
