@@ -136,10 +136,12 @@ class SweepConfig:
             raise InvalidArgumentError(f"unknown support_rule {self.support_rule!r}")
         if self.value_rule not in VALUE_RULES:
             raise InvalidArgumentError(f"unknown value_rule {self.value_rule!r}")
-        # the solvers' own checks of the settings every run shares, made here
-        # so that a rejected setting fails before any matrix is drawn
-        AlgorithmConfig(s=self.s, tau=self.tau, max_iters=self.max_iters, stop_tol=self.stop_tol,
-                        init=self.init, degenerate_policy=self.degenerate_policy)
+        self._algorithm_config(init_seed=0)  # a setting the solvers reject fails before any draw
+
+    def _algorithm_config(self, init_seed: int) -> AlgorithmConfig:
+        """The solver settings of every run of the sweep, with the run's init seed."""
+        return AlgorithmConfig(s=self.s, tau=self.tau, max_iters=self.max_iters, stop_tol=self.stop_tol,
+                               init=self.init, init_seed=init_seed, degenerate_policy=self.degenerate_policy)
 
 
 @dataclass(frozen=True)
@@ -274,11 +276,11 @@ def _thread_plan(pool_size: int, runs: int = 1) -> ThreadPlan:
 
 
 def draw_instances(
-    cfg: SweepConfig, ms: tuple[int, ...], seeds: dict[str, int], threads: int | None = None, out=None
+    cfg: SweepConfig, seeds: dict[str, int], threads: int | None = None, out=None
 ) -> list[tuple[int, tuple]]:
-    """(m, instance) for each m of ``ms`` (increasing) from one seed table.
+    """(m, instance) for each m of ``cfg.m_grid`` from one seed table.
 
-    The matrix is drawn once, whole, with ``ms[-1]`` rows, by
+    The matrix is drawn once, whole, with ``max(m_grid)`` rows, by
     ``gen_gaussian_matrix`` on ``threads`` threads (every CPU when None) into
     ``out``, or a new heap array. The instance at m uses a view of its first
     m rows, which is bitwise the m-row draw from the same seed, and draws its
@@ -287,10 +289,10 @@ def draw_instances(
     the cell runs on it.
     """
     x = gen_sparse_signal(seeds["signal"], cfg.n, cfg.s, cfg.support_rule, cfg.value_rule)
-    out = np.empty((ms[-1], cfg.n)) if out is None else out
-    whole = gen_gaussian_matrix(seeds["matrix"], ms[-1], cfg.n, out, threads)
+    out = np.empty((cfg.m_grid[-1], cfg.n)) if out is None else out
+    whole = gen_gaussian_matrix(seeds["matrix"], cfg.m_grid[-1], cfg.n, out, threads)
     instances = []
-    for m in ms:
+    for m in cfg.m_grid:
         A = MeasurementEnsemble(whole.matrix[:m], whole.seed, _finite=True)  # C-contiguous view, no copy
         lin = linear_measurements(A, x, cfg.noise_std, seeds["noise"])
         instances.append((m, (x, A, lin, sign_quantize(lin))))
@@ -305,20 +307,11 @@ def solve(cfg: SweepConfig, algo: str, instance: tuple, init_seed: int) -> tuple
     Raises DegenerateIterateError when the run collapses to the zero vector.
     """
     x, A, lin, b = instance
-    # built before the one_shot branch so its validation covers every algorithm
-    algo_cfg = AlgorithmConfig(
-        s=cfg.s,
-        tau=cfg.tau,
-        max_iters=cfg.max_iters,
-        stop_tol=cfg.stop_tol,
-        init=cfg.init,
-        init_seed=init_seed,
-        degenerate_policy=cfg.degenerate_policy,
-    )
     if algo == "one_shot":
         estimate = one_shot_estimate(A, b, cfg.s, cfg.tau)
         agreement = 1.0 - hamming_distance(sign_quantize(linear_measurements(A, estimate)), b)
         return _sphere_error(estimate, x.values), 1, agreement, "one_shot"
+    algo_cfg = cfg._algorithm_config(init_seed)
     if algo == "iht":
         trace = iht_run(A, lin, algo_cfg)
     elif algo == "nbiht":
@@ -400,7 +393,7 @@ def _run_task(
     solvers reject.
     """
     start = time.perf_counter()
-    instances = draw_instances(cfg, cfg.m_grid, seeds, plan.share, rows)
+    instances = draw_instances(cfg, seeds, plan.share, rows)
     draw_s = time.perf_counter() - start
     runs = [(algo, m, instance, seeds[f"init.{algo}"])
             for m, instance in instances for algo in sorted(cfg.algorithms)]
@@ -547,33 +540,24 @@ def run_from_manifest(
     return _execute(fresh, workers)
 
 
-def error_stat_by_m(
-    records: list[SweepRecord], algorithm: str, error_stat: str = "median"
-) -> list[tuple[int, float]]:
-    """(m, statistic) series for one algorithm, ordered by m.
+def _median_by_m(records: list[SweepRecord], algorithm: str) -> list[tuple[int, float]]:
+    """(m, median error) series for one algorithm, ordered by m.
 
     Failed runs (``error:`` rows) carry a placeholder error and are left out,
     so an m where every run failed has no point.
     """
-    if error_stat not in ("median", "mean"):
-        raise InvalidArgumentError(f"unknown error_stat {error_stat!r}")
     by_m: dict[int, list[float]] = {}
     for rec in records:
         if rec.algorithm == algorithm and not rec.stop_reason.startswith("error:"):
             by_m.setdefault(rec.m, []).append(rec.final_l2_error)
-    stat = np.median if error_stat == "median" else np.mean
-    return [(m, float(stat(by_m[m]))) for m in sorted(by_m)]
+    return [(m, float(np.median(by_m[m]))) for m in sorted(by_m)]
 
 
-def fit_slope(
-    records: list[SweepRecord], algorithm: str, error_stat: str = "median"
-) -> tuple[float, float, float]:
-    """OLS fit of log(error statistic per m) against log(m).
+def _fit_loglog(series: list[tuple[float, float]]) -> tuple[float, float, float]:
+    """OLS fit of log(value) against log(m) over an (m, value) series: (slope, intercept, r_squared).
 
-    Returns (slope, intercept, r_squared). Needs at least 3 distinct m values
-    and strictly positive statistics.
+    Needs at least 3 points and strictly positive values.
     """
-    series = error_stat_by_m(records, algorithm, error_stat)
     if len(series) < 3:
         raise InvalidArgumentError("need records at >= 3 distinct m values")
     values = np.array([v for _, v in series], dtype=float)
@@ -588,3 +572,17 @@ def fit_slope(
     # a constant series is fitted exactly up to rounding, which must not divide by zero
     r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return float(slope), float(intercept), float(r_squared)
+
+
+def fit_slope(
+    records: list[SweepRecord], algorithm: str, error_stat: str = "median"
+) -> tuple[float, float, float]:
+    """OLS fit of log(median error per m) against log(m) for one algorithm.
+
+    The median is taken over the runs that did not fail; ``"median"`` is the
+    one ``error_stat``. Returns (slope, intercept, r_squared). Needs at least
+    3 distinct m values and strictly positive medians.
+    """
+    if error_stat != "median":
+        raise InvalidArgumentError(f"unknown error_stat {error_stat!r}")
+    return _fit_loglog(_median_by_m(records, algorithm))

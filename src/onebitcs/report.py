@@ -26,9 +26,9 @@ from .harness import (
     RunManifest,
     SweepConfig,
     SweepRecord,
+    _fit_loglog,
+    _median_by_m,
     build_manifest,
-    error_stat_by_m,
-    fit_slope,
     require_manifest_version,
 )
 
@@ -261,12 +261,12 @@ def emit_report(
             "svg": None,
         }
         algorithms = sorted({rec.algorithm for rec in records})
-        series = {a: [(float(m), v) for m, v in error_stat_by_m(records, a)] for a in algorithms}
+        series = {a: _median_by_m(records, a) for a in algorithms}
         if any(series.values()):
             annotations = []
             for algo in algorithms:
                 try:
-                    slope, _, r2 = fit_slope(records, algo)
+                    slope, _, r2 = _fit_loglog(series[algo])
                     annotations.append(f"{algo}: slope {slope:+.3f} (r2={r2:.3f})")
                 except InvalidArgumentError:
                     pass  # fewer than 3 m values: plot without a fit

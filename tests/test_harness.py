@@ -30,7 +30,7 @@ from onebitcs import (
     run_sweep,
 )
 from onebitcs.cli import parse_and_dispatch
-from onebitcs.harness import build_manifest, error_stat_by_m, run_from_manifest, trial_seed_table
+from onebitcs.harness import build_manifest, run_from_manifest, trial_seed_table
 from onebitcs.rng import generator_for
 
 
@@ -88,7 +88,7 @@ class TestRunSweep:
     def test_error_monotone_headline(self):
         cfg = _small_config(m_grid=(64, 512), trials_per_cell=8, algorithms=("nbiht",))
         records, _ = run_sweep(cfg)
-        series = dict(error_stat_by_m(records, "nbiht"))
+        series = dict(harness._median_by_m(records, "nbiht"))
         assert series[512] < series[64]
 
     def test_pairing_invariant_under_algorithm_subset(self):
@@ -139,7 +139,7 @@ class TestRunSweep:
         monkeypatch.setattr(model, "block_generator", slow)
         cfg = _small_config(n=4, s=1, m_grid=(64, 512 * 40))
         start = threading.active_count()
-        instances = harness.draw_instances(cfg, cfg.m_grid, trial_seed_table(cfg, 0), threads=4)
+        instances = harness.draw_instances(cfg, trial_seed_table(cfg, 0), threads=4)
         assert [m for m, _ in instances] == [64, 512 * 40]
         assert threading.active_count() == start
         assert sorted(taken) == list(range(40))  # the whole draw, each block once
@@ -180,9 +180,9 @@ class TestRunSweep:
     def test_nested_instance_equals_direct_draw(self):
         cfg = _small_config(noise_std=0.3)
         seeds = trial_seed_table(cfg, 1)
-        nested = dict(harness.draw_instances(cfg, cfg.m_grid, seeds))
+        nested = dict(harness.draw_instances(cfg, seeds))
         for m in cfg.m_grid:
-            ((_, direct),) = harness.draw_instances(cfg, (m,), seeds)
+            ((_, direct),) = harness.draw_instances(dataclasses.replace(cfg, m_grid=(m,)), seeds)
             x, A, lin, b = nested[m]
             assert A.matrix.shape == (m, cfg.n) and A.matrix.flags.c_contiguous
             assert A.matrix.tobytes() == direct[1].matrix.tobytes()
@@ -201,14 +201,14 @@ class TestRunSweep:
         # gen_gaussian_matrix from a trial's matrix seed is that trial's instance matrix at m
         cfg = _small_config(n=n, s=1, m_grid=m_grid, master_seed=master_seed)
         seeds = trial_seed_table(cfg, trial)
-        for m, (_, A, _, _) in harness.draw_instances(cfg, cfg.m_grid, seeds, threads=2):
+        for m, (_, A, _, _) in harness.draw_instances(cfg, seeds, threads=2):
             assert A.matrix.tobytes() == gen_gaussian_matrix(seeds["matrix"], m, n).matrix.tobytes()
 
     def test_measurements_by_support_gather(self):
         # A x is taken on the signal's support columns, which rounds unlike a dense product
         cfg = _small_config(n=512, s=4, m_grid=(600, 1100))  # rows across a draw block boundary
         seeds = trial_seed_table(cfg, 0)
-        for m, (x, A, lin, b) in harness.draw_instances(cfg, cfg.m_grid, seeds):
+        for m, (x, A, lin, b) in harness.draw_instances(cfg, seeds):
             nz = np.flatnonzero(x.values)
             expected = A.matrix[:, nz] @ x.values[nz]
             assert lin.tobytes() == expected.tobytes()
@@ -776,10 +776,6 @@ class TestFitSlope:
         slope, _, _ = fit_slope(_synthetic_records(lambda m: 3.0 / m**0.5), "nbiht")
         assert abs(slope + 0.5) <= 1e-9
 
-    def test_mean_statistic(self):
-        slope, _, _ = fit_slope(_synthetic_records(lambda m: 5.0 / m), "nbiht", error_stat="mean")
-        assert abs(slope + 1.0) <= 1e-9
-
     def test_constant_statistic_fits_flat(self):
         slope, _, r2 = fit_slope(_synthetic_records(lambda m: 2.0), "nbiht")
         assert abs(slope) <= 1e-12 and r2 == 1.0
@@ -793,8 +789,10 @@ class TestFitSlope:
             fit_slope(_synthetic_records(lambda m: 0.0), "nbiht")
 
     def test_unknown_stat(self):
-        with pytest.raises(InvalidArgumentError):
-            fit_slope(_synthetic_records(lambda m: 1.0 / m), "nbiht", error_stat="max")
+        # the median is the one statistic; the mean is rejected like any other name
+        for stat in ("max", "mean"):
+            with pytest.raises(InvalidArgumentError, match=f"unknown error_stat '{stat}'"):
+                fit_slope(_synthetic_records(lambda m: 1.0 / m), "nbiht", error_stat=stat)
 
     def test_failed_run_left_out_of_statistic(self):
         records = [
@@ -804,14 +802,14 @@ class TestFitSlope:
         failed = dataclasses.replace(records[4], final_l2_error=2.0, stop_reason="error: collapse")
         records[4] = failed
         ok_at_m = [r.final_l2_error for r in records if r.m == failed.m and r is not failed]
-        assert dict(error_stat_by_m(records, "nbiht"))[failed.m] == float(np.median(ok_at_m))
+        assert dict(harness._median_by_m(records, "nbiht"))[failed.m] == float(np.median(ok_at_m))
 
     def test_all_failed_m_drops_out(self):
         records = [
             dataclasses.replace(r, final_l2_error=2.0, stop_reason="error: collapse") if r.m == 100 else r
             for r in _synthetic_records(lambda m: 10.0 / m)
         ]
-        assert [m for m, _ in error_stat_by_m(records, "nbiht")] == [1_000, 10_000]
+        assert [m for m, _ in harness._median_by_m(records, "nbiht")] == [1_000, 10_000]
         with pytest.raises(InvalidArgumentError):
             fit_slope(records, "nbiht")
 
