@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateIterateError, InvalidArgumentError
+from .errors import DegenerateIterateError, InvalidArgumentError, _as_int
 from .model import BinaryObservation, MeasurementEnsemble, _sign, as_vector, gen_sparse_signal
 from .sparse_ops import hamming_distance, hard_threshold, normalize
 
@@ -61,6 +61,8 @@ class AlgorithmConfig:
     degenerate_policy: str = "keep_previous"
 
     def __post_init__(self):
+        for name in ("s", "max_iters"):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name))
         if self.s < 1:
             raise InvalidArgumentError("s must be >= 1")
         if not 0 < self.tau < math.inf:

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that raises one."""
+
+import operator
 
 
 class InvalidArgumentError(ValueError):
@@ -11,3 +13,11 @@ class DegenerateIterateError(RuntimeError):
 
 class SamplingExhaustedError(RuntimeError):
     """Rejection sampling hit its retry budget without an admissible draw."""
+
+
+def _as_int(value, name: str) -> int:
+    """``value`` through ``operator.index``: 2.5, 2.0 and "2" are rejected, not truncated or parsed."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}") from None

@@ -51,7 +51,7 @@ from .algorithms import (
     nbiht_run,
     one_shot_estimate,
 )
-from .errors import DegenerateIterateError, InvalidArgumentError, SamplingExhaustedError
+from .errors import DegenerateIterateError, InvalidArgumentError, SamplingExhaustedError, _as_int
 from .model import (
     SUPPORT_RULES,
     VALUE_RULES,
@@ -113,7 +113,9 @@ class SweepConfig:
     value_rule: str = "gaussian"
 
     def __post_init__(self):
-        object.__setattr__(self, "m_grid", tuple(int(m) for m in self.m_grid))
+        for name in ("n", "s", "trials_per_cell"):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name))
+        object.__setattr__(self, "m_grid", tuple(_as_int(m, "each m of m_grid") for m in self.m_grid))
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
         if not 1 <= self.s <= self.n:
             raise InvalidArgumentError("need 1 <= s <= n")

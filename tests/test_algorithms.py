@@ -394,6 +394,8 @@ class TestConfigValidation:
             dict(s=2, tau=math.inf),
             dict(s=2, tau=math.nan),
             dict(s=2, stop_tol=math.nan),
+            dict(s=2.5),  # rejected, not left to fail in a run
+            dict(s=2, max_iters=2.5),
         ],
     )
     def test_rejected(self, kwargs):

@@ -258,6 +258,24 @@ class TestRunSweep:
             _small_config(value_rule="cauchy")
         with pytest.raises(InvalidArgumentError):
             _small_config(noise_std=float("nan"))
+
+    @pytest.mark.parametrize("field,value", [
+        ("n", 32.5),
+        ("s", 2.5),
+        ("trials_per_cell", 1.5),
+        ("max_iters", 2.5),
+        ("m_grid", (64.9, 128, 256)),
+        ("m_grid", (64, "128", 256)),
+        ("m_grid", (64, 128, 256.0)),
+    ])
+    def test_non_integer_setting_rejected(self, field, value):
+        # as the config is built: not truncated, and not left to fail in the draw or as error rows
+        with pytest.raises(InvalidArgumentError, match="must be an integer, got"):
+            _small_config(**{field: value})
+
+    def test_integer_settings_stored_as_int(self):
+        cfg = _small_config(n=np.int64(32), s=np.int32(3), m_grid=(np.int64(64), 128), trials_per_cell=np.uint8(2))
+        assert [type(v) for v in (cfg.n, cfg.s, cfg.trials_per_cell, *cfg.m_grid)] == [int] * 5
         with pytest.raises(InvalidArgumentError, match="each algorithm may be listed once"):
             _small_config(algorithms=("nbiht", "one_shot", "nbiht"))
 
