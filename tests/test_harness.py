@@ -258,6 +258,8 @@ class TestRunSweep:
             _small_config(value_rule="cauchy")
         with pytest.raises(InvalidArgumentError):
             _small_config(noise_std=float("nan"))
+        with pytest.raises(InvalidArgumentError, match="each algorithm may be listed once"):
+            _small_config(algorithms=("nbiht", "one_shot", "nbiht"))
 
     @pytest.mark.parametrize("field,value", [
         ("n", 32.5),
@@ -276,8 +278,6 @@ class TestRunSweep:
     def test_integer_settings_stored_as_int(self):
         cfg = _small_config(n=np.int64(32), s=np.int32(3), m_grid=(np.int64(64), 128), trials_per_cell=np.uint8(2))
         assert [type(v) for v in (cfg.n, cfg.s, cfg.trials_per_cell, *cfg.m_grid)] == [int] * 5
-        with pytest.raises(InvalidArgumentError, match="each algorithm may be listed once"):
-            _small_config(algorithms=("nbiht", "one_shot", "nbiht"))
 
 
 class _RecordingPool:
