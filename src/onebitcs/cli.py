@@ -7,11 +7,10 @@ subcommand, keys named like the flags with dashes as underscores, parsed with
 the flag's type); explicit flags override file values. ``COMMANDS`` declares
 each option once. Randomized commands require a seed, from the
 flag or the config file, never from the wall clock. Exit codes: 0 success,
-1 validation error, 2 runtime failure. Every command runs OpenBLAS at one
-thread fewer than the CPUs, and at least one, restoring the count on exit; a
-sweep whose runs overlap on solver processes divides the CPUs among them first
-(see ``harness._thread_plan``). Each probe is one call into ``probes``, which
-draws on every CPU and prints the same values at any CPU count.
+1 validation error, 2 runtime failure. Every command runs numpy's OpenBLAS at
+one thread, restoring the caller's count on exit (``harness.blas_threads``).
+Each probe is one call into ``probes``, which draws on every CPU and prints
+the same values at any CPU count.
 """
 
 from __future__ import annotations
@@ -113,9 +112,8 @@ COMMANDS = {
         _Option("workers", int, os.cpu_count() or 1,
                 "worker processes (default: logical CPUs), at most one per trial; each "
                 "process draws its matrices on a share of max(1, cpus // pool size) "
-                "threads and runs BLAS at max(1, share // solvers - 1) threads per call, "
-                "with solvers = min(share, runs per trial): pool workers solve inline, "
-                "one process with solvers > 1 forks that many solver processes"),
+                "threads and runs BLAS at one thread: pool workers solve inline, one "
+                "process forks min(share, runs per trial) solver processes when that is above 1"),
         _Option("out_dir", str, "sweep-out", "report output directory"),
         _Option("theory_overlay", bool, False, "overlay the first-iteration theory curve on the plot"),
     )),

@@ -10,11 +10,12 @@ instances of a trial are nested across m. A task draws the whole matrix
 first, through ``gen_gaussian_matrix`` on the process's share of the CPUs,
 and then solves every m's runs inline or on forked solver processes
 (``_solver_processes``).
-``_thread_plan`` sets these counts and OpenBLAS's threads per call; pool
-workers and solvers are pinned at start, and the serial sweep and every CLI
-command set the BLAS count for their duration and restore it afterwards
-(``blas_threads``). Every run's state is its own and the instance is
-read-only, so the records do not depend on any thread or process count.
+``_thread_plan`` sets these counts. numpy's own OpenBLAS runs at one thread
+in every process: pool workers and solvers are pinned at start, and the
+serial sweep and every CLI command pin it for their duration and restore the
+caller's count afterwards (``blas_threads``). Every run's state is its own
+and the instance is read-only, so the records do not depend on any thread or
+process count.
 A x is taken by support gather, for the measurements, the one-shot
 agreement and the IHT residual.
 The manifest stores one seed table per trial. This build writes and replays
@@ -30,6 +31,7 @@ import contextlib
 import ctypes
 import dataclasses
 import datetime as _dt
+import importlib
 import math
 import multiprocessing
 import operator
@@ -82,15 +84,12 @@ _SUBSTREAM_RULE = (  # recorded as rng.substream_rule
     "A x by support gather"
 )
 
-# OpenBLAS thread setters, as numpy's own wheel (scipy-openblas) and a plain
-# OpenBLAS build export them, with and without the ILP64 suffix.
-_BLAS_SETTERS = (
-    "scipy_openblas_set_num_threads64_",
-    "scipy_openblas_set_num_threads",
-    "openblas_set_num_threads64_",
-    "openblas_set_num_threads",
-)
-_BLAS_GETTERS = tuple(name.replace("_set_", "_get_") for name in _BLAS_SETTERS)
+# OpenBLAS thread setters, as numpy's own wheel (scipy-openblas) and a plain OpenBLAS
+# build export them, with and without the ILP64 suffix; each getter has _get_ for _set_.
+_BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                 "openblas_set_num_threads64_", "openblas_set_num_threads")
+_NUMPY_EXTENSION = importlib.import_module(  # the module whose products (A @ x, A.T @ r) call numpy's BLAS
+    f"numpy.{'_core' if np.lib.NumpyVersion(np.__version__) >= '2.0.0' else 'core'}._multiarray_umath")
 
 
 @dataclass(frozen=True)
@@ -256,25 +255,18 @@ class ThreadPlan(NamedTuple):
 
     share: int  # threads drawing a matrix while the task thread waits
     solvers: int  # processes a one-process sweep solves its runs on; 1 solves them inline
-    blas: int  # OpenBLAS threads per call
 
 
-def _thread_plan(pool_size: int, runs: int = 1) -> ThreadPlan:
+def _thread_plan(pool_size: int, runs: int) -> ThreadPlan:
     """The threads of each process when ``pool_size`` processes share the CPUs.
 
     A process's share is ``max(1, cpus // pool_size)``: that many threads
     draw a matrix while the task thread waits. One process solves a trial's
     ``runs`` on ``min(share, runs)`` solver processes (inline at 1), pool
-    workers inline. Each BLAS call runs on one thread fewer than a
-    solver's part of the share, and at least one: between small BLAS calls
-    an extra OpenBLAS thread busy-waits on a core that a draw thread or
-    another solver could use. So a command with one run (``recover``, the
-    probes) runs BLAS at ``share - 1``, and a sweep with a run for every
-    thread of its share at one. Only shares of 1 and 2 have been measured.
+    workers inline. Only shares of 1 and 2 have been measured.
     """
     share = max(1, (os.cpu_count() or 1) // pool_size)
-    solvers = min(share, runs)
-    return ThreadPlan(share, solvers, max(1, share // solvers - 1))
+    return ThreadPlan(share, min(share, runs))
 
 
 def draw_instances(
@@ -347,10 +339,10 @@ def _run_one(cfg: SweepConfig, algo: str, m: int, trial: int, instance: tuple, i
 _solver_rows = None  # in a solver process: the matrix buffer it shares with its sweep
 
 
-def _start_solver(blas: int, rows: np.ndarray) -> None:
+def _start_solver(rows: np.ndarray) -> None:
     """Pin a forked solver process's OpenBLAS and keep the rows it shares with its sweep."""
     global _solver_rows
-    _pin_blas_threads(blas)
+    _pin_blas_threads()
     _solver_rows = rows
 
 
@@ -373,7 +365,7 @@ def _solver_processes(cfg: SweepConfig, plan: ThreadPlan):
         return
     rows = _mapped(cfg.m_grid[-1], cfg.n)
     pool = ProcessPoolExecutor(max_workers=plan.solvers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_start_solver, initargs=(plan.blas, rows))
+                               initializer=_start_solver, initargs=(rows,))
     try:
         pool.submit(int).result()  # a fork pool forks all of its processes at its first call
         yield pool, rows
@@ -408,61 +400,53 @@ def _run_task(
     return records, draw_s
 
 
-def _loaded_blas_function(names: tuple[str, ...]):
-    """The first of ``names`` exported by an OpenBLAS this process has loaded, or None.
+def _numpy_openblas():
+    """(getter, setter) of the thread count of the OpenBLAS numpy's products call, or None.
 
-    Loaded libraries are read from /proc/self/maps, so elsewhere nothing is found.
+    They are looked up through numpy's extension module, whose dependencies
+    hold that library, so another OpenBLAS loaded into the process (scipy's,
+    say) is never found. None with another BLAS (MKL, Accelerate).
     """
     try:
-        with open("/proc/self/maps", errors="replace") as maps:
-            paths = sorted({
-                fields[5].strip()
-                for fields in (line.split(None, 5) for line in maps)
-                if len(fields) == 6 and "openblas" in fields[5].lower()
-            })
+        lib = ctypes.CDLL(_NUMPY_EXTENSION.__file__)  # already loaded: this only returns its handle
     except OSError:
         return None
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)  # already loaded: this only returns its handle
-        except OSError:
-            continue
-        for name in names:
-            if hasattr(lib, name):
-                return getattr(lib, name)
+    for name in _BLAS_SETTERS:
+        getter = name.replace("_set_", "_get_")
+        if hasattr(lib, name) and hasattr(lib, getter):
+            setter = getattr(lib, name)
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            return getattr(lib, getter), setter  # the getter returns a C int, ctypes' default
     return None
 
 
-def _pin_blas_threads(n: int) -> None:
-    """Run this process's OpenBLAS at ``n`` threads (a pool initializer).
+def _pin_blas_threads() -> None:
+    """Run numpy's OpenBLAS in this process at one thread (a pool initializer).
 
-    Without an OpenBLAS setter (MKL, Accelerate, another platform) it does
-    nothing; it never raises, because a failed initializer breaks the pool.
+    Without an OpenBLAS getter and setter it does nothing; it never raises,
+    because a failed initializer breaks the pool.
     """
-    setter = _loaded_blas_function(_BLAS_SETTERS)
-    if setter is not None:
-        setter(ctypes.c_int(n))
+    functions = _numpy_openblas()
+    if functions is not None:
+        functions[1](1)
 
 
 @contextlib.contextmanager
-def blas_threads(count: int | None = None):
-    """Run this process's OpenBLAS at ``count`` threads inside the block.
-
-    None means ``_thread_plan(1).blas``, the count for a command with one run.
+def blas_threads():
+    """Run numpy's OpenBLAS at one thread inside the block.
 
     The count is process-wide; the one in force before is restored on the
-    way out, also when the block raises. Yields the count set. Without an
-    OpenBLAS getter and setter nothing is set or restored.
+    way out, also when the block raises. Yields 1, or None when no OpenBLAS
+    getter and setter are found and nothing is set or restored.
     """
-    count = _thread_plan(1).blas if count is None else count
-    getter = _loaded_blas_function(_BLAS_GETTERS)
-    before = None if getter is None else getter()
-    _pin_blas_threads(count)
+    functions = _numpy_openblas()
+    before = None if functions is None else functions[0]()
+    _pin_blas_threads()
     try:
-        yield count
+        yield None if before is None else 1
     finally:
         if before is not None:
-            _pin_blas_threads(before)
+            functions[1](before)
 
 
 def run_sweep(cfg: SweepConfig, workers: int = 1) -> tuple[list[SweepRecord], RunManifest]:
@@ -473,14 +457,13 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> tuple[list[SweepRecord], Ru
     the tasks run in a pool of at most one process per trial, so a sweep with
     fewer trials than workers uses a smaller pool. Each process follows
     ``_thread_plan``: a share of ``max(1, cpus // pool size)`` threads draws
-    the matrices, and OpenBLAS runs at ``max(1, share // solvers - 1)``
-    threads per call, with ``solvers = min(share, runs per trial)``. Pool
-    workers solve each m's runs inline; one process forks ``solvers`` solver
-    processes for them when that is above 1, and none outlives the sweep.
-    Pool workers and solvers are pinned at start, and the serial path sets
-    this process's OpenBLAS thread count, which is process-wide, for the
-    sweep's duration and restores it afterwards. No thread or process count
-    changes the records.
+    the matrices. Pool workers solve each m's runs inline; one process forks
+    ``min(share, runs per trial)`` solver processes for them when that is
+    above 1, and none outlives the sweep. numpy's OpenBLAS runs at one
+    thread: pool workers and solvers are pinned at start, and the serial
+    path pins this process's count, which is process-wide, for the sweep's
+    duration and restores it afterwards. No thread or process count changes
+    the records.
     A master seed outside [0, 2^64) is rejected as the seed tables are
     derived, before any draw; so are ``workers`` below 1, and a pool whose
     matrices of ``max(m_grid)`` rows exceed physical memory together.
@@ -498,13 +481,12 @@ def _execute(manifest: RunManifest, workers: int) -> tuple[list[SweepRecord], Ru
     plan = _thread_plan(pool_size, len(cfg.m_grid) * len(cfg.algorithms))
     tasks = [(cfg, trial, manifest.trial_seeds[trial], plan) for trial in range(cfg.trials_per_cell)]
     if pool_size > 1:
-        with ProcessPoolExecutor(max_workers=pool_size, initializer=_pin_blas_threads,
-                                 initargs=(plan.blas,)) as pool:
+        with ProcessPoolExecutor(max_workers=pool_size, initializer=_pin_blas_threads) as pool:
             per_task = list(pool.map(_run_task, *zip(*tasks), chunksize=1))
     else:
-        with blas_threads(plan.blas), _solver_processes(cfg, plan) as (solvers, rows):
+        with blas_threads(), _solver_processes(cfg, plan) as (solvers, rows):
             per_task = [_run_task(*task, solvers, rows) for task in tasks]
-    pinned = "default" if _loaded_blas_function(_BLAS_SETTERS) is None else str(plan.blas)
+    pinned = "default" if _numpy_openblas() is None else "1"
     records = [rec for task_records, _ in per_task for rec in task_records]
     records.sort(key=lambda r: (r.algorithm, r.m, r.trial_index))
     return records, dataclasses.replace(
@@ -582,9 +564,11 @@ def fit_slope(
     """OLS fit of log(median error per m) against log(m) for one algorithm.
 
     The median is taken over the runs that did not fail; ``"median"`` is the
-    one ``error_stat``. Returns (slope, intercept, r_squared). Needs at least
-    3 distinct m values and strictly positive medians.
+    one ``error_stat``. Returns (slope, intercept, r_squared). Needs a record
+    of ``algorithm``, at least 3 distinct m values and strictly positive medians.
     """
     if error_stat != "median":
         raise InvalidArgumentError(f"unknown error_stat {error_stat!r}")
+    if all(rec.algorithm != algorithm for rec in records):
+        raise InvalidArgumentError(f"no records of algorithm {algorithm!r}")
     return _fit_loglog(_median_by_m(records, algorithm))

@@ -8,17 +8,18 @@ sys.path.insert(0, str(Path(__file__).parent))  # makes `import oracles` work ev
 
 @pytest.fixture
 def blas_at_two():
-    """This process's OpenBLAS at 2 threads for the test, and its thread getter."""
+    """numpy's OpenBLAS at 2 threads for the test, and its thread getter."""
     import onebitcs.harness as harness
 
-    getter = harness._loaded_blas_function(harness._BLAS_GETTERS)
-    if getter is None or harness._loaded_blas_function(harness._BLAS_SETTERS) is None:
-        pytest.skip("no OpenBLAS thread getter and setter in this process")
+    functions = harness._numpy_openblas()
+    if functions is None:
+        pytest.skip("no OpenBLAS thread getter and setter behind numpy")
+    getter, setter = functions
     before = getter()
-    harness._pin_blas_threads(2)
+    setter(2)
     try:
         if getter() != 2:
             pytest.skip("this OpenBLAS cannot run 2 threads")
         yield getter
     finally:
-        harness._pin_blas_threads(before)
+        setter(before)

@@ -38,15 +38,45 @@ def dual_norm_brute(v, s: int) -> float:
     return best
 
 
-def _signs_scalar(rows, x):
-    """sign(<row, x>) for each row, +1.0 where positive and -1.0 elsewhere."""
-    signs = []
+def _products_scalar(rows, x):
+    """<row, x> for each row, one multiply-add at a time."""
+    products = []
     for row in rows:
         acc = 0.0
         for a, v in zip(row, x):
             acc += a * v
-        signs.append(1.0 if acc > 0 else -1.0)
-    return signs
+        products.append(acc)
+    return products
+
+
+def _signs_scalar(rows, x):
+    """sign(<row, x>) for each row, +1.0 where positive and -1.0 elsewhere."""
+    return [1.0 if p > 0 else -1.0 for p in _products_scalar(rows, x)]
+
+
+def _gradient_step_scalar(rows, residual, x, step: float, s: int):
+    """hard_threshold(x + step * A^T residual, s), one column sum at a time."""
+    m = len(rows)
+    n = len(x)
+    z = []
+    for j in range(n):
+        g = 0.0
+        for i in range(m):
+            g += rows[i][j] * residual[i]
+        z.append(x[j] + step * g)
+    order = sorted(range(n), key=lambda j: (-abs(z[j]), j))
+    keep = set(order[:s])
+    return [z[j] if j in keep else 0.0 for j in range(n)]
+
+
+def _binary_step_scalar(rows, bits, x, tau: float, s: int, normalized: bool):
+    """One sign-residual update, normalized or not; None when it thresholds to zero."""
+    signs = _signs_scalar(rows, x)
+    t = _gradient_step_scalar(rows, [b - sg for b, sg in zip(bits, signs)], x, tau / len(rows), s)
+    norm = math.sqrt(sum(v * v for v in t))
+    if norm == 0.0:
+        return None
+    return [v / norm for v in t] if normalized else t
 
 
 def nbiht_step_scalar(rows, bits, x, tau: float, s: int):
@@ -56,22 +86,19 @@ def nbiht_step_scalar(rows, bits, x, tau: float, s: int):
     x: list (unit s-sparse). Returns the next iterate as a list, or None when
     the thresholded vector is zero.
     """
-    m = len(rows)
-    n = len(x)
-    signs = _signs_scalar(rows, x)
-    z = []
-    for j in range(n):
-        g = 0.0
-        for i in range(m):
-            g += rows[i][j] * (bits[i] - signs[i])
-        z.append(x[j] + tau / m * g)
-    order = sorted(range(n), key=lambda j: (-abs(z[j]), j))
-    keep = set(order[:s])
-    t = [z[j] if j in keep else 0.0 for j in range(n)]
-    norm = math.sqrt(sum(v * v for v in t))
-    if norm == 0.0:
-        return None
-    return [v / norm for v in t]
+    return _binary_step_scalar(rows, bits, x, tau, s, normalized=True)
+
+
+def _binary_run_scalar(rows, bits, x0, tau: float, s: int, k: int, normalized: bool):
+    iterates = [list(x0)]
+    for _ in range(k):
+        if _signs_scalar(rows, iterates[-1]) == list(bits):
+            break
+        x = _binary_step_scalar(rows, bits, iterates[-1], tau, s, normalized)
+        if x is None:
+            break
+        iterates.append(x)
+    return iterates
 
 
 def nbiht_run_scalar(rows, bits, x0, tau: float, s: int, k: int):
@@ -81,14 +108,31 @@ def nbiht_run_scalar(rows, bits, x0, tau: float, s: int, k: int):
     signs of the iterate already equal the bits, and when a step thresholds
     to zero.
     """
+    return _binary_run_scalar(rows, bits, x0, tau, s, k, normalized=True)
+
+
+def biht_run_scalar(rows, bits, x0, tau: float, s: int, k: int):
+    """nbiht_run_scalar without the normalization of each iterate; the iterates are returned raw.
+
+    The unnormalized run reports its last iterate normalized.
+    """
+    return _binary_run_scalar(rows, bits, x0, tau, s, k, normalized=False)
+
+
+def iht_run_scalar(rows, y, x0, s: int, k: int):
+    """Up to k linear updates hard_threshold(x + (1/m) A^T (y - A x), s) from x0; every iterate, x0 first.
+
+    Like a linear run with stop_tol 0, it stops when a step leaves the
+    iterate unchanged.
+    """
     iterates = [list(x0)]
     for _ in range(k):
-        if _signs_scalar(rows, iterates[-1]) == list(bits):
+        x = iterates[-1]
+        residual = [target - p for target, p in zip(y, _products_scalar(rows, x))]
+        x_new = _gradient_step_scalar(rows, residual, x, 1.0 / len(rows), s)
+        if x_new == x:
             break
-        x = nbiht_step_scalar(rows, bits, iterates[-1], tau, s)
-        if x is None:
-            break
-        iterates.append(x)
+        iterates.append(x_new)
     return iterates
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import onebitcs.algorithms as algorithms
 from onebitcs import (
     DEFAULT_TAU,
     AlgorithmConfig,
@@ -28,7 +29,7 @@ from onebitcs import (
 from onebitcs.algorithms import _ForwardSigns
 from onebitcs.model import _sign
 from onebitcs.rng import generator_for, substream_seed
-from oracles import nbiht_run_scalar, nbiht_step_scalar
+from oracles import biht_run_scalar, iht_run_scalar, nbiht_run_scalar, nbiht_step_scalar
 
 
 def _instance(seed, n=16, s=3, m=24):
@@ -77,17 +78,30 @@ class TestNbihtStep:
 
 
 class TestNbihtRunOracle:
-    def test_gathered_runs_match_scalar_loop_oracle(self, monkeypatch):
+    RUNS = {"nbiht": (nbiht_run, nbiht_run_scalar), "biht": (biht_run, biht_run_scalar),
+            "iht": (iht_run, iht_run_scalar)}
+
+    @pytest.mark.parametrize("run", list(RUNS))
+    def test_gathered_runs_match_scalar_loop_oracle(self, run, monkeypatch):
         # N >= 8s, so every A x_k is taken on gathered support columns; a tenth
-        # of the bits is flipped, so no start is sign-consistent for long
-        reused = []
-        gather = _ForwardSigns._gather
+        # of the measurements is negated, so no start is sign-consistent for
+        # long. nbiht and biht take A^T (b - sign(A x_k)) either by the row
+        # gather of _sign_gradient (few disagreeing rows) or by the dense
+        # adjoint, and both branches are reached; iht always takes the dense one
+        reused, gathered_rows = [], []
+        gather, gradient = _ForwardSigns._gather, algorithms._sign_gradient
 
         def counting_gather(forward, nz):
             reused.append(np.intersect1d(forward.cols, nz).size > 0)
             return gather(forward, nz)
 
+        def counting_gradient(matrix, bits, signs):
+            gathered_rows.append(np.count_nonzero(bits - signs) <= matrix.shape[0] // 8)
+            return gradient(matrix, bits, signs)
+
         monkeypatch.setattr(_ForwardSigns, "_gather", counting_gather)
+        monkeypatch.setattr(algorithms, "_sign_gradient", counting_gradient)
+        solver, oracle = self.RUNS[run]
         rng = generator_for(78)
         skipped = 0
         for case in range(60):
@@ -96,21 +110,31 @@ class TestNbihtRunOracle:
             m = int(rng.integers(16, 49))
             k = int(rng.integers(1, 16))
             rows = rng.standard_normal((m, n))
-            bits = _sign(rows @ gen_sparse_signal(substream_seed(78, case, 0), n, s).values)
-            bits[rng.choice(m, m // 10, replace=False)] *= -1.0
+            y = rows @ gen_sparse_signal(substream_seed(78, case, 0), n, s).values
+            y[rng.choice(m, m // 10, replace=False)] *= -1.0
+            bits = _sign(y)
             tau = float(rng.uniform(0.2, 2.5))
             init_seed = substream_seed(78, case, 1)
             x0 = gen_sparse_signal(init_seed, n, s).values
-            want = nbiht_run_scalar(rows.tolist(), bits.tolist(), x0.tolist(), tau, s, k)
-            if min(np.min(np.abs(rows @ np.array(x))) for x in want) < 1e-9:
+            if run == "iht":
+                want = oracle(rows.tolist(), y.tolist(), x0.tolist(), s, k)
+            else:
+                want = oracle(rows.tolist(), bits.tolist(), x0.tolist(), tau, s, k)
+            want = [np.array(x) for x in want]
+            if min(np.min(np.abs(rows @ x)) / np.linalg.norm(x) for x in want) < 1e-9:
                 skipped += 1  # a sign too close to call: the two products may round apart
                 continue
             cfg = AlgorithmConfig(s=s, tau=tau, max_iters=k, stop_tol=0.0, init_seed=init_seed)
-            got = nbiht_run(MeasurementEnsemble(matrix=rows, seed=0), BinaryObservation(bits=bits), cfg)
+            A = MeasurementEnsemble(matrix=rows, seed=0)
+            got = solver(A, y if run == "iht" else BinaryObservation(bits=bits), cfg)
             assert got.iterations_used == len(want) - 1
-            assert np.max(np.abs(got.estimate - np.array(want[-1]))) <= 1e-12
+            if run == "iht":  # raw iterates, whose scale grows when a step expands
+                assert np.max(np.abs(got.estimate - want[-1])) <= 1e-12 * np.max(np.abs(want[-1]))
+            else:  # unit iterates, or a raw last iterate reported unit
+                assert np.max(np.abs(got.estimate - want[-1] / np.linalg.norm(want[-1]))) <= 1e-12
         assert skipped <= 3
         assert any(reused)
+        assert set(gathered_rows) == (set() if run == "iht" else {True, False})
 
 
 class TestForwardSigns:

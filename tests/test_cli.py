@@ -52,7 +52,7 @@ class TestProbeOutputsGolden:
 
 
 class TestBlasThreads:
-    # every command runs OpenBLAS at max(1, share - 1) threads; on 2 CPUs that is 1
+    # every command runs numpy's OpenBLAS at one thread, on 2 CPUs as on 4
     COMMANDS = [
         (["recover", "--n", "32", "--s", "2", "--m", "64", "--max-iters", "5"], "run_sweep", 0),
         (["probe", "unbiased", "--n", "16", "--s", "2", "--m", "2000", "--trials", "5"],
@@ -70,11 +70,10 @@ class TestBlasThreads:
     ]
     IDS = [f"{a[1] if a[0] == 'probe' else a[0]}-exit{code}" for a, _, code in COMMANDS]
 
-    @pytest.mark.parametrize("argv,function,code", COMMANDS, ids=IDS)
-    def test_one_thread_fewer_than_the_cpus_and_restored(
-        self, argv, function, code, blas_at_two, monkeypatch, capsys
-    ):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    @staticmethod
+    def _threads_seen(cpus, argv, function, code, blas_at_two, monkeypatch):
+        """The BLAS thread counts ``function`` saw while the command ran on ``cpus`` CPUs."""
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         seen = []
         real = getattr(cli, function)
 
@@ -85,8 +84,18 @@ class TestBlasThreads:
         monkeypatch.setattr(cli, function, recording)
         seed = [] if argv[0] in ("theory", "selftest") else ["--seed", "1"]
         assert parse_and_dispatch(argv + seed) == code
-        assert seen and set(seen) == {1}
         assert blas_at_two() == 2  # restored, also after the exit-1 width run
+        return seen
+
+    @pytest.mark.parametrize("argv,function,code", COMMANDS, ids=IDS)
+    def test_one_thread_fewer_than_the_cpus_and_restored(
+        self, argv, function, code, blas_at_two, monkeypatch, capsys
+    ):
+        assert set(self._threads_seen(2, argv, function, code, blas_at_two, monkeypatch)) == {1}
+
+    @pytest.mark.parametrize("argv,function,code", COMMANDS, ids=IDS)
+    def test_one_thread_on_four_cpus(self, argv, function, code, blas_at_two, monkeypatch, capsys):
+        assert set(self._threads_seen(4, argv, function, code, blas_at_two, monkeypatch)) == {1}
 
 
 class TestExitCodes:

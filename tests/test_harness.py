@@ -1,13 +1,17 @@
 """Sweep execution: determinism, pairing, seed hygiene, pool set-up, slope fitting."""
 
+import ctypes
 import dataclasses
+import io
 import multiprocessing
 import os
 import sys
 import threading
 import time
+import types
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +35,7 @@ from onebitcs import (
 )
 from onebitcs.cli import parse_and_dispatch
 from onebitcs.harness import build_manifest, run_from_manifest, trial_seed_table
+from onebitcs.report import read_records_csv
 from onebitcs.rng import generator_for
 
 
@@ -307,7 +312,7 @@ class _RecordingPool:
 
 
 def _worker_blas_threads(_):
-    return harness._loaded_blas_function(harness._BLAS_GETTERS)()
+    return harness._numpy_openblas()[0]()
 
 
 class TestPool:
@@ -323,11 +328,9 @@ class TestPool:
         cfg = _small_config(m_grid=(64, 128, 256), trials_per_cell=2)  # 6 cells in 2 trials
         records, manifest = run_sweep(cfg, workers=64)
         (pool,) = fake_pool
-        assert pool.kwargs == {
-            "max_workers": 2, "initializer": harness._pin_blas_threads, "initargs": (1,),
-        }  # a share of 12 // 2 = 6 threads solves a trial's 6 runs at once, BLAS on one
+        assert pool.kwargs == {"max_workers": 2, "initializer": harness._pin_blas_threads}
         assert manifest.workers == 2
-        assert manifest.blas_threads_per_worker == _pinned(1)
+        assert manifest.blas_threads_per_worker == _pinned()
         assert len(records) == 12
 
     def test_threads_derived_from_pool_size(self, fake_pool):
@@ -335,15 +338,18 @@ class TestPool:
         assert manifest.draw_threads == 12 // 5
         _, manifest = run_sweep(_small_config(trials_per_cell=20), workers=60)
         assert manifest.draw_threads == 1  # never below one thread
-        # BLAS at one thread fewer than the share, never below one
-        assert [pool.kwargs["initargs"] for pool in fake_pool] == [(12 // 5 - 1,), (1,)]
+        # every worker pins BLAS at one thread, whatever its share
+        assert [pool.kwargs for pool in fake_pool] == [
+            {"max_workers": 5, "initializer": harness._pin_blas_threads},
+            {"max_workers": 20, "initializer": harness._pin_blas_threads},
+        ]
 
     def test_single_cell_runs_serially(self, fake_pool):
         cfg = _small_config(m_grid=(64,), trials_per_cell=1)
         _, manifest = run_sweep(cfg, workers=8)
         assert fake_pool == []
-        # 12 CPUs for 2 runs: 2 solver processes, BLAS at one fewer than 12 // 2
-        assert (manifest.workers, manifest.blas_threads_per_worker) == (1, _pinned(5))
+        # 12 CPUs for 2 runs: 2 solver processes, BLAS at one thread
+        assert (manifest.workers, manifest.blas_threads_per_worker) == (1, _pinned())
 
     def test_draw_threads_are_the_process_share(self, fake_pool, monkeypatch):
         # 12 CPUs: every one on the serial path, 12 // pool size in a pool
@@ -364,76 +370,107 @@ class TestPool:
         assert [m.draw_threads for m in manifests] == [12, 6]
 
     def test_default_threads_recorded_without_setter(self, fake_pool, monkeypatch):
-        monkeypatch.setattr(harness, "_loaded_blas_function", lambda names: None)
+        monkeypatch.setattr(harness, "_numpy_openblas", lambda: None)
         _, manifest = run_sweep(_small_config(), workers=2)
         assert (manifest.workers, manifest.blas_threads_per_worker) == (2, "default")
 
-    def test_pin_without_library_returns_quietly(self, monkeypatch):
-        def no_maps(*args, **kwargs):
-            raise OSError("no /proc here")
-
-        monkeypatch.setattr(harness, "open", no_maps, raising=False)
-        assert harness._loaded_blas_function(harness._BLAS_SETTERS) is None
-        assert harness._pin_blas_threads(1) is None
+    def test_pin_without_library_returns_quietly(self, monkeypatch, tmp_path):
+        # numpy's extension module where no shared library can be opened
+        missing = types.SimpleNamespace(__file__=str(tmp_path / "no.so"))
+        monkeypatch.setattr(harness, "_NUMPY_EXTENSION", missing)
+        assert harness._numpy_openblas() is None
+        assert harness._pin_blas_threads() is None
 
     def test_pin_without_symbol_returns_quietly(self, monkeypatch):
-        assert harness._loaded_blas_function(("no_such_blas_symbol",)) is None
         monkeypatch.setattr(harness, "_BLAS_SETTERS", ("no_such_blas_symbol",))
-        assert harness._pin_blas_threads(1) is None
+        assert harness._numpy_openblas() is None
+        assert harness._pin_blas_threads() is None
 
-    def test_workers_run_pinned_thread_count(self):
-        if harness._loaded_blas_function(harness._BLAS_GETTERS) is None:
-            pytest.skip("no OpenBLAS thread getter in this process")
-        expected = max(1, (os.cpu_count() or 1) // 2)
-        with ProcessPoolExecutor(
-            max_workers=2, initializer=harness._pin_blas_threads, initargs=(expected,)
-        ) as pool:
+    def test_workers_run_pinned_thread_count(self, blas_at_two):
+        # the workers start from this process, whose count is 2
+        with ProcessPoolExecutor(max_workers=2, initializer=harness._pin_blas_threads) as pool:
             seen = list(pool.map(_worker_blas_threads, range(4)))
-        assert seen == [expected] * 4
+        assert seen == [1] * 4
 
 
-def _pinned(threads: int) -> str:
-    """What env.blas_threads_per_worker must read: ``threads`` whenever an OpenBLAS setter is found."""
-    return "default" if harness._loaded_blas_function(harness._BLAS_SETTERS) is None else str(threads)
+def _pinned() -> str:
+    """What env.blas_threads_per_worker must read: 1 whenever numpy's OpenBLAS setter is found."""
+    return "default" if harness._numpy_openblas() is None else "1"
 
 
 class TestThreadRule:
-    # (cpus, pool size) -> (threads per process, BLAS threads for one run,
-    # solvers and BLAS threads for a trial of RUNS runs); shares above 2
-    # are unmeasured
+    # (cpus, pool size) -> (threads per process, solvers for a trial of RUNS
+    # runs); shares above 2 are unmeasured. Each id ends in the BLAS count an
+    # earlier rule gave one run at that share; BLAS now runs at one thread at
+    # every share.
     RUNS = 12  # 4 m values times 3 algorithms
     TABLE = [
-        (1, 1, 1, 1, 1, 1), (1, 2, 1, 1, 1, 1), (1, 3, 1, 1, 1, 1),
-        (2, 1, 2, 1, 2, 1), (2, 2, 1, 1, 1, 1), (2, 3, 1, 1, 1, 1),
-        (4, 1, 4, 3, 4, 1), (4, 2, 2, 1, 2, 1), (4, 3, 1, 1, 1, 1), (4, 4, 1, 1, 1, 1),
-        (12, 1, 12, 11, 12, 1), (12, 2, 6, 5, 6, 1), (12, 3, 4, 3, 4, 1), (12, 12, 1, 1, 1, 1),
-        (64, 1, 64, 63, 12, 4), (64, 2, 32, 31, 12, 1), (64, 3, 21, 20, 12, 1), (64, 64, 1, 1, 1, 1),
+        ("1-1-1-1", 1, 1, 1, 1), ("1-2-1-1", 1, 2, 1, 1), ("1-3-1-1", 1, 3, 1, 1),
+        ("2-1-2-1", 2, 1, 2, 2), ("2-2-1-1", 2, 2, 1, 1), ("2-3-1-1", 2, 3, 1, 1),
+        ("4-1-4-3", 4, 1, 4, 4), ("4-2-2-1", 4, 2, 2, 2), ("4-3-1-1", 4, 3, 1, 1), ("4-4-1-1", 4, 4, 1, 1),
+        ("12-1-12-11", 12, 1, 12, 12), ("12-2-6-5", 12, 2, 6, 6), ("12-3-4-3", 12, 3, 4, 4),
+        ("12-12-1-1", 12, 12, 1, 1),
+        ("64-1-64-63", 64, 1, 64, 12), ("64-2-32-31", 64, 2, 32, 12), ("64-3-21-20", 64, 3, 21, 12),
+        ("64-64-1-1", 64, 64, 1, 1),
     ]
 
-    @pytest.mark.parametrize(
-        "cpus,pool_size,share,blas,solvers,solver_blas", TABLE,
-        ids=["-".join(map(str, row[:4])) for row in TABLE],
-    )
-    def test_share_and_blas_count(self, cpus, pool_size, share, blas, solvers, solver_blas, monkeypatch):
+    @pytest.mark.parametrize("cpus,pool_size,share,solvers", [row[1:] for row in TABLE],
+                             ids=[row[0] for row in TABLE])
+    def test_share_and_blas_count(self, cpus, pool_size, share, solvers, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        assert harness._thread_plan(pool_size) == (share, 1, blas)
-        assert harness._thread_plan(pool_size, self.RUNS) == (share, solvers, solver_blas)
+        assert harness._thread_plan(pool_size, 1) == (share, 1)
+        assert harness._thread_plan(pool_size, self.RUNS) == (share, solvers)
+        with harness.blas_threads() as count:
+            assert count == (None if harness._numpy_openblas() is None else 1)
 
     def test_unknown_cpu_count_is_one(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert harness._thread_plan(1) == harness._thread_plan(1, self.RUNS) == (1, 1, 1)
+        assert harness._thread_plan(1, 1) == harness._thread_plan(1, self.RUNS) == (1, 1)
 
     def test_set_inside_and_restored_after(self, blas_at_two, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         with harness.blas_threads() as count:
             assert count == blas_at_two() == 1
         assert blas_at_two() == 2
 
     def test_without_openblas_nothing_is_set(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        monkeypatch.setattr(harness, "_loaded_blas_function", lambda names: None)
+        monkeypatch.setattr(harness, "_numpy_openblas", lambda: None)
         with harness.blas_threads() as count:
-            assert count == 3
+            assert count is None
+
+    def test_numpys_own_library_pinned_when_another_sorts_first(self, blas_at_two, monkeypatch, tmp_path):
+        # scipy's OpenBLAS loaded beside numpy's, listed first in the process's
+        # library map, as a distro numpy under /usr with scipy under /home would be
+        pytest.importorskip("scipy.linalg")
+        if not os.path.exists("/proc/self/maps"):
+            pytest.skip("no library map to list")
+        with open("/proc/self/maps") as maps:
+            paths = {fields[5].strip() for fields in (line.split(None, 5) for line in maps)
+                     if len(fields) == 6 and "openblas" in fields[5].lower()}
+        numpy_address = ctypes.cast(blas_at_two, ctypes.c_void_p).value
+        listed = []
+        for path in paths:
+            library = ctypes.CDLL(path)  # already loaded: this only returns its handle
+            getters = (name.replace("_set_", "_get_") for name in harness._BLAS_SETTERS)
+            own = any(ctypes.cast(getattr(library, name), ctypes.c_void_p).value == numpy_address
+                      for name in getters if hasattr(library, name))
+            link = tmp_path / ("z" if own else "a") / os.path.basename(path)
+            link.parent.mkdir(exist_ok=True)
+            link.symlink_to(path)
+            listed.append(f"7f0000000000-7f0000001000 r-xp 00000000 00:00 0    {link}\n")
+        if len(listed) < 2:
+            pytest.skip("scipy's OpenBLAS is numpy's own here")
+        real_open = open
+
+        def maps_listing_scipy_first(file, *args, **kwargs):
+            if file == "/proc/self/maps":
+                return io.StringIO("".join(sorted(listed)))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "open", maps_listing_scipy_first, raising=False)
+        with harness.blas_threads():
+            assert blas_at_two() == 1
+        assert blas_at_two() == 2
 
 
 class TestConcurrentSolves:
@@ -752,14 +789,12 @@ class TestManifest:
     def test_env_fields(self):
         serial = run_sweep(_small_config(), workers=1)[1]
         cpus = os.cpu_count() or 1
-        solvers = min(cpus, 6)  # 3 m values times 2 algorithms
-        assert (serial.workers, serial.blas_threads_per_worker) == (1, _pinned(max(1, cpus // solvers - 1)))
+        assert (serial.workers, serial.blas_threads_per_worker) == (1, _pinned())
         assert serial.draw_threads == cpus
         assert serial.blas
         pooled = run_sweep(_small_config(), workers=2)[1]
-        share = max(1, cpus // 2)
-        assert (pooled.workers, pooled.draw_threads) == (2, share)
-        assert pooled.blas_threads_per_worker == _pinned(max(1, share - 1))
+        assert (pooled.workers, pooled.draw_threads) == (2, max(1, cpus // 2))
+        assert pooled.blas_threads_per_worker == _pinned()
 
     def test_stage_seconds_split_the_run(self):
         start = time.perf_counter()
@@ -830,6 +865,16 @@ class TestFitSlope:
         assert [m for m, _ in harness._median_by_m(records, "nbiht")] == [1_000, 10_000]
         with pytest.raises(InvalidArgumentError):
             fit_slope(records, "nbiht")
+
+    def test_algorithm_without_records_named(self):
+        # a name no record holds is not a series with too few m values
+        stored = read_records_csv(Path(__file__).parent / "data" / "v4_sweep" / "records.csv")
+        with pytest.raises(InvalidArgumentError, match="no records of algorithm 'NBIHT'"):
+            fit_slope(stored, "NBIHT")
+        records = _synthetic_records(lambda m: 1 / m)
+        failed = [dataclasses.replace(r, stop_reason="error: collapse") for r in records]
+        with pytest.raises(InvalidArgumentError, match="need records at >= 3 distinct m values"):
+            fit_slope(failed, "nbiht")  # every run failed: the message the sweep prints is kept
 
     def test_filters_by_algorithm(self):
         mixed = _synthetic_records(lambda m: 10.0 / m) + _synthetic_records(
