@@ -18,9 +18,10 @@ and the instance is read-only, so the records do not depend on any thread or
 process count.
 A x is taken by support gather, for the measurements, the one-shot
 agreement and the IHT residual.
-The manifest stores one seed table per trial. This build writes and replays
-manifest version 4 only; a change that moves records or the format bumps the
-version and replaces this path instead of forking it.
+The manifest stores only what a replay cannot derive: no seed is stored,
+since ``trial_seed_table`` derives every trial's seeds from the config. This
+build writes and replays manifest version 5 only; a change that moves records
+or the format bumps the version and replaces this path instead of forking it.
 Records are canonically sorted by (algorithm, m, trial_index) before they are
 returned.
 """
@@ -66,8 +67,7 @@ from .model import (
     sign_quantize,
 )
 from .rng import GAUSSIAN_TRANSFORM, RNG_ALGORITHM, substream_seed
-from .sparse_ops import hamming_distance
-from .theory import ScheduleConstants
+from .sparse_ops import hamming_distance, normalize
 
 ALGORITHMS = ("biht", "iht", "nbiht", "one_shot")  # canonical order fixes seed roles
 
@@ -76,7 +76,7 @@ _ROLE_MATRIX = 1
 _ROLE_NOISE = 2
 _ROLE_INIT_BASE = 3
 
-MANIFEST_VERSION = 4  # the one version run_sweep and recover write and replay
+MANIFEST_VERSION = 5  # the one version run_sweep and recover write and replay
 _SUBSTREAM_RULE = (  # recorded as rng.substream_rule
     "seed = SeedSequence((master_seed, trial, role)).generate_state(1, uint64)[0]; "
     "each trial draws max(m_grid) matrix rows in 512-row blocks, block i from "
@@ -180,11 +180,10 @@ class RunManifest:
     substream_rule: str
     numpy_version: str
     package_version: str
-    constants: dict
     created_utc: str
-    trial_seeds: dict  # trial -> {"signal": int, "matrix": int, "noise": int, "init.<algo>": int}
     manifest_version: int = MANIFEST_VERSION
     blas: str = "unknown"  # name and version of the BLAS numpy was built against
+    blas_core: str = "unknown"  # the kernel numpy's OpenBLAS ran (see _blas_core)
     workers: int = 1  # processes the tasks ran in (the pool size, 1 when serial)
     blas_threads_per_worker: str = "default"  # threads each process's OpenBLAS ran, "default" if unknown
     draw_threads: int = 1  # threads that fill each matrix draw while the task thread waits
@@ -229,7 +228,6 @@ def require_manifest_version(version) -> None:
 
 
 def build_manifest(cfg: SweepConfig) -> RunManifest:
-    constants = ScheduleConstants()
     return RunManifest(
         config=cfg,
         rng_algorithm=RNG_ALGORITHM,
@@ -237,17 +235,15 @@ def build_manifest(cfg: SweepConfig) -> RunManifest:
         substream_rule=_SUBSTREAM_RULE,
         numpy_version=np.__version__,
         package_version=_pkg_version,
-        constants=dict(constants.as_dict(), c10_is_placeholder_derived=constants.c10_is_placeholder_derived),
         created_utc=_dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds"),
-        trial_seeds={trial: trial_seed_table(cfg, trial) for trial in range(cfg.trials_per_cell)},
         blas=_blas_name(),
+        blas_core=_blas_core(),
     )
 
 
 def _sphere_error(estimate: np.ndarray, truth: np.ndarray) -> float:
-    norm = float(np.linalg.norm(estimate))
-    unit = estimate / norm if norm > 0 else estimate
-    return float(np.linalg.norm(unit - truth))
+    # normalize divides a diverged estimate by its largest entry first, so no square overflows
+    return float(np.linalg.norm(normalize(estimate) - truth))
 
 
 class ThreadPlan(NamedTuple):
@@ -401,11 +397,13 @@ def _run_task(
 
 
 def _numpy_openblas():
-    """(getter, setter) of the thread count of the OpenBLAS numpy's products call, or None.
+    """(getter, setter, corename) of the OpenBLAS numpy's products call, or None.
 
-    They are looked up through numpy's extension module, whose dependencies
-    hold that library, so another OpenBLAS loaded into the process (scipy's,
-    say) is never found. None with another BLAS (MKL, Accelerate).
+    The getter and setter are of its thread count; corename, None when the
+    library lacks it, returns the kernel chosen at run time. They are looked
+    up through numpy's extension module, whose dependencies hold that
+    library, so another OpenBLAS loaded into the process (scipy's, say) is
+    never found. None with another BLAS (MKL, Accelerate).
     """
     try:
         lib = ctypes.CDLL(_NUMPY_EXTENSION.__file__)  # already loaded: this only returns its handle
@@ -416,8 +414,22 @@ def _numpy_openblas():
         if hasattr(lib, name) and hasattr(lib, getter):
             setter = getattr(lib, name)
             setter.argtypes, setter.restype = [ctypes.c_int], None
-            return getattr(lib, getter), setter  # the getter returns a C int, ctypes' default
+            corename = getattr(lib, name.replace("set_num_threads", "get_corename"), None)
+            if corename is not None:
+                corename.argtypes, corename.restype = [], ctypes.c_char_p
+            return getattr(lib, getter), setter, corename  # the getter returns a C int, ctypes' default
     return None
+
+
+def _blas_core() -> str:
+    """The kernel numpy's OpenBLAS runs, which ``OPENBLAS_CORETYPE`` can force, or "unknown".
+
+    It is chosen for the CPU when the library loads, and it decides how the
+    products round; numpy's ``show_config`` names only the build's default.
+    """
+    functions = _numpy_openblas()
+    corename = None if functions is None else functions[2]
+    return "unknown" if corename is None else (corename() or b"unknown").decode()
 
 
 def _pin_blas_threads() -> None:
@@ -452,7 +464,7 @@ def blas_threads():
 def run_sweep(cfg: SweepConfig, workers: int = 1) -> tuple[list[SweepRecord], RunManifest]:
     """Execute all (algorithm, m, trial) cells; return sorted records + manifest.
 
-    Writes manifest version 4. A task is one trial: it draws the matrix once,
+    Writes manifest version 5. A task is one trial: it draws the matrix once,
     at the largest m, and runs every cell on a prefix. With ``workers > 1``
     the tasks run in a pool of at most one process per trial, so a sweep with
     fewer trials than workers uses a smaller pool. Each process follows
@@ -479,7 +491,7 @@ def _execute(manifest: RunManifest, workers: int) -> tuple[list[SweepRecord], Ru
     _require_physical_memory(pool_size * cfg.m_grid[-1] * cfg.n * 8,
                              f"{pool_size} process(es) x {cfg.m_grid[-1]} x {cfg.n} float64 matrix entries")
     plan = _thread_plan(pool_size, len(cfg.m_grid) * len(cfg.algorithms))
-    tasks = [(cfg, trial, manifest.trial_seeds[trial], plan) for trial in range(cfg.trials_per_cell)]
+    tasks = [(cfg, trial, trial_seed_table(cfg, trial), plan) for trial in range(cfg.trials_per_cell)]
     if pool_size > 1:
         with ProcessPoolExecutor(max_workers=pool_size, initializer=_pin_blas_threads) as pool:
             per_task = list(pool.map(_run_task, *zip(*tasks), chunksize=1))
@@ -507,21 +519,19 @@ def run_from_manifest(
     Only a manifest of the version this build writes replays, on at least
     one worker. Warns (RuntimeWarning) when the manifest was written under
     another numpy version, whose Gaussian streams are not promised to be the
-    same, and reruns anyway.
+    same, or on another OpenBLAS kernel, whose products round differently,
+    and reruns anyway.
     """
     require_manifest_version(manifest.manifest_version)
-    fresh = build_manifest(manifest.config)
-    if fresh.trial_seeds != manifest.trial_seeds:
-        raise InvalidArgumentError("manifest trial seeds do not match the declared config")
-    if manifest.numpy_version != np.__version__:
-        warnings.warn(
-            f"manifest was written with numpy {manifest.numpy_version}, this is numpy "
-            f"{np.__version__}; numpy does not promise the same standard_normal streams "
-            "across versions, so the records may differ",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return _execute(fresh, workers)
+    for what, written, running, why in [
+        ("numpy", manifest.numpy_version, np.__version__,
+         "numpy does not promise the same standard_normal streams across versions"),
+        ("OpenBLAS kernel", manifest.blas_core, _blas_core(), "another kernel rounds the products differently"),
+    ]:
+        if written != running:
+            warnings.warn(f"manifest was written with {what} {written}, this is {what} {running}; "
+                          f"{why}, so the records may differ", RuntimeWarning, stacklevel=2)
+    return _execute(build_manifest(manifest.config), workers)
 
 
 def _median_by_m(records: list[SweepRecord], algorithm: str) -> list[tuple[int, float]]:

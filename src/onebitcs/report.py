@@ -7,8 +7,9 @@ lines of ``manifest.txt`` are ``SweepConfig``'s, after the head keys of
 ``manifest_version``. Every value is written with ``str`` (a float's is its
 shortest repr, so reading it back is exact, and a tuple's items are joined
 by commas) and read back by the parser of its field's declared type. The
-manifest, sufficient to rerun the sweep bitwise, holds one seed table per
-trial, and every key read back from it is required. The SVG is
+manifest, sufficient to rerun the sweep bitwise, holds only what a replay
+cannot derive (no seed: the config derives every one), and every key read
+back from it is required. The SVG is
 self-contained with log10 axes, one polyline per algorithm series, and a
 slope annotation text node per fitted series.
 """
@@ -28,7 +29,6 @@ from .harness import (
     SweepRecord,
     _fit_loglog,
     _median_by_m,
-    build_manifest,
     require_manifest_version,
 )
 
@@ -46,6 +46,7 @@ _HEAD_KEYS = {
     "rng.gaussian_transform": "gaussian_transform",
     "rng.substream_rule": "substream_rule",
     "env.blas": "blas",
+    "env.blas_core": "blas_core",
     "env.workers": "workers",
     "env.blas_threads_per_worker": "blas_threads_per_worker",
     "env.draw_threads": "draw_threads",
@@ -103,13 +104,7 @@ def read_records_csv(path) -> list[SweepRecord]:
 
 def _manifest_lines(manifest: RunManifest) -> list[str]:
     lines = [f"{key} = {_format(getattr(manifest, name))}" for key, name in _HEAD_KEYS.items()]
-    lines += [f"config.{f.name} = {_format(getattr(manifest.config, f.name))}" for f in _CONFIG_FIELDS]
-    for key in sorted(manifest.constants):
-        lines.append(f"constants.{key} = {_format(manifest.constants[key])}")
-    for trial, seeds in sorted(manifest.trial_seeds.items()):
-        for role in sorted(seeds):
-            lines.append(f"trial.{trial}.{role} = {seeds[role]}")
-    return lines
+    return lines + [f"config.{f.name} = {_format(getattr(manifest.config, f.name))}" for f in _CONFIG_FIELDS]
 
 
 def write_manifest(manifest: RunManifest, path) -> Path:
@@ -119,11 +114,10 @@ def write_manifest(manifest: RunManifest, path) -> Path:
 
 
 def load_manifest(path) -> RunManifest:
-    """Parse a manifest file back into a RunManifest (seeds are re-derived and checked).
+    """Parse a manifest file back into a RunManifest.
 
     Only the manifest version this build writes loads; another, or none, is
-    rejected before any other key is read. Every key read here is required,
-    and the ``trial.`` lines must be exactly the seed tables the config derives.
+    rejected before any other key is read. Every key read here is required.
     """
     path = Path(path)
     if not path.exists():
@@ -153,19 +147,28 @@ def load_manifest(path) -> RunManifest:
     require_manifest_version(read(version_key, _RUN_TYPES[_HEAD_KEYS[version_key]]))
     head = {name: read(key, _RUN_TYPES[name]) for key, name in _HEAD_KEYS.items()}
     cfg = SweepConfig(**{f.name: read(f"config.{f.name}", f.type) for f in _CONFIG_FIELDS})
-    # the seeds and constants re-derived, the rest as recorded
-    manifest = dataclasses.replace(build_manifest(cfg), **head)
-    stored: dict[int, dict[str, int]] = {}
-    for key, value in kv.items():
-        if key.startswith("trial."):
-            try:
-                trial, role = key[len("trial."):].split(".", 1)
-                stored.setdefault(int(trial), {})[role] = int(value)
-            except ValueError as exc:
-                raise InvalidArgumentError(f"manifest {path} has a malformed line: {key} = {value}") from exc
-    if stored != manifest.trial_seeds:
-        raise InvalidArgumentError(f"the trial seeds stored in {path} disagree with the config")
-    return manifest
+    return RunManifest(config=cfg, **head)
+
+
+_EXACT = operator.attrgetter("algorithm", "m", "N", "s", "trial_index", "iterations_used", "stop_reason")
+_CLOSE = operator.attrgetter("final_l2_error", "sign_agreement")
+
+
+def compare_records(a: list[SweepRecord], b: list[SweepRecord], rel: float) -> list[str]:
+    """How two sweeps' records differ beyond rounding: one line per difference, none when they agree.
+
+    The replay check where the bits cannot hold, as on another OpenBLAS
+    kernel, which rounds the products differently. Row by row, the cell,
+    stop reason and iteration count must be equal, and the error and sign
+    agreement within ``rel`` of the larger of the two; wall_time_ms is not
+    compared.
+    """
+    differences = [] if len(a) == len(b) else [f"{len(a)} records against {len(b)}"]
+    for x, y in zip(a, b):
+        near = all(abs(u - v) <= rel * max(abs(u), abs(v)) for u, v in zip(_CLOSE(x), _CLOSE(y)))
+        if _EXACT(x) != _EXACT(y) or not near:
+            differences.append(f"{x.comparable()} against {y.comparable()}")
+    return differences
 
 
 def render_loglog_svg(

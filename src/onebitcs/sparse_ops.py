@@ -9,6 +9,8 @@ largest-magnitude entries of v.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DegenerateIterateError, InvalidArgumentError
@@ -45,6 +47,19 @@ def normalize(v) -> np.ndarray:
         w = v / scale
         return w / np.linalg.norm(w)
     return v / float(np.linalg.norm(v))
+
+
+def stable_norm(v) -> float:
+    """||v||_2, with the largest magnitude divided out first where normalize does it.
+
+    The naive norm's squares overflow once entries pass about 1e154; inside
+    normalize's bounds this is the naive norm, bit for bit.
+    """
+    v = as_vector(v)
+    scale = float(np.max(np.abs(v))) if v.size else 0.0
+    if 0.0 < scale < 1e-140 or 1e140 < scale < math.inf:
+        return scale * float(np.linalg.norm(v / scale))
+    return float(np.linalg.norm(v))
 
 
 def sparse_dual_norm(v, s: int) -> float:

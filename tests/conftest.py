@@ -14,7 +14,7 @@ def blas_at_two():
     functions = harness._numpy_openblas()
     if functions is None:
         pytest.skip("no OpenBLAS thread getter and setter behind numpy")
-    getter, setter = functions
+    getter, setter, _ = functions
     before = getter()
     setter(2)
     try:

@@ -1,6 +1,9 @@
 """Persistence: CSV schema and round-trips, manifest text, SVG structure."""
 
+import dataclasses
 import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -11,6 +14,7 @@ import onebitcs.harness as harness
 from onebitcs import InvalidArgumentError, SweepConfig, SweepRecord, fit_slope, run_from_manifest, run_sweep
 from onebitcs.report import (
     CSV_FIELDS,
+    compare_records,
     emit_report,
     load_manifest,
     read_records_csv,
@@ -20,11 +24,11 @@ from onebitcs.report import (
 )
 
 
-# every key load_manifest reads; the constants are re-derived, so not read
+# every key load_manifest reads, which are all the keys a manifest holds
 _READ_KEYS = (
     "manifest_version", "created_utc", "package_version", "numpy_version",
     "rng.algorithm", "rng.gaussian_transform", "rng.substream_rule",
-    "env.blas", "env.workers", "env.blas_threads_per_worker", "env.draw_threads",
+    "env.blas", "env.blas_core", "env.workers", "env.blas_threads_per_worker", "env.draw_threads",
     "timing.draw_s", "timing.solve_s",
     "config.n", "config.s", "config.m_grid", "config.algorithms",
     "config.trials_per_cell", "config.master_seed", "config.noise_std",
@@ -89,10 +93,8 @@ class TestManifestFile:
     def test_round_trip(self, small_sweep, tmp_path):
         _, manifest = small_sweep
         path = write_manifest(manifest, tmp_path / "m.txt")
-        back = load_manifest(path)
-        assert back.config == manifest.config
-        assert back.trial_seeds == manifest.trial_seeds
-        assert back.rng_algorithm == manifest.rng_algorithm
+        # every field is written and read back: the manifest holds nothing else
+        assert load_manifest(path) == manifest
 
     def test_numpy_scalars_round_trip(self, tmp_path):
         # written with str, a numpy scalar reads back as the value it holds
@@ -112,9 +114,7 @@ class TestManifestFile:
         with pytest.raises(InvalidArgumentError):
             load_manifest(p)
 
-    @pytest.mark.parametrize(
-        "line", ["config.n = eight", "env.workers = two", "trial.x = 5", "trial.0.matrix = ten"]
-    )
+    @pytest.mark.parametrize("line", ["config.n = eight", "env.workers = two"])
     def test_malformed_value_rejected(self, small_sweep, tmp_path, line):
         _, manifest = small_sweep
         path = write_manifest(manifest, tmp_path / "m.txt")
@@ -126,39 +126,18 @@ class TestManifestFile:
         with pytest.raises(InvalidArgumentError, match="malformed"):
             load_manifest(path)
 
-    def test_tampered_seed_rejected(self, small_sweep, tmp_path):
-        _, manifest = small_sweep
-        path = write_manifest(manifest, tmp_path / "m.txt")
-        lines = path.read_text().splitlines()
-        for i, line in enumerate(lines):
-            if line.startswith("trial.") and line.split(".")[2].startswith("matrix"):
-                key, value = line.split(" = ")
-                lines[i] = f"{key} = {int(value) ^ 1}"
-                break
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(InvalidArgumentError):
-            load_manifest(path)
-
     def test_documented_keys_present(self, small_sweep, tmp_path):
+        # the keys load_manifest reads, in order, and no others: no seed and no constant
         _, manifest = small_sweep
-        text = write_manifest(manifest, tmp_path / "m.txt").read_text()
-        for key in (
-            "manifest_version", "created_utc", "package_version", "numpy_version",
-            "rng.algorithm", "rng.gaussian_transform", "rng.substream_rule",
-            "config.n", "config.s", "config.m_grid", "config.algorithms",
-            "config.trials_per_cell", "config.master_seed", "config.noise_std",
-            "config.tau", "config.max_iters", "config.stop_tol", "config.init",
-            "config.degenerate_policy", "config.support_rule", "config.value_rule",
-            "constants.cb", "constants.cb_lower", "constants.c10",
-        ):
-            assert f"{key} = " in text, key
-
+        lines = write_manifest(manifest, tmp_path / "m.txt").read_text().splitlines()
+        assert [line.split(" = ", 1)[0] for line in lines] == list(_READ_KEYS)
 
     def test_env_keys(self, small_sweep, tmp_path):
         _, manifest = small_sweep
         path = write_manifest(manifest, tmp_path / "m.txt")
         kv = dict(line.split(" = ", 1) for line in path.read_text().splitlines())
         assert kv["env.blas"] == manifest.blas != ""
+        assert kv["env.blas_core"] == manifest.blas_core == harness._blas_core() != ""
         assert kv["env.workers"] == "1"
         assert kv["env.blas_threads_per_worker"] == manifest.blas_threads_per_worker != ""
         assert kv["env.draw_threads"] == str(manifest.draw_threads)
@@ -176,21 +155,11 @@ class TestManifestFile:
         with pytest.raises(InvalidArgumentError, match=f"missing key '{key}'"):
             load_manifest(path)
 
-    @pytest.mark.parametrize(
-        "edit",
-        [
-            lambda lines: [line for line in lines if not line.startswith("trial.1.noise = ")],
-            lambda lines: lines + ["trial.3.matrix = 5"],
-            lambda lines: lines + ["trial.0.init.biht = 5"],
-            lambda lines: ["trial.0.matrix = 5"] + lines,  # the right value follows
-        ],
-        ids=["missing", "extra-trial", "extra-role", "repeated"],
-    )
-    def test_trial_lines_must_be_the_derived_tables(self, small_sweep, tmp_path, edit):
+    def test_repeated_key_rejected(self, small_sweep, tmp_path):
         _, manifest = small_sweep
         path = write_manifest(manifest, tmp_path / "m.txt")
-        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
-        with pytest.raises(InvalidArgumentError, match="trial seeds|repeats key 'trial.0.matrix'"):
+        path.write_text("config.n = 32\n" + path.read_text())  # the same value follows
+        with pytest.raises(InvalidArgumentError, match="repeats key 'config.n'"):
             load_manifest(path)
 
     def test_numpy_version_mismatch_warns_once_and_reruns(self, small_sweep, tmp_path):
@@ -205,6 +174,18 @@ class TestManifestFile:
         assert len([w for w in caught if w.category is RuntimeWarning]) == 1
         assert [r.comparable() for r in again] == [r.comparable() for r in records]
 
+    def test_kernel_mismatch_warns_naming_both_kernels(self, small_sweep, tmp_path):
+        records, manifest = small_sweep
+        path = write_manifest(manifest, tmp_path / "m.txt")
+        path.write_text(path.read_text().replace(
+            f"env.blas_core = {manifest.blas_core}\n", "env.blas_core = Prescott\n"
+        ))
+        with pytest.warns(RuntimeWarning) as caught:
+            again, _ = run_from_manifest(load_manifest(path))
+        (warning,) = [w for w in caught if w.category is RuntimeWarning]
+        assert f"OpenBLAS kernel Prescott, this is OpenBLAS kernel {harness._blas_core()}" in str(warning.message)
+        assert [r.comparable() for r in again] == [r.comparable() for r in records]
+
     def test_matching_numpy_version_does_not_warn(self, small_sweep, tmp_path):
         _, manifest = small_sweep
         path = write_manifest(manifest, tmp_path / "m.txt")
@@ -214,14 +195,24 @@ class TestManifestFile:
 
 
 DATA = Path(__file__).parent / "data"
-V4_SWEEP = DATA / "v4_sweep"
-# each algorithm's fitted slope on the v4 fixture's records, as plot.svg annotates it
-V4_SLOPES = {
+V5_SWEEP = DATA / "v5_sweep"
+# each algorithm's fitted slope on the v5 fixture's records, as plot.svg annotates it
+V5_SLOPES = {
     "biht": 0.014821411855867415,
     "iht": -0.9601804605024276,
     "nbiht": -0.35723070082419234,
     "one_shot": -0.577266884107604,
 }
+
+
+# prints the kernel, then replays the manifest in argv[1] and writes its records to argv[2]
+_REPLAY_IN_CHILD = """
+import sys
+from onebitcs.harness import _blas_core, run_from_manifest
+from onebitcs.report import load_manifest, write_records_csv
+print(_blas_core(), flush=True)
+write_records_csv(run_from_manifest(load_manifest(sys.argv[1]))[0], sys.argv[2])
+"""
 
 
 def _with_version_line(src: Path, dst: Path, line: str | None) -> Path:
@@ -234,25 +225,31 @@ def _with_version_line(src: Path, dst: Path, line: str | None) -> Path:
     return dst
 
 
+def _replays_bitwise_here(manifest) -> bool:
+    """Whether this process runs the numpy, BLAS and OpenBLAS kernel that wrote ``manifest``."""
+    here = (np.__version__, harness._blas_name(), harness._blas_core())
+    return (manifest.numpy_version, manifest.blas, manifest.blas_core) == here
+
+
 class TestManifestVersions:
-    def test_sweep_writes_version_4(self, small_sweep, tmp_path):
+    def test_sweep_writes_version_5(self, small_sweep, tmp_path):
         _, manifest = small_sweep
         lines = write_manifest(manifest, tmp_path / "m.txt").read_text().splitlines()
-        assert "manifest_version = 4" in lines
+        assert "manifest_version = 5" in lines
         assert f"rng.substream_rule = {manifest.substream_rule}" in lines
         assert "512-row blocks" in manifest.substream_rule
-        # one seed line per trial and role: 3 trials x (signal, matrix, noise, 2 inits)
-        assert len([line for line in lines if line.startswith("trial.")]) == 15
-        assert not any(line.startswith("cell.") for line in lines)
-        assert load_manifest(tmp_path / "m.txt").manifest_version == 4
+        # the rule states every seed, so none is stored: 14 head lines and one per config field
+        assert len(lines) == 14 + len(dataclasses.fields(SweepConfig))
+        assert not any(line.startswith(("trial.", "cell.", "constants.")) for line in lines)
+        assert load_manifest(tmp_path / "m.txt").manifest_version == 5
 
     def test_fixture_re_emitted_byte_for_byte(self, tmp_path):
         # on any numpy: the writers invert the readers, float repr included
-        records = read_records_csv(V4_SWEEP / "records.csv")
-        manifest = load_manifest(V4_SWEEP / "manifest.txt")
+        records = read_records_csv(V5_SWEEP / "records.csv")
+        manifest = load_manifest(V5_SWEEP / "manifest.txt")
         for written, stored in [
-            (write_records_csv(records, tmp_path / "records.csv"), V4_SWEEP / "records.csv"),
-            (write_manifest(manifest, tmp_path / "manifest.txt"), V4_SWEEP / "manifest.txt"),
+            (write_records_csv(records, tmp_path / "records.csv"), V5_SWEEP / "records.csv"),
+            (write_manifest(manifest, tmp_path / "manifest.txt"), V5_SWEEP / "manifest.txt"),
         ]:
             assert written.read_bytes() == stored.read_bytes(), stored.name
 
@@ -262,10 +259,8 @@ class TestManifestVersions:
         # the fixture of the one version this build writes and replays
         fixture = DATA / f"v{version}_sweep"
         manifest = load_manifest(fixture / "manifest.txt")
-        if manifest.numpy_version != np.__version__:
-            pytest.skip(f"fixture written with numpy {manifest.numpy_version}, running {np.__version__}")
-        if manifest.blas != harness._blas_name():
-            pytest.skip(f"fixture written with BLAS {manifest.blas}, running {harness._blas_name()}")
+        if not _replays_bitwise_here(manifest):
+            pytest.skip("fixture written with another numpy, BLAS or OpenBLAS kernel")
         assert manifest.manifest_version == version
         stored = [r.comparable() for r in read_records_csv(fixture / "records.csv")]
         records, rerun = run_from_manifest(manifest, workers=workers)
@@ -275,14 +270,33 @@ class TestManifestVersions:
 
     def test_fixture_replays_bitwise_at_a_share_of_three(self, monkeypatch):
         # three CPUs for one process: each trial drawn on 3 pool threads, its 12 runs on 3 solver processes
-        manifest = load_manifest(V4_SWEEP / "manifest.txt")
-        if (manifest.numpy_version, manifest.blas) != (np.__version__, harness._blas_name()):
-            pytest.skip("fixture written with another numpy or BLAS")
+        manifest = load_manifest(V5_SWEEP / "manifest.txt")
+        if not _replays_bitwise_here(manifest):
+            pytest.skip("fixture written with another numpy, BLAS or OpenBLAS kernel")
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         records, rerun = run_from_manifest(manifest, workers=1)
         assert rerun.draw_threads == 3
-        stored = [r.comparable() for r in read_records_csv(V4_SWEEP / "records.csv")]
+        stored = [r.comparable() for r in read_records_csv(V5_SWEEP / "records.csv")]
         assert [r.comparable() for r in records] == stored
+
+    def test_fixture_replays_within_tolerance_on_another_kernel(self, tmp_path):
+        # a child process on another OpenBLAS kernel: Haswell, or the one this
+        # process's environment forces; its products round differently, so the
+        # records are compared at rel = 1e-9, not bit for bit
+        kernel = os.environ.get("OPENBLAS_CORETYPE", "Haswell")
+        replayed = tmp_path / "records.csv"
+        child = subprocess.run(
+            [sys.executable, "-c", _REPLAY_IN_CHILD, str(V5_SWEEP / "manifest.txt"), str(replayed)],
+            # the child imports the onebitcs this process imported
+            env={**os.environ, "OPENBLAS_CORETYPE": kernel, "PYTHONPATH": str(Path(harness.__file__).parents[1])},
+            capture_output=True, text=True, timeout=300,
+        )
+        core = child.stdout.split("\n", 1)[0]
+        if core in ("", "unknown", load_manifest(V5_SWEEP / "manifest.txt").blas_core):
+            pytest.skip(f"the child did not report a kernel other than the fixture's (asked for {kernel})")
+        assert child.returncode == 0, child.stderr
+        stored = read_records_csv(V5_SWEEP / "records.csv")
+        assert compare_records(stored, read_records_csv(replayed), rel=1e-9) == []
 
     @pytest.mark.parametrize(
         "value,message",
@@ -291,12 +305,13 @@ class TestManifestVersions:
             ("1", "unknown manifest_version 1"),
             ("2", "unknown manifest_version 2"),
             ("3", "unknown manifest_version 3"),
+            ("4", "unknown manifest_version 4"),
             ("two", "malformed"),
         ],
     )
     def test_unknown_version_rejected(self, tmp_path, value, message):
         line = None if value is None else f"manifest_version = {value}"
-        path = _with_version_line(V4_SWEEP / "manifest.txt", tmp_path / "m.txt", line)
+        path = _with_version_line(V5_SWEEP / "manifest.txt", tmp_path / "m.txt", line)
         with pytest.raises(InvalidArgumentError, match=message):
             load_manifest(path)
 
@@ -311,6 +326,37 @@ class TestManifestVersions:
         assert manifest.solve_s == pytest.approx(sum(r.wall_time_ms for r in records) / 1e3)
         back = load_manifest(tmp_path / "m.txt")
         assert (back.draw_s, back.solve_s) == (manifest.draw_s, manifest.solve_s)
+
+
+class TestCompareRecords:
+    def _records(self):
+        return read_records_csv(V5_SWEEP / "records.csv")
+
+    def test_equal_records_agree(self):
+        assert compare_records(self._records(), self._records(), rel=0.0) == []
+
+    def test_rounding_within_rel_agrees(self):
+        records = self._records()
+        moved = [dataclasses.replace(r, final_l2_error=r.final_l2_error * (1 + 1e-12), wall_time_ms=0.0)
+                 for r in records]
+        assert compare_records(records, moved, rel=1e-9) == []
+        assert len(compare_records(records, moved, rel=1e-15)) == len(records)
+
+    @pytest.mark.parametrize("change", [
+        {"final_l2_error": 0.5}, {"sign_agreement": 0.25}, {"iterations_used": 299},
+        {"stop_reason": "degenerate"}, {"trial_index": 7},
+    ], ids=lambda change: next(iter(change)))
+    def test_one_moved_row_named(self, change):
+        records = self._records()
+        moved = list(records)
+        moved[5] = dataclasses.replace(records[5], **change)
+        assert compare_records(records, moved, rel=1e-9) == [
+            f"{records[5].comparable()} against {moved[5].comparable()}"
+        ]
+
+    def test_missing_row_named(self):
+        records = self._records()
+        assert compare_records(records, records[:-1], rel=1e-9) == ["36 records against 35"]
 
 
 class TestSvg:
@@ -375,8 +421,8 @@ class TestEmitReport:
 
     def test_fixture_report_matches_golden(self, tmp_path):
         # on any numpy: the report is computed from the stored records, not a replay
-        records = read_records_csv(V4_SWEEP / "records.csv")
-        paths = emit_report(records, load_manifest(V4_SWEEP / "manifest.txt"), tmp_path / "report")
-        assert paths["svg"].read_bytes() == (V4_SWEEP / "plot.svg").read_bytes()
-        for algo, slope in V4_SLOPES.items():
+        records = read_records_csv(V5_SWEEP / "records.csv")
+        paths = emit_report(records, load_manifest(V5_SWEEP / "manifest.txt"), tmp_path / "report")
+        assert paths["svg"].read_bytes() == (V5_SWEEP / "plot.svg").read_bytes()
+        for algo, slope in V5_SLOPES.items():
             assert abs(fit_slope(records, algo)[0] - slope) <= 1e-12, algo

@@ -19,6 +19,7 @@ from onebitcs import (
     normalize,
     sparse_dual_norm,
 )
+from onebitcs.sparse_ops import stable_norm
 from oracles import best_s_term_error, binomial_band, dual_norm_brute
 
 small_vectors = st.lists(
@@ -89,6 +90,26 @@ class TestNormalize:
         if np.linalg.norm(v) == 0:
             return
         assert abs(np.linalg.norm(normalize(v)) - 1.0) <= 1e-12
+
+
+class TestStableNorm:
+    @given(small_vectors)
+    @settings(max_examples=100, deadline=None)
+    def test_naive_norm_bit_for_bit_in_range(self, values):
+        v = np.array(values)
+        if 0 < np.max(np.abs(v)) < 1e-140:
+            return  # below normalize's bounds: rescaled
+        assert stable_norm(v) == float(np.linalg.norm(v))
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e155, 1e200, 1e300])
+    def test_no_overflow_or_underflow_out_of_range(self, scale):
+        # the naive norm's squares overflow past about 1e154 and underflow below 1e-162
+        assert stable_norm(np.array([3.0, -4.0, 0.0]) * scale) == pytest.approx(5.0 * scale, rel=1e-15)
+
+    def test_zero_inf_and_nan(self):
+        assert stable_norm(np.zeros(3)) == 0.0
+        assert stable_norm(np.array([1.0, np.inf])) == np.inf
+        assert math.isnan(stable_norm(np.array([1.0, np.nan])))
 
 
 class TestSparseDualNorm:
