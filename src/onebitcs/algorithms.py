@@ -165,15 +165,13 @@ def _initial_iterate(A: MeasurementEnsemble, b, cfg: AlgorithmConfig) -> np.ndar
     return gen_sparse_signal(cfg.init_seed, A.N, cfg.s).values.copy()
 
 
-def _descend(
-    A: MeasurementEnsemble, bits: np.ndarray, cfg: AlgorithmConfig, truth, step, norm=np.linalg.norm
-) -> IterateTrace:
+def _descend(A: MeasurementEnsemble, bits: np.ndarray, cfg: AlgorithmConfig, truth, step) -> IterateTrace:
     """The loop every run shares: x_{k+1} = step(x_k, sign(A x_k), A x_k).
 
     step returns the next iterate, or a stop reason (a str) before anything is
     recorded; the loop also stops on the budget or on movement below stop_tol.
-    norm measures the movement and the errors; a run whose iterates can grow
-    past 1e154 passes stable_norm, whose squares do not overflow.
+    The movement and the errors are taken by stable_norm, so a diverging run's
+    norms do not overflow.
     """
     truth_v = None if truth is None else as_vector(truth)
     forward = _ForwardSigns(A.matrix)
@@ -181,7 +179,7 @@ def _descend(
     ax = forward.product(x)
     signs = _sign(ax)
     agreement = [1.0 - hamming_distance(signs, bits)]
-    errors = None if truth_v is None else [float(norm(x - truth_v))]
+    errors = None if truth_v is None else [stable_norm(x - truth_v)]
 
     stop_reason = "max_iters"
     for _ in range(cfg.max_iters):
@@ -193,8 +191,8 @@ def _descend(
         signs = _sign(ax)
         agreement.append(1.0 - hamming_distance(signs, bits))
         if errors is not None:
-            errors.append(float(norm(x_new - truth_v)))
-        movement = float(norm(x_new - x))
+            errors.append(stable_norm(x_new - truth_v))
+        movement = stable_norm(x_new - x)
         x = x_new
         if movement < cfg.stop_tol:
             stop_reason = "converged"
@@ -235,8 +233,7 @@ def iht_run(A: MeasurementEnsemble, y, cfg: AlgorithmConfig, truth=None) -> Iter
     """Classical hard-thresholding descent on linear measurements y = Ax.
 
     The residual y - A x_k uses the forward product the loop already took on
-    the support columns. A diverging run's iterates grow without bound, so its
-    norms are taken by stable_norm.
+    the support columns.
     """
     matrix = A.matrix
     y = np.asarray(y, dtype=np.float64)
@@ -250,7 +247,7 @@ def iht_run(A: MeasurementEnsemble, y, cfg: AlgorithmConfig, truth=None) -> Iter
         # the norm, not array_equal: a step that keeps an inf entry moves by nan
         return "converged" if stable_norm(x_new - x) == 0.0 else x_new
 
-    return _descend(A, _sign(y), cfg, truth, step, stable_norm)
+    return _descend(A, _sign(y), cfg, truth, step)
 
 
 def one_shot_estimate(A: MeasurementEnsemble, b, s: int, tau: float = DEFAULT_TAU) -> np.ndarray:

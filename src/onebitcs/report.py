@@ -160,12 +160,15 @@ def compare_records(a: list[SweepRecord], b: list[SweepRecord], rel: float) -> l
     The replay check where the bits cannot hold, as on another OpenBLAS
     kernel, which rounds the products differently. Row by row, the cell,
     stop reason and iteration count must be equal, and the error and sign
-    agreement within ``rel`` of the larger of the two; wall_time_ms is not
-    compared.
+    agreement within ``rel`` of the larger of the two (two NaNs agree);
+    wall_time_ms is not compared.
     """
     differences = [] if len(a) == len(b) else [f"{len(a)} records against {len(b)}"]
     for x, y in zip(a, b):
-        near = all(abs(u - v) <= rel * max(abs(u), abs(v)) for u, v in zip(_CLOSE(x), _CLOSE(y)))
+        near = all(
+            u == v or (math.isnan(u) and math.isnan(v)) or abs(u - v) <= rel * max(abs(u), abs(v))
+            for u, v in zip(_CLOSE(x), _CLOSE(y))
+        )
         if _EXACT(x) != _EXACT(y) or not near:
             differences.append(f"{x.comparable()} against {y.comparable()}")
     return differences

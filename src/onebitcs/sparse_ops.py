@@ -38,28 +38,30 @@ def hard_threshold(v, s: int) -> np.ndarray:
 def normalize(v) -> np.ndarray:
     """v / ||v||_2; raises DegenerateIterateError on the zero vector."""
     v = as_vector(v)
-    scale = float(np.max(np.abs(v))) if v.size else 0.0
-    if scale == 0.0:
+    norm = stable_norm(v)
+    if norm == 0.0:
         raise DegenerateIterateError("cannot normalize the zero vector")
-    if scale < 1e-140 or scale > 1e140:
-        # entries whose squares leave the normal float range lose precision
-        # in the naive norm; rescale first
-        w = v / scale
-        return w / np.linalg.norm(w)
-    return v / float(np.linalg.norm(v))
+    return v / norm
 
 
 def stable_norm(v) -> float:
-    """||v||_2, with the largest magnitude divided out first where normalize does it.
+    """||v||_2, also where the squares of the naive norm leave the float range.
 
-    The naive norm's squares overflow once entries pass about 1e154; inside
-    normalize's bounds this is the naive norm, bit for bit.
+    The naive norm sqrt(v . v), the bits np.linalg.norm gives, is taken first
+    and kept unless it overflowed (entries past about 1e154) or fell below
+    1e-140, where subnormal squares lose precision; only then is it retaken
+    with the largest magnitude divided out. A vector of ordinary size thus
+    costs one dot product, as the naive norm does.
     """
     v = as_vector(v)
-    scale = float(np.max(np.abs(v))) if v.size else 0.0
-    if 0.0 < scale < 1e-140 or 1e140 < scale < math.inf:
-        return scale * float(np.linalg.norm(v / scale))
-    return float(np.linalg.norm(v))
+    with np.errstate(over="ignore"):
+        norm = math.sqrt(v.dot(v))
+    if norm == math.inf or norm < 1e-140:
+        scale = float(np.max(np.abs(v))) if v.size else 0.0
+        if 0.0 < scale < math.inf:
+            w = v / scale
+            return scale * math.sqrt(w.dot(w))
+    return norm
 
 
 def sparse_dual_norm(v, s: int) -> float:

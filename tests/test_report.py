@@ -1,6 +1,7 @@
 """Persistence: CSV schema and round-trips, manifest text, SVG structure."""
 
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -283,6 +284,9 @@ class TestManifestVersions:
         # a child process on another OpenBLAS kernel: Haswell, or the one this
         # process's environment forces; its products round differently, so the
         # records are compared at rel = 1e-9, not bit for bit
+        manifest = load_manifest(V5_SWEEP / "manifest.txt")
+        if (manifest.numpy_version, manifest.blas) != (np.__version__, harness._blas_name()):
+            pytest.skip("fixture written with another numpy or BLAS: only the kernel may differ")
         kernel = os.environ.get("OPENBLAS_CORETYPE", "Haswell")
         replayed = tmp_path / "records.csv"
         child = subprocess.run(
@@ -291,10 +295,10 @@ class TestManifestVersions:
             env={**os.environ, "OPENBLAS_CORETYPE": kernel, "PYTHONPATH": str(Path(harness.__file__).parents[1])},
             capture_output=True, text=True, timeout=300,
         )
-        core = child.stdout.split("\n", 1)[0]
-        if core in ("", "unknown", load_manifest(V5_SWEEP / "manifest.txt").blas_core):
-            pytest.skip(f"the child did not report a kernel other than the fixture's (asked for {kernel})")
         assert child.returncode == 0, child.stderr
+        core = child.stdout.split("\n", 1)[0]
+        if core in ("", "unknown", manifest.blas_core):
+            pytest.skip(f"the child did not report a kernel other than the fixture's (asked for {kernel})")
         stored = read_records_csv(V5_SWEEP / "records.csv")
         assert compare_records(stored, read_records_csv(replayed), rel=1e-9) == []
 
@@ -350,6 +354,16 @@ class TestCompareRecords:
         records = self._records()
         moved = list(records)
         moved[5] = dataclasses.replace(records[5], **change)
+        assert compare_records(records, moved, rel=1e-9) == [
+            f"{records[5].comparable()} against {moved[5].comparable()}"
+        ]
+
+    def test_nan_errors_agree(self):
+        # a sweep may record final_l2_error = nan; two identical records still agree
+        records = [dataclasses.replace(r, final_l2_error=math.nan) for r in self._records()]
+        assert compare_records(records, list(records), rel=0.0) == []
+        moved = list(records)
+        moved[5] = dataclasses.replace(records[5], final_l2_error=0.5)
         assert compare_records(records, moved, rel=1e-9) == [
             f"{records[5].comparable()} against {moved[5].comparable()}"
         ]

@@ -91,15 +91,23 @@ class TestNormalize:
             return
         assert abs(np.linalg.norm(normalize(v)) - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("scale", [1e-200, 1e155, 1e300])
+    def test_unit_output_out_of_range(self, scale):
+        assert np.allclose(normalize(np.array([3.0, -4.0, 0.0]) * scale), [0.6, -0.8, 0.0], rtol=1e-15, atol=0)
+
+    def test_tiny_vector_is_not_zero(self):
+        assert np.array_equal(normalize(np.array([0.0, 5e-324])), [0.0, 1.0])
+
 
 class TestStableNorm:
     @given(small_vectors)
     @settings(max_examples=100, deadline=None)
     def test_naive_norm_bit_for_bit_in_range(self, values):
         v = np.array(values)
-        if 0 < np.max(np.abs(v)) < 1e-140:
-            return  # below normalize's bounds: rescaled
-        assert stable_norm(v) == float(np.linalg.norm(v))
+        naive = float(np.linalg.norm(v))
+        if naive < 1e-140 and np.any(v):
+            return  # subnormal or vanished squares: rescaled
+        assert stable_norm(v) == naive
 
     @pytest.mark.parametrize("scale", [1e-200, 1e155, 1e200, 1e300])
     def test_no_overflow_or_underflow_out_of_range(self, scale):
