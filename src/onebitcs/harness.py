@@ -6,10 +6,12 @@ sees the same instance (paired comparison) and any execution order or worker
 count reproduces the same records bitwise. A trial draws one
 ``max(m_grid)``-row matrix in seeded 512-row blocks, and every m runs on its
 first m rows, which are bitwise an m-row draw from the same seed, so the
-instances of a trial are nested across m. A task draws the whole matrix
-first, through ``gen_gaussian_matrix`` on the process's share of the CPUs,
-and then solves every m's runs inline or on forked solver processes
-(``_solver_processes``).
+instances of a trial are nested across m. Every sweep process maps one
+``max(m_grid)``-row buffer, ``_rows``, for the whole sweep: a task draws its
+trial's matrix into it, through ``gen_gaussian_matrix`` on the process's
+share of the CPUs, and then solves every m's runs on ``_rows[:m]`` through
+``_run_one``, inline or on forked solver processes (``_solver_processes``),
+which inherit the buffer.
 ``_thread_plan`` sets these counts. numpy's own OpenBLAS runs at one thread
 in every process: pool workers and solvers are pinned at start, and the
 serial sweep and every CLI command pin it for their duration and restore the
@@ -272,14 +274,13 @@ def draw_instances(
 
     The matrix is drawn once, whole, with ``max(m_grid)`` rows, by
     ``gen_gaussian_matrix`` on ``threads`` threads (every CPU when None) into
-    ``out``, or a new heap array. The instance at m uses a view of its first
-    m rows, which is bitwise the m-row draw from the same seed, and draws its
-    noise at m entries. An instance is (signal, ensemble, A x + eps,
+    ``out``, or the draw's own new buffer. The instance at m uses a view of
+    its first m rows, which is bitwise the m-row draw from the same seed, and
+    draws its noise at m entries. An instance is (signal, ensemble, A x + eps,
     sign(A x + eps)), with A x taken by support gather; every algorithm in
     the cell runs on it.
     """
     x = gen_sparse_signal(seeds["signal"], cfg.n, cfg.s, cfg.support_rule, cfg.value_rule)
-    out = np.empty((cfg.m_grid[-1], cfg.n)) if out is None else out
     whole = gen_gaussian_matrix(seeds["matrix"], cfg.m_grid[-1], cfg.n, out, threads)
     instances = []
     for m in cfg.m_grid:
@@ -312,12 +313,17 @@ def solve(cfg: SweepConfig, algo: str, instance: tuple, init_seed: int) -> tuple
     return error, trace.iterations_used, trace.sign_agreement[-1], trace.stop_reason
 
 
-def _run_one(cfg: SweepConfig, algo: str, m: int, trial: int, instance: tuple, init_seed: int) -> SweepRecord:
-    """One run on a drawn instance, timed where it is solved.
+_rows = None  # this process's max(m_grid) x N matrix buffer while it runs a sweep's tasks
+
+
+def _run_one(cfg: SweepConfig, algo: str, m: int, trial: int, x, lin, b, init_seed: int,
+             matrix_seed: int) -> SweepRecord:
+    """One run on the instance whose matrix is the first m rows of ``_rows``, timed where it is solved.
 
     A run that fails is recorded as an ``error:`` row; a setting the solvers
     reject raises.
     """
+    instance = (x, MeasurementEnsemble(_rows[:m], matrix_seed, _finite=True), lin, b)  # a read-only view
     start = time.perf_counter()
     try:
         outcome = solve(cfg, algo, instance, init_seed)
@@ -332,67 +338,51 @@ def _run_one(cfg: SweepConfig, algo: str, m: int, trial: int, instance: tuple, i
     return SweepRecord(algo, m, cfg.n, cfg.s, trial, *outcome, wall_time_ms=wall_ms)
 
 
-_solver_rows = None  # in a solver process: the matrix buffer it shares with its sweep
-
-
-def _start_solver(rows: np.ndarray) -> None:
-    """Pin a forked solver process's OpenBLAS and keep the rows it shares with its sweep."""
-    global _solver_rows
+def _start_worker(m: int, N: int) -> None:
+    """Pin a pool worker's OpenBLAS and map the m x N ``_rows`` its trials are drawn into (its initializer)."""
+    global _rows
     _pin_blas_threads()
-    _solver_rows = rows
-
-
-def _solve_on_shared_rows(cfg, algo, m, trial, x, lin, b, init_seed, matrix_seed) -> SweepRecord:
-    """``_run_one`` in a solver process, on a read-only view of the shared rows' first m."""
-    instance = (x, MeasurementEnsemble(_solver_rows[:m], matrix_seed, _finite=True), lin, b)
-    return _run_one(cfg, algo, m, trial, instance, init_seed)
+    _rows = _mapped(m, N)
 
 
 @contextlib.contextmanager
-def _solver_processes(cfg: SweepConfig, plan: ThreadPlan):
-    """Yield (pool, rows): ``plan.solvers`` forked solver processes and the buffer they read.
+def _solver_processes(plan: ThreadPlan):
+    """Yield ``plan.solvers`` forked solver processes, which read the sweep's ``_rows``.
 
-    ``rows`` is one ``max(m_grid) x N`` ``model._mapped`` buffer for each trial's draw. Every
-    process is forked before any draw thread exists. Yields (None, None), to solve inline,
-    for one solver or without fork. Unstarted runs are dropped on the way out.
+    Every process is forked after ``_rows`` is mapped, so it shares the buffer, and before any
+    draw thread exists. Yields None, to solve inline, for one solver or without fork.
+    Unstarted runs are dropped on the way out.
     """
     if plan.solvers < 2 or "fork" not in multiprocessing.get_all_start_methods():
-        yield None, None
+        yield None
         return
-    rows = _mapped(cfg.m_grid[-1], cfg.n)
     pool = ProcessPoolExecutor(max_workers=plan.solvers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_start_solver, initargs=(rows,))
+                               initializer=_pin_blas_threads)
     try:
         pool.submit(int).result()  # a fork pool forks all of its processes at its first call
-        yield pool, rows
+        yield pool
     finally:
         pool.shutdown(cancel_futures=True)
 
 
 def _run_task(
-    cfg: SweepConfig, trial: int, seeds: dict[str, int], plan: ThreadPlan, solvers=None, rows=None
+    cfg: SweepConfig, trial: int, seeds: dict[str, int], plan: ThreadPlan, solvers=None
 ) -> tuple[list[SweepRecord], float]:
     """Run every cell of one trial from the trial's seed table.
 
-    The trial's instances are drawn first, into ``rows`` when given; their
-    runs are then solved inline, or on the ``solvers`` of
-    ``_solver_processes``, which read the matrix from ``rows``. All have
-    returned when this returns, so the next trial may reuse the rows.
-    Returns the records and this thread's seconds in the draw. A failed run
-    is an ``error:`` row; a failed draw raises, and so does a run the
-    solvers reject.
+    The trial's instances are drawn into ``_rows`` first; their runs are
+    then solved by ``_run_one``, inline, or on the ``solvers`` of
+    ``_solver_processes``, each sent without the matrix. All have returned
+    when this returns, so the next trial may reuse the rows. Returns the
+    records and this thread's seconds in the draw. A failed run is an
+    ``error:`` row; a failed draw raises, and so does a run the solvers reject.
     """
     start = time.perf_counter()
-    instances = draw_instances(cfg, seeds, plan.share, rows)
+    instances = draw_instances(cfg, seeds, plan.share, _rows)
     draw_s = time.perf_counter() - start
-    runs = [(algo, m, instance, seeds[f"init.{algo}"])
-            for m, instance in instances for algo in sorted(cfg.algorithms)]
-    if solvers is None:
-        records = [_run_one(cfg, algo, m, trial, instance, init) for algo, m, instance, init in runs]
-    else:  # each run is sent without the matrix, which the solvers read from rows
-        sent = [solvers.submit(_solve_on_shared_rows, cfg, algo, m, trial, x, lin, b, init, A.seed)
-                for algo, m, (x, A, lin, b), init in runs]
-        records = [run.result() for run in sent]
+    runs = [(cfg, algo, m, trial, x, lin, b, seeds[f"init.{algo}"], A.seed)
+            for m, (x, A, lin, b) in instances for algo in sorted(cfg.algorithms)]
+    records = list((map if solvers is None else solvers.map)(_run_one, *zip(*runs)))
     return records, draw_s
 
 
@@ -469,13 +459,15 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> tuple[list[SweepRecord], Ru
     the tasks run in a pool of at most one process per trial, so a sweep with
     fewer trials than workers uses a smaller pool. Each process follows
     ``_thread_plan``: a share of ``max(1, cpus // pool size)`` threads draws
-    the matrices. Pool workers solve each m's runs inline; one process forks
-    ``min(share, runs per trial)`` solver processes for them when that is
-    above 1, and none outlives the sweep. numpy's OpenBLAS runs at one
-    thread: pool workers and solvers are pinned at start, and the serial
-    path pins this process's count, which is process-wide, for the sweep's
-    duration and restores it afterwards. No thread or process count changes
-    the records.
+    the matrices, into the process's one buffer, ``_rows``, which is
+    process-wide like the BLAS count: pool workers map it as they start, and
+    one process for the sweep's duration only, even when it raises, so it
+    runs one sweep at a time. Pool workers solve each m's runs inline; one
+    process forks ``min(share, runs per trial)`` solver processes, which share
+    its buffer, when that is above 1, and none outlives the sweep. numpy's
+    OpenBLAS runs at one thread: pool workers and solvers are pinned at start,
+    and the serial path pins this process's count for the sweep's duration
+    and restores it afterwards. No thread or process count changes the records.
     A master seed outside [0, 2^64) is rejected as the seed tables are
     derived, before any draw; so are ``workers`` below 1, and a pool whose
     matrices of ``max(m_grid)`` rows exceed physical memory together.
@@ -484,6 +476,7 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> tuple[list[SweepRecord], Ru
 
 
 def _execute(manifest: RunManifest, workers: int) -> tuple[list[SweepRecord], RunManifest]:
+    global _rows
     if workers < 1:
         raise InvalidArgumentError(f"workers must be >= 1, got {workers}")
     cfg = manifest.config
@@ -493,11 +486,16 @@ def _execute(manifest: RunManifest, workers: int) -> tuple[list[SweepRecord], Ru
     plan = _thread_plan(pool_size, len(cfg.m_grid) * len(cfg.algorithms))
     tasks = [(cfg, trial, trial_seed_table(cfg, trial), plan) for trial in range(cfg.trials_per_cell)]
     if pool_size > 1:
-        with ProcessPoolExecutor(max_workers=pool_size, initializer=_pin_blas_threads) as pool:
+        with ProcessPoolExecutor(max_workers=pool_size, initializer=_start_worker,
+                                 initargs=(cfg.m_grid[-1], cfg.n)) as pool:
             per_task = list(pool.map(_run_task, *zip(*tasks), chunksize=1))
     else:
-        with blas_threads(), _solver_processes(cfg, plan) as (solvers, rows):
-            per_task = [_run_task(*task, solvers, rows) for task in tasks]
+        _rows = _mapped(cfg.m_grid[-1], cfg.n)
+        try:
+            with blas_threads(), _solver_processes(plan) as solvers:
+                per_task = [_run_task(*task, solvers) for task in tasks]
+        finally:
+            _rows = None  # a library caller holds no buffer after the sweep
     pinned = "default" if _numpy_openblas() is None else "1"
     records = [rec for task_records, _ in per_task for rec in task_records]
     records.sort(key=lambda r: (r.algorithm, r.m, r.trial_index))

@@ -18,11 +18,9 @@ column-major copy of its matrix (``_with_columns``), from which the support
 columns are read contiguously; the gathered block has the values and the
 layout of the one gathered from the row-major matrix, so the product is
 bitwise the same. Sweeps, solvers and ``recover`` never build the copy. The
-copies, ``gen_gaussian_matrix``'s default buffers and the buffer a sweep
-shares with its solver processes are page-mapped (``_mapped``) and go back to
-the system when their last view goes; a sweep draws into that shared buffer
-or a heap array, as page-mapping a pool worker's draws made every trial fault
-in fresh pages.
+copies, ``gen_gaussian_matrix``'s default buffers and the one buffer each
+sweep process draws every trial into are page-mapped (``_mapped``) and go back
+to the system when their last view goes.
 """
 
 from __future__ import annotations

@@ -47,9 +47,6 @@ class ScheduleConstants:
             return self.c10
         return max(1.0, 1.0, 2.0 * self.cb**2) + math.pi
 
-    def as_dict(self) -> dict[str, float]:
-        return {"cb": self.cb, "cb_lower": self.cb_lower, "c10": self.effective_c10}
-
 
 def size_constant(N: int, s: int, m: float, constants: ScheduleConstants | None = None) -> float:
     """The size-dependent uniform bound 3*(cb*sqrt(s*log(N/s)) + sqrt(5*log(m)/cb_lower))."""

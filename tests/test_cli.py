@@ -14,6 +14,8 @@ from onebitcs.cli import build_parser, parse_and_dispatch
 from onebitcs.harness import ALGORITHMS, SweepConfig, run_sweep
 
 DATA = Path(__file__).parent / "data"
+PROBE_OUTPUTS_KERNEL = "SkylakeX"  # the OpenBLAS kernel (env.blas_core) that wrote data/probe_outputs.txt
+_FLOAT = re.compile(r"(-?\d+\.\d*(?:e[-+]?\d+)?|-?\d+e[-+]?\d+)")  # a printed float repr, captured
 
 
 class TestHelpGolden:
@@ -42,13 +44,40 @@ def _golden_probe_runs() -> list[tuple[list[str], str]]:
     return [(argv, "".join(lines)) for argv, lines in runs]
 
 
+def _differences_beyond(printed: str, stored: str, rel: float) -> list[str]:
+    """Where two outputs differ beyond rounding: each float within ``rel`` of the larger, all else equal."""
+    a, b = _FLOAT.split(printed), _FLOAT.split(stored)  # text at even indices, floats at odd ones
+    if len(a) != len(b):
+        return [f"{printed!r} against {stored!r}"]
+    texts = [(u, v) for u, v in zip(a[::2], b[::2]) if u != v]
+    floats = [(u, v) for u, v in zip(a[1::2], b[1::2])
+              if abs(float(u) - float(v)) > rel * max(abs(float(u)), abs(float(v)))]
+    return [f"{u!r} against {v!r}" for u, v in texts + floats]
+
+
 class TestProbeOutputsGolden:
     RUNS = _golden_probe_runs()
 
     @pytest.mark.parametrize("argv,expected", RUNS, ids=[f"{a[1]}-seed{a[-1]}" for a, _ in RUNS])
     def test_printed_output_is_bitwise_the_stored_one(self, argv, expected, capsys):
+        # bitwise on the kernel that wrote the file; another kernel rounds the
+        # products differently, so there the floats are compared at the sweep
+        # fixture's rel = 1e-9 (report.compare_records)
         assert parse_and_dispatch(argv) == 0
-        assert capsys.readouterr().out == expected
+        printed = capsys.readouterr().out
+        if harness._blas_core() == PROBE_OUTPUTS_KERNEL:
+            assert printed == expected
+        else:
+            assert _differences_beyond(printed, expected, rel=1e-9) == []
+
+    def test_rounding_bound_catches_what_rounding_cannot_explain(self):
+        stored = "fitted_delta = 0.1 fitted_eta = 2e-05 (annulus [0.1, 0.5], samples=10)\n"
+        assert _differences_beyond(stored.replace("0.1 ", "0.10000000001 "), stored, rel=1e-9) == []
+        assert _differences_beyond(stored.replace("2e-05", "2.00000001e-05"), stored, rel=1e-9) == [
+            "'2.00000001e-05' against '2e-05'"]
+        assert _differences_beyond(stored.replace("=10", "=11"), stored, rel=1e-9) == [
+            "'], samples=11)\\n' against '], samples=10)\\n'"]
+        assert len(_differences_beyond(stored.replace("2e-05", "nan"), stored, rel=1e-9)) == 1
 
 
 class TestBlasThreads:
@@ -282,6 +311,26 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"onebitcs: runtime failure: cannot map 64 x 16 float64 entries: "
                        f"[Errno {errno.ENOMEM}] {os.strerror(errno.ENOMEM)}"]
+
+    def test_unmappable_worker_buffer_exits_two(self, tmp_path, capsys, monkeypatch):
+        # each pool worker maps its buffer as it starts: a failed map breaks the
+        # pool (each worker also logs its initializer's traceback, unseen here)
+        import errno
+        import mmap
+        import multiprocessing
+
+        def enomem(*args, **kwargs):
+            raise OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
+
+        monkeypatch.setattr(mmap, "mmap", enomem)
+        code = parse_and_dispatch(
+            ["sweep", "--n", "16", "--s", "2", "--m-grid", "32,64", "--trials", "2",
+             "--seed", "1", "--workers", "2", "--out-dir", str(tmp_path / "out")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1].startswith("onebitcs: runtime failure: BrokenProcessPool: ")
+        assert multiprocessing.active_children() == []
 
     def test_unallocatable_size_is_validation_error(self, capsys):
         # 10^12 x 512 float64 exceeds any physical memory, so it is refused before the draw

@@ -165,6 +165,7 @@ class TestRunSweep:
         monkeypatch.setattr(model, "block_generator", slow)
         monkeypatch.setattr(harness, "nbiht_run", boom)
         cfg = _small_config(n=4, s=1, m_grid=(64,) + tuple(512 * k for k in range(1, 41)))
+        monkeypatch.setattr(harness, "_rows", harness._mapped(cfg.m_grid[-1], cfg.n))  # as run_sweep maps it
         start = threading.active_count()
         with pytest.raises(InvalidArgumentError, match="rejected in the task") as raised:
             harness._run_task(cfg, 0, trial_seed_table(cfg, 0), harness._thread_plan(1, 2))
@@ -290,12 +291,13 @@ class TestRunSweep:
 class _RecordingPool:
     """Stands in for the worker pool's ProcessPoolExecutor: records its arguments,
     runs the cells in this process and never calls the initializer, so no BLAS
-    setting changes. A one-process sweep's solver processes are real ones."""
+    setting changes; it maps the rows the initializer would for the cells it
+    runs. A one-process sweep's solver processes are real ones."""
 
     created = []
 
     def __new__(cls, **kwargs):
-        if kwargs.get("initializer") is harness._start_solver:
+        if kwargs.get("initializer") is harness._pin_blas_threads:
             return ProcessPoolExecutor(**kwargs)
         return super().__new__(cls)
 
@@ -310,7 +312,11 @@ class _RecordingPool:
         return False
 
     def map(self, fn, *iterables, chunksize=1):
-        return map(fn, *iterables)
+        harness._rows = harness._mapped(*self.kwargs["initargs"])
+        try:
+            return list(map(fn, *iterables))
+        finally:
+            harness._rows = None
 
 
 def _worker_blas_threads(_):
@@ -347,7 +353,7 @@ class TestPool:
         cfg = _small_config(m_grid=(64, 128, 256), trials_per_cell=2)  # 6 cells in 2 trials
         records, manifest = run_sweep(cfg, workers=64)
         (pool,) = fake_pool
-        assert pool.kwargs == {"max_workers": 2, "initializer": harness._pin_blas_threads}
+        assert pool.kwargs == {"max_workers": 2, "initializer": harness._start_worker, "initargs": (256, 32)}
         assert manifest.workers == 2
         assert manifest.blas_threads_per_worker == _pinned()
         assert len(records) == 12
@@ -357,10 +363,10 @@ class TestPool:
         assert manifest.draw_threads == 12 // 5
         _, manifest = run_sweep(_small_config(trials_per_cell=20), workers=60)
         assert manifest.draw_threads == 1  # never below one thread
-        # every worker pins BLAS at one thread, whatever its share
+        # every worker pins BLAS at one thread, whatever its share, and maps its rows
         assert [pool.kwargs for pool in fake_pool] == [
-            {"max_workers": 5, "initializer": harness._pin_blas_threads},
-            {"max_workers": 20, "initializer": harness._pin_blas_threads},
+            {"max_workers": 5, "initializer": harness._start_worker, "initargs": (256, 32)},
+            {"max_workers": 20, "initializer": harness._start_worker, "initargs": (256, 32)},
         ]
 
     def test_single_cell_runs_serially(self, fake_pool):
@@ -694,6 +700,62 @@ class TestSolverProcesses:
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         on_processes, _ = run_sweep(cfg, workers=1)
         assert [r.comparable() for r in on_processes] == [r.comparable() for r in inline]
+
+
+class TestOneMatrixBuffer:
+    """Each sweep process maps one max(m_grid) x N buffer, draws every trial into it and drops it."""
+
+    @pytest.fixture
+    def logs(self, monkeypatch, tmp_path):
+        """Reads back "pid address shape" per buffer mapped and "pid address" per draw, from any process."""
+        log_map, log_draw = _appender(tmp_path / "mapped"), _appender(tmp_path / "drawn")
+        real_map, real_draw = harness._mapped, harness.gen_gaussian_matrix
+
+        def mapping(m, N):
+            rows = real_map(m, N)
+            log_map(f"{os.getpid()} {rows.ctypes.data} {m}x{N}")
+            return rows
+
+        def drawing(seed, m, N, out=None, threads=None):
+            log_draw(f"{os.getpid()} {None if out is None else out.ctypes.data}")
+            return real_draw(seed, m, N, out, threads)
+
+        monkeypatch.setattr(harness, "_mapped", mapping)
+        monkeypatch.setattr(harness, "gen_gaussian_matrix", drawing)
+        return lambda: ([line.split() for line in _lines(tmp_path / "mapped")], _lines(tmp_path / "drawn"))
+
+    def test_each_pool_worker_maps_one_buffer(self, logs, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        cfg = _small_config(trials_per_cell=4)
+        run_sweep(cfg, workers=2)
+        mapped, drawn = logs()
+        assert len(mapped) == 2 and len({pid for pid, _, _ in mapped}) == 2
+        assert all(pid != str(os.getpid()) and shape == "256x32" for pid, _, shape in mapped)
+        assert len(drawn) == 4 and set(drawn) <= {f"{pid} {address}" for pid, address, _ in mapped}
+        assert harness._rows is None
+
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["inline", "solver-processes"])
+    def test_one_process_maps_one_buffer(self, cpus, logs, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        records, _ = run_sweep(_small_config(trials_per_cell=4), workers=1)
+        ((pid, address, shape),), drawn = logs()
+        assert (pid, shape) == (str(os.getpid()), "256x32")
+        assert drawn == [f"{pid} {address}"] * 4
+        assert not [r for r in records if r.stop_reason.startswith("error:")]
+
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["inline", "solver-processes"])
+    def test_no_buffer_held_after_the_sweep(self, cpus, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        run_sweep(_small_config(), workers=1)
+        assert harness._rows is None
+
+        def boom(*args, **kwargs):
+            raise InvalidArgumentError("rejected in a run")
+
+        monkeypatch.setattr(harness, "nbiht_run", boom)
+        with pytest.raises(InvalidArgumentError, match="rejected in a run"):
+            run_sweep(_small_config(), workers=1)
+        assert harness._rows is None
 
 
 class _CopyBuilt(Exception):

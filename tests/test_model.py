@@ -36,7 +36,7 @@ _SEEDS = st.integers(0, 2**64 - 1)
 
 
 def _blocked(seed: int, m: int, n: int, threads: int = 1) -> np.ndarray:
-    """The m x n blocked draw, filled on up to ``threads`` threads into a heap array, as a sweep draws."""
+    """The m x n blocked draw, filled on up to ``threads`` threads into a caller's array, as a sweep draws."""
     return gen_gaussian_matrix(seed, m, n, np.empty((m, n)), threads).matrix
 
 

@@ -157,7 +157,3 @@ class TestConstants:
     def test_validation(self, kwargs):
         with pytest.raises(InvalidArgumentError, match="must be finite and positive"):
             ScheduleConstants(**kwargs)
-
-    def test_as_dict(self):
-        d = ScheduleConstants().as_dict()
-        assert set(d) == {"cb", "cb_lower", "c10"}
