@@ -22,9 +22,11 @@ Each run takes the forward product A x_k, and from it sign(A x_k), on a
 contiguous copy of the columns of A on the iterate's support, reading from A
 only the columns that entered the support; the copy holds at most s columns,
 so a run's extra memory stays near 2*m*s doubles (the old and the new block
-while one replaces the other). The loop hands that product to the step, and
-iht_run forms its residual y - A x_k from it (m*s flops, not m*N for a dense
-A @ x_k, which rounds differently).
+while one replaces the other). It is the product model.linear_measurements
+takes, bit for bit, at every support size. The loop finds the rows where
+sign(A x_k) disagrees with the data once per iterate; the sign agreement,
+the sign-consistency stop and the adjoint A^T (b - sign(A x_k)) all read
+them. iht_run forms its residual y - A x_k from the same product.
 """
 
 from __future__ import annotations
@@ -36,12 +38,12 @@ import numpy as np
 
 from .errors import DegenerateIterateError, InvalidArgumentError, _as_int
 from .model import BinaryObservation, MeasurementEnsemble, _sign, as_vector, gen_sparse_signal
-from .sparse_ops import hamming_distance, hard_threshold, normalize, stable_norm
+from .sparse_ops import hamming_distance  # noqa: F401  benchmarks/tracing.py wraps this name
+from .sparse_ops import hard_threshold, normalize, stable_norm
 
 DEFAULT_TAU = math.sqrt(math.pi / 2.0)  # the step size making the first iterate unbiased
 
 INIT_MODES = ("random_sparse", "matched_filter")
-DEGENERATE_POLICIES = ("keep_previous", "fail")
 
 
 @dataclass(frozen=True)
@@ -58,7 +60,6 @@ class AlgorithmConfig:
     stop_tol: float = 1e-10
     init: str = "random_sparse"
     init_seed: int = 0
-    degenerate_policy: str = "keep_previous"
 
     def __post_init__(self):
         for name in ("s", "max_iters"):
@@ -73,8 +74,6 @@ class AlgorithmConfig:
             raise InvalidArgumentError("stop_tol must be nonnegative")
         if self.init not in INIT_MODES:
             raise InvalidArgumentError(f"unknown init {self.init!r}")
-        if self.degenerate_policy not in DEGENERATE_POLICIES:
-            raise InvalidArgumentError(f"unknown degenerate_policy {self.degenerate_policy!r}")
 
 
 @dataclass
@@ -103,11 +102,12 @@ class IterateTrace:
 class _ForwardSigns:
     """A x for the iterates of one run, gathering A's support columns.
 
-    x is s-sparse in the hot loop, so the forward product is taken on the
-    F-ordered block A[:, nz] (m*s instead of m*N flops). The block of the last
-    support is kept, and only the columns that enter the support are read from
-    the row-major matrix; the block is laid out as numpy lays out A[:, nz], so
-    the product's bits do not depend on the cache.
+    The forward product is taken on the F-ordered block A[:, nz] (m*s instead
+    of m*N flops for an s-sparse x), at any support size, the empty one
+    included. The block of the last support is kept, and only the columns
+    that enter the support are read from the row-major matrix; the block is
+    laid out as numpy lays out A[:, nz], so the product is bitwise
+    model.linear_measurements' and does not depend on the cache.
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -117,12 +117,9 @@ class _ForwardSigns:
 
     def product(self, x: np.ndarray) -> np.ndarray:
         nz = np.flatnonzero(x)
-        if 0 < nz.size <= self.matrix.shape[1] // 8:
-            if not np.array_equal(nz, self.cols):
-                self.cols, self.block = nz, self._gather(nz)
-            return self.block @ x[nz]
-        self.cols, self.block = nz[:0], np.empty((self.matrix.shape[0], 0), order="F")
-        return self.matrix @ x
+        if not np.array_equal(nz, self.cols):
+            self.cols, self.block = nz, self._gather(nz)
+        return self.block @ x[nz]
 
     def _gather(self, nz: np.ndarray) -> np.ndarray:
         # cached columns are contiguous copies; new ones are strided reads of A
@@ -134,16 +131,14 @@ class _ForwardSigns:
         return block
 
 
-def _sign_gradient(matrix: np.ndarray, bits: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    # A^T (b - sign(A x)); the residual is sparse near sign consistency, so sum
-    # only the disagreeing rows when few enough.
-    residual = bits - signs
-    rows = np.flatnonzero(residual)
+def _sign_gradient(matrix: np.ndarray, bits: np.ndarray, signs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    # A^T (b - sign(A x)), given the rows where the signs disagree; near sign
+    # consistency they are few, so sum only those when few enough.
     if rows.size == 0:
         return np.zeros(matrix.shape[1])
     if rows.size <= matrix.shape[0] // 8:
-        return residual[rows] @ matrix[rows]
-    return matrix.T @ residual
+        return (bits[rows] - signs[rows]) @ matrix[rows]
+    return matrix.T @ (bits - signs)
 
 
 def _unwrap(A: MeasurementEnsemble, b) -> tuple[np.ndarray, np.ndarray]:
@@ -166,32 +161,37 @@ def _initial_iterate(A: MeasurementEnsemble, b, cfg: AlgorithmConfig) -> np.ndar
 
 
 def _descend(A: MeasurementEnsemble, bits: np.ndarray, cfg: AlgorithmConfig, truth, step) -> IterateTrace:
-    """The loop every run shares: x_{k+1} = step(x_k, sign(A x_k), A x_k).
+    """The loop every run shares: x_{k+1} = step(x_k, sign(A x_k), rows_k, A x_k).
 
-    step returns the next iterate, or a stop reason (a str) before anything is
-    recorded; the loop also stops on the budget or on movement below stop_tol.
-    The movement and the errors are taken by stable_norm, so a diverging run's
-    norms do not overflow.
+    rows_k are the rows where sign(A x_k) disagrees with bits, found once per
+    iterate. step returns the next iterate, or a stop reason (a str) before
+    anything is recorded; the loop also stops on the budget or on movement
+    below stop_tol. The movement and the errors are taken by stable_norm, so
+    a diverging run's norms do not overflow.
     """
     truth_v = None if truth is None else as_vector(truth)
     forward = _ForwardSigns(A.matrix)
-    x = _initial_iterate(A, bits, cfg)
-    ax = forward.product(x)
-    signs = _sign(ax)
-    agreement = [1.0 - hamming_distance(signs, bits)]
-    errors = None if truth_v is None else [stable_norm(x - truth_v)]
+    agreement = []
+    errors = None if truth_v is None else []
 
+    def observe(x):
+        ax = forward.product(x)
+        signs = _sign(ax)
+        rows = np.flatnonzero(signs != bits)
+        agreement.append(1.0 - rows.size / bits.size)  # bitwise 1 - hamming_distance(signs, bits)
+        if errors is not None:
+            errors.append(stable_norm(x - truth_v))
+        return signs, rows, ax
+
+    x = _initial_iterate(A, bits, cfg)
+    seen = observe(x)
     stop_reason = "max_iters"
     for _ in range(cfg.max_iters):
-        x_new = step(x, signs, ax)
+        x_new = step(x, *seen)
         if isinstance(x_new, str):
             stop_reason = x_new
             break
-        ax = forward.product(x_new)
-        signs = _sign(ax)
-        agreement.append(1.0 - hamming_distance(signs, bits))
-        if errors is not None:
-            errors.append(stable_norm(x_new - truth_v))
+        seen = observe(x_new)
         movement = stable_norm(x_new - x)
         x = x_new
         if movement < cfg.stop_tol:
@@ -204,13 +204,11 @@ def _descend(A: MeasurementEnsemble, bits: np.ndarray, cfg: AlgorithmConfig, tru
 def _binary_run(A: MeasurementEnsemble, b, cfg: AlgorithmConfig, truth, normalized: bool):
     matrix, bits = _unwrap(A, b)
 
-    def step(x, signs, _ax):
-        if np.array_equal(signs, bits):
+    def step(x, signs, rows, _ax):
+        if rows.size == 0:
             return "converged"  # sign consistency: fixed point of the step map
-        t = hard_threshold(x + (cfg.tau / matrix.shape[0]) * _sign_gradient(matrix, bits, signs), cfg.s)
+        t = hard_threshold(x + (cfg.tau / matrix.shape[0]) * _sign_gradient(matrix, bits, signs, rows), cfg.s)
         if not np.any(t):
-            if cfg.degenerate_policy == "fail":
-                raise DegenerateIterateError("hard threshold produced the zero vector")
             return "degenerate"
         return normalize(t) if normalized else t
 
@@ -242,7 +240,7 @@ def iht_run(A: MeasurementEnsemble, y, cfg: AlgorithmConfig, truth=None) -> Iter
     if not np.all(np.isfinite(y)):
         raise InvalidArgumentError("measurements must be finite")
 
-    def step(x, _signs, ax):
+    def step(x, _signs, _rows, ax):
         x_new = hard_threshold(x + matrix.T @ (y - ax) / matrix.shape[0], cfg.s)
         # the norm, not array_equal: a step that keeps an inf entry moves by nan
         return "converged" if stable_norm(x_new - x) == 0.0 else x_new

@@ -7,22 +7,22 @@ count reproduces the same records bitwise. A trial draws one
 ``max(m_grid)``-row matrix in seeded 512-row blocks, and every m runs on its
 first m rows, which are bitwise an m-row draw from the same seed, so the
 instances of a trial are nested across m. Every sweep process maps one
-``max(m_grid)``-row buffer, ``_rows``, for the whole sweep: a task draws its
-trial's matrix into it, through ``gen_gaussian_matrix`` on the process's
-share of the CPUs, and then solves every m's runs on ``_rows[:m]`` through
-``_run_one``, inline or on forked solver processes (``_solver_processes``),
-which inherit the buffer.
+``max(m_grid)``-row buffer, ``_rows``, for the whole sweep (a pool worker in
+its first task): a task draws its trial's matrix into it, through
+``gen_gaussian_matrix`` on the process's share of the CPUs, and then solves
+every m's runs on ``_rows[:m]`` through ``_run_one``, inline or on forked
+solver processes (``_solver_processes``), which inherit the buffer.
 ``_thread_plan`` sets these counts. numpy's own OpenBLAS runs at one thread
 in every process: pool workers and solvers are pinned at start, and the
 serial sweep and every CLI command pin it for their duration and restore the
 caller's count afterwards (``blas_threads``). Every run's state is its own
 and the instance is read-only, so the records do not depend on any thread or
 process count.
-A x is taken by support gather, for the measurements, the one-shot
-agreement and the IHT residual.
+A x is taken only by support gather: for the measurements, the one-shot
+agreement and every solver iterate.
 The manifest stores only what a replay cannot derive: no seed is stored,
 since ``trial_seed_table`` derives every trial's seeds from the config. This
-build writes and replays manifest version 5 only; a change that moves records
+build writes and replays manifest version 6 only; a change that moves records
 or the format bumps the version and replaces this path instead of forking it.
 Records are canonically sorted by (algorithm, m, trial_index) before they are
 returned.
@@ -78,7 +78,7 @@ _ROLE_MATRIX = 1
 _ROLE_NOISE = 2
 _ROLE_INIT_BASE = 3
 
-MANIFEST_VERSION = 5  # the one version run_sweep and recover write and replay
+MANIFEST_VERSION = 6  # the one version run_sweep and recover write and replay
 _SUBSTREAM_RULE = (  # recorded as rng.substream_rule
     "seed = SeedSequence((master_seed, trial, role)).generate_state(1, uint64)[0]; "
     "each trial draws max(m_grid) matrix rows in 512-row blocks, block i from "
@@ -109,7 +109,6 @@ class SweepConfig:
     max_iters: int = 500
     stop_tol: float = 1e-10
     init: str = "random_sparse"
-    degenerate_policy: str = "keep_previous"
     support_rule: str = "uniform_random"
     value_rule: str = "gaussian"
 
@@ -144,7 +143,7 @@ class SweepConfig:
     def _algorithm_config(self, init_seed: int) -> AlgorithmConfig:
         """The solver settings of every run of the sweep, with the run's init seed."""
         return AlgorithmConfig(s=self.s, tau=self.tau, max_iters=self.max_iters, stop_tol=self.stop_tol,
-                               init=self.init, init_seed=init_seed, degenerate_policy=self.degenerate_policy)
+                               init=self.init, init_seed=init_seed)
 
 
 @dataclass(frozen=True)
@@ -338,13 +337,6 @@ def _run_one(cfg: SweepConfig, algo: str, m: int, trial: int, x, lin, b, init_se
     return SweepRecord(algo, m, cfg.n, cfg.s, trial, *outcome, wall_time_ms=wall_ms)
 
 
-def _start_worker(m: int, N: int) -> None:
-    """Pin a pool worker's OpenBLAS and map the m x N ``_rows`` its trials are drawn into (its initializer)."""
-    global _rows
-    _pin_blas_threads()
-    _rows = _mapped(m, N)
-
-
 @contextlib.contextmanager
 def _solver_processes(plan: ThreadPlan):
     """Yield ``plan.solvers`` forked solver processes, which read the sweep's ``_rows``.
@@ -370,13 +362,18 @@ def _run_task(
 ) -> tuple[list[SweepRecord], float]:
     """Run every cell of one trial from the trial's seed table.
 
-    The trial's instances are drawn into ``_rows`` first; their runs are
-    then solved by ``_run_one``, inline, or on the ``solvers`` of
-    ``_solver_processes``, each sent without the matrix. All have returned
-    when this returns, so the next trial may reuse the rows. Returns the
-    records and this thread's seconds in the draw. A failed run is an
-    ``error:`` row; a failed draw raises, and so does a run the solvers reject.
+    A pool worker maps ``_rows`` in its first task, so a failed mapping
+    comes back as that task's MemoryError. The trial's instances are drawn
+    into ``_rows`` first; their runs are then solved by ``_run_one``, inline,
+    or on the ``solvers`` of ``_solver_processes``, each sent without the
+    matrix. All have returned when this returns, so the next trial may reuse
+    the rows. Returns the records and this thread's seconds in the draw. A
+    failed run is an ``error:`` row; a failed draw raises, and so does a run
+    the solvers reject.
     """
+    global _rows
+    if _rows is None:
+        _rows = _mapped(cfg.m_grid[-1], cfg.n)
     start = time.perf_counter()
     instances = draw_instances(cfg, seeds, plan.share, _rows)
     draw_s = time.perf_counter() - start
@@ -454,14 +451,14 @@ def blas_threads():
 def run_sweep(cfg: SweepConfig, workers: int = 1) -> tuple[list[SweepRecord], RunManifest]:
     """Execute all (algorithm, m, trial) cells; return sorted records + manifest.
 
-    Writes manifest version 5. A task is one trial: it draws the matrix once,
+    Writes manifest version 6. A task is one trial: it draws the matrix once,
     at the largest m, and runs every cell on a prefix. With ``workers > 1``
     the tasks run in a pool of at most one process per trial, so a sweep with
     fewer trials than workers uses a smaller pool. Each process follows
     ``_thread_plan``: a share of ``max(1, cpus // pool size)`` threads draws
     the matrices, into the process's one buffer, ``_rows``, which is
-    process-wide like the BLAS count: pool workers map it as they start, and
-    one process for the sweep's duration only, even when it raises, so it
+    process-wide like the BLAS count: pool workers map it in their first task,
+    and one process for the sweep's duration only, even when it raises, so it
     runs one sweep at a time. Pool workers solve each m's runs inline; one
     process forks ``min(share, runs per trial)`` solver processes, which share
     its buffer, when that is above 1, and none outlives the sweep. numpy's
@@ -486,8 +483,7 @@ def _execute(manifest: RunManifest, workers: int) -> tuple[list[SweepRecord], Ru
     plan = _thread_plan(pool_size, len(cfg.m_grid) * len(cfg.algorithms))
     tasks = [(cfg, trial, trial_seed_table(cfg, trial), plan) for trial in range(cfg.trials_per_cell)]
     if pool_size > 1:
-        with ProcessPoolExecutor(max_workers=pool_size, initializer=_start_worker,
-                                 initargs=(cfg.m_grid[-1], cfg.n)) as pool:
+        with ProcessPoolExecutor(max_workers=pool_size, initializer=_pin_blas_threads) as pool:
             per_task = list(pool.map(_run_task, *zip(*tasks), chunksize=1))
     else:
         _rows = _mapped(cfg.m_grid[-1], cfg.n)

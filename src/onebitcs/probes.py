@@ -218,7 +218,8 @@ def raic_probe(cfg: RaicProbeConfig) -> RaicProbeResult:
         target = cfg.r_lb + (k + rng.uniform(0.0, 1.0)) * width / cfg.samples
         y = _sparse_point_at_distance(x, cfg.s, target, rng)
         sign_y = sign_quantize(linear_measurements(A, y)).bits
-        lhs = sparse_dual_norm(nu * _sign_gradient(A.matrix, sign_x, sign_y) - (x - y), cfg.s)
+        rows = np.flatnonzero(sign_x != sign_y)
+        lhs = sparse_dual_norm(nu * _sign_gradient(A.matrix, sign_x, sign_y, rows) - (x - y), cfg.s)
         cloud.append((float(np.linalg.norm(x - y)), float(lhs)))
     cloud.sort()
 

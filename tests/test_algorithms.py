@@ -21,6 +21,7 @@ from onebitcs import (
     hamming_distance,
     hard_threshold,
     iht_run,
+    linear_measurements,
     measure,
     nbiht_run,
     one_shot_estimate,
@@ -95,9 +96,9 @@ class TestNbihtRunOracle:
             reused.append(np.intersect1d(forward.cols, nz).size > 0)
             return gather(forward, nz)
 
-        def counting_gradient(matrix, bits, signs):
-            gathered_rows.append(np.count_nonzero(bits - signs) <= matrix.shape[0] // 8)
-            return gradient(matrix, bits, signs)
+        def counting_gradient(matrix, bits, signs, rows):
+            gathered_rows.append(rows.size <= matrix.shape[0] // 8)
+            return gradient(matrix, bits, signs, rows)
 
         monkeypatch.setattr(_ForwardSigns, "_gather", counting_gather)
         monkeypatch.setattr(algorithms, "_sign_gradient", counting_gradient)
@@ -139,17 +140,19 @@ class TestNbihtRunOracle:
 
 class TestForwardSigns:
     def test_signs_match_support_gather_bitwise(self):
+        # the product itself is linear_measurements' at every support size
         n, m = 64, 48
-        matrix = gen_gaussian_matrix(substream_seed(4, 1), m, n).matrix
+        A = gen_gaussian_matrix(substream_seed(4, 1), m, n)
+        matrix = A.matrix
         rng = generator_for(substream_seed(4, 2))
         supports = [
             [3, 10, 41],  # first support
             [3, 10, 41],  # unchanged support, new values
             [3, 20, 41, 63],  # partial overlap
             [0, 5, 6, 7],  # disjoint
-            list(range(0, 60, 5)),  # 12 > N/8 columns: the dense product
+            list(range(0, 60, 5)),  # 12 > N/8 columns, gathered as well
             [],  # the zero vector
-            [1, 5, 62],  # a gathered support after the dense branch
+            [1, 5, 62],  # a small support after the zero vector
             [5],  # one column
         ]
         forward_signs = _ForwardSigns(matrix)
@@ -158,7 +161,9 @@ class TestForwardSigns:
             x[support] = rng.standard_normal(len(support))
             nz = np.flatnonzero(x)
             expected = np.where(matrix[:, nz] @ x[nz] > 0, 1.0, -1.0)
-            assert np.array_equal(_sign(forward_signs.product(x)).view(np.uint64), expected.view(np.uint64))
+            product = forward_signs.product(x)
+            assert product.tobytes() == linear_measurements(A, x).tobytes()
+            assert np.array_equal(_sign(product).view(np.uint64), expected.view(np.uint64))
             assert set(forward_signs.cols.tolist()) <= set(nz.tolist())
             gathered = matrix[:, forward_signs.cols]
             assert np.array_equal(forward_signs.block, gathered)
@@ -198,6 +203,16 @@ class TestNbihtRun:
         start = one_shot_estimate(A, b, 4)
         assert trace.sign_agreement[0] == 1.0 - hamming_distance(measure(A, start), b)
         assert trace.errors_vs_truth[0] == float(np.linalg.norm(start - x.values))
+
+    def test_last_agreement_is_the_estimates_hamming_agreement(self):
+        # the loop counts the disagreeing rows of sign(A x) once per iterate; a
+        # tenth of the bits flipped keeps every iterate short of sign consistency
+        _, A, b = _instance(21, n=48, s=4, m=200)
+        bits = b.bits.copy()
+        bits[::10] *= -1.0
+        trace = nbiht_run(A, bits, AlgorithmConfig(s=4, max_iters=30, init_seed=4))
+        assert trace.sign_agreement[-1] < 1.0
+        assert trace.sign_agreement[-1] == 1.0 - hamming_distance(measure(A, trace.estimate), bits)
 
     def test_sign_agreement_within_unit_interval(self):
         x, A, b = _instance(9, n=32, s=4, m=128)
@@ -246,17 +261,10 @@ class TestDegenerateRun:
     A = MeasurementEnsemble(matrix=np.array([[1.0], [-1.0]]), seed=0)
     b = BinaryObservation(bits=np.array([-1.0, 1.0]))
 
-    def _cfg(self, policy):
-        return AlgorithmConfig(s=1, tau=0.5, init_seed=0, degenerate_policy=policy)
-
     def test_keep_previous_stops(self, run):
-        trace = run(self.A, self.b, self._cfg("keep_previous"))
+        trace = run(self.A, self.b, AlgorithmConfig(s=1, tau=0.5, init_seed=0))
         assert trace.stop_reason == "degenerate" and trace.iterations_used == 0
         assert trace.estimate.tolist() == [1.0]
-
-    def test_fail_raises(self, run):
-        with pytest.raises(DegenerateIterateError):
-            run(self.A, self.b, self._cfg("fail"))
 
 
 class TestIhtRun:
@@ -413,7 +421,7 @@ class TestConfigValidation:
             dict(s=2, max_iters=0),
             dict(s=2, stop_tol=-1e-3),
             dict(s=2, init="zeros"),
-            dict(s=2, degenerate_policy="retry"),
+            dict(s="2"),  # rejected, not parsed
             dict(s=2, init="provided"),
             dict(s=2, tau=math.inf),
             dict(s=2, tau=math.nan),

@@ -1,7 +1,10 @@
 """CLI: dispatch, exit codes, config merging, golden help text and probe output, BLAS threads."""
 
+import errno
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -125,6 +128,19 @@ class TestBlasThreads:
     @pytest.mark.parametrize("argv,function,code", COMMANDS, ids=IDS)
     def test_one_thread_on_four_cpus(self, argv, function, code, blas_at_two, monkeypatch, capsys):
         assert set(self._threads_seen(4, argv, function, code, blas_at_two, monkeypatch)) == {1}
+
+
+_UNMAPPABLE_64_BY_16 = (f"onebitcs: runtime failure: cannot map 64 x 16 float64 entries: "
+                        f"[Errno {errno.ENOMEM}] {os.strerror(errno.ENOMEM)}")
+# runs the CLI on argv[1:] in a process whose mmap.mmap, and so every forked worker's, fails with ENOMEM
+_SWEEP_WITHOUT_MMAP = """
+import errno, mmap, os, sys
+def enomem(*args, **kwargs):
+    raise OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
+mmap.mmap = enomem
+from onebitcs.cli import parse_and_dispatch
+sys.exit(parse_and_dispatch(sys.argv[1:]))
+"""
 
 
 class TestExitCodes:
@@ -309,12 +325,11 @@ class TestExitCodes:
         )
         assert code == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == [f"onebitcs: runtime failure: cannot map 64 x 16 float64 entries: "
-                       f"[Errno {errno.ENOMEM}] {os.strerror(errno.ENOMEM)}"]
+        assert err == [_UNMAPPABLE_64_BY_16]
 
     def test_unmappable_worker_buffer_exits_two(self, tmp_path, capsys, monkeypatch):
-        # each pool worker maps its buffer as it starts: a failed map breaks the
-        # pool (each worker also logs its initializer's traceback, unseen here)
+        # each pool worker maps its buffer in its first task: a failed map is
+        # that task's MemoryError, and the pool stays whole
         import errno
         import mmap
         import multiprocessing
@@ -329,8 +344,19 @@ class TestExitCodes:
         )
         assert code == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert err[-1].startswith("onebitcs: runtime failure: BrokenProcessPool: ")
+        assert err == [_UNMAPPABLE_64_BY_16]
         assert multiprocessing.active_children() == []
+
+    def test_unmappable_worker_buffer_writes_one_line_in_all(self, tmp_path):
+        # the workers write to the same stderr, so a child interpreter shows
+        # everything the sweep's processes print: one line, and no traceback
+        child = subprocess.run(
+            [sys.executable, "-c", _SWEEP_WITHOUT_MMAP, "sweep", "--n", "16", "--s", "2", "--m-grid", "32,64",
+             "--trials", "2", "--seed", "1", "--workers", "2", "--out-dir", str(tmp_path / "out")],
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+            capture_output=True, text=True, timeout=300,
+        )
+        assert (child.returncode, child.stdout, child.stderr) == (2, "", _UNMAPPABLE_64_BY_16 + "\n")
 
     def test_unallocatable_size_is_validation_error(self, capsys):
         # 10^12 x 512 float64 exceeds any physical memory, so it is refused before the draw

@@ -291,13 +291,14 @@ class TestRunSweep:
 class _RecordingPool:
     """Stands in for the worker pool's ProcessPoolExecutor: records its arguments,
     runs the cells in this process and never calls the initializer, so no BLAS
-    setting changes; it maps the rows the initializer would for the cells it
-    runs. A one-process sweep's solver processes are real ones."""
+    setting changes; the rows the first cell maps are dropped after the cells
+    run. A one-process sweep's solver processes, the pool given a fork
+    context, are real ones."""
 
     created = []
 
     def __new__(cls, **kwargs):
-        if kwargs.get("initializer") is harness._pin_blas_threads:
+        if "mp_context" in kwargs:
             return ProcessPoolExecutor(**kwargs)
         return super().__new__(cls)
 
@@ -312,7 +313,6 @@ class _RecordingPool:
         return False
 
     def map(self, fn, *iterables, chunksize=1):
-        harness._rows = harness._mapped(*self.kwargs["initargs"])
         try:
             return list(map(fn, *iterables))
         finally:
@@ -353,7 +353,7 @@ class TestPool:
         cfg = _small_config(m_grid=(64, 128, 256), trials_per_cell=2)  # 6 cells in 2 trials
         records, manifest = run_sweep(cfg, workers=64)
         (pool,) = fake_pool
-        assert pool.kwargs == {"max_workers": 2, "initializer": harness._start_worker, "initargs": (256, 32)}
+        assert pool.kwargs == {"max_workers": 2, "initializer": harness._pin_blas_threads}
         assert manifest.workers == 2
         assert manifest.blas_threads_per_worker == _pinned()
         assert len(records) == 12
@@ -363,10 +363,10 @@ class TestPool:
         assert manifest.draw_threads == 12 // 5
         _, manifest = run_sweep(_small_config(trials_per_cell=20), workers=60)
         assert manifest.draw_threads == 1  # never below one thread
-        # every worker pins BLAS at one thread, whatever its share, and maps its rows
+        # every worker pins BLAS at one thread, whatever its share
         assert [pool.kwargs for pool in fake_pool] == [
-            {"max_workers": 5, "initializer": harness._start_worker, "initargs": (256, 32)},
-            {"max_workers": 20, "initializer": harness._start_worker, "initargs": (256, 32)},
+            {"max_workers": 5, "initializer": harness._pin_blas_threads},
+            {"max_workers": 20, "initializer": harness._pin_blas_threads},
         ]
 
     def test_single_cell_runs_serially(self, fake_pool):
@@ -725,11 +725,12 @@ class TestOneMatrixBuffer:
         return lambda: ([line.split() for line in _lines(tmp_path / "mapped")], _lines(tmp_path / "drawn"))
 
     def test_each_pool_worker_maps_one_buffer(self, logs, monkeypatch):
+        # a worker maps its buffer in its first task, so one that ran no task maps none
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         cfg = _small_config(trials_per_cell=4)
         run_sweep(cfg, workers=2)
         mapped, drawn = logs()
-        assert len(mapped) == 2 and len({pid for pid, _, _ in mapped}) == 2
+        assert 1 <= len(mapped) <= 2 and len({pid for pid, _, _ in mapped}) == len(mapped)
         assert all(pid != str(os.getpid()) and shape == "256x32" for pid, _, shape in mapped)
         assert len(drawn) == 4 and set(drawn) <= {f"{pid} {address}" for pid, address, _ in mapped}
         assert harness._rows is None
@@ -950,7 +951,7 @@ class TestFitSlope:
 
     def test_algorithm_without_records_named(self):
         # a name no record holds is not a series with too few m values
-        stored = read_records_csv(Path(__file__).parent / "data" / "v5_sweep" / "records.csv")
+        stored = read_records_csv(Path(__file__).parent / "data" / "v6_sweep" / "records.csv")
         with pytest.raises(InvalidArgumentError, match="no records of algorithm 'NBIHT'"):
             fit_slope(stored, "NBIHT")
         records = _synthetic_records(lambda m: 1 / m)

@@ -34,7 +34,7 @@ _READ_KEYS = (
     "config.n", "config.s", "config.m_grid", "config.algorithms",
     "config.trials_per_cell", "config.master_seed", "config.noise_std",
     "config.tau", "config.max_iters", "config.stop_tol", "config.init",
-    "config.degenerate_policy", "config.support_rule", "config.value_rule",
+    "config.support_rule", "config.value_rule",
 )
 
 
@@ -178,6 +178,7 @@ class TestManifestFile:
     def test_kernel_mismatch_warns_naming_both_kernels(self, small_sweep, tmp_path):
         records, manifest = small_sweep
         path = write_manifest(manifest, tmp_path / "m.txt")
+        # a name no manifest of OpenBLAS 0.3.31 holds: OPENBLAS_CORETYPE=Prescott runs a kernel it reports as Katmai
         path.write_text(path.read_text().replace(
             f"env.blas_core = {manifest.blas_core}\n", "env.blas_core = Prescott\n"
         ))
@@ -196,9 +197,9 @@ class TestManifestFile:
 
 
 DATA = Path(__file__).parent / "data"
-V5_SWEEP = DATA / "v5_sweep"
-# each algorithm's fitted slope on the v5 fixture's records, as plot.svg annotates it
-V5_SLOPES = {
+V6_SWEEP = DATA / "v6_sweep"
+# each algorithm's fitted slope on the v6 fixture's records, as plot.svg annotates it
+V6_SLOPES = {
     "biht": 0.014821411855867415,
     "iht": -0.9601804605024276,
     "nbiht": -0.35723070082419234,
@@ -233,24 +234,24 @@ def _replays_bitwise_here(manifest) -> bool:
 
 
 class TestManifestVersions:
-    def test_sweep_writes_version_5(self, small_sweep, tmp_path):
+    def test_sweep_writes_version_6(self, small_sweep, tmp_path):
         _, manifest = small_sweep
         lines = write_manifest(manifest, tmp_path / "m.txt").read_text().splitlines()
-        assert "manifest_version = 5" in lines
+        assert "manifest_version = 6" in lines
         assert f"rng.substream_rule = {manifest.substream_rule}" in lines
         assert "512-row blocks" in manifest.substream_rule
         # the rule states every seed, so none is stored: 14 head lines and one per config field
         assert len(lines) == 14 + len(dataclasses.fields(SweepConfig))
         assert not any(line.startswith(("trial.", "cell.", "constants.")) for line in lines)
-        assert load_manifest(tmp_path / "m.txt").manifest_version == 5
+        assert load_manifest(tmp_path / "m.txt").manifest_version == 6
 
     def test_fixture_re_emitted_byte_for_byte(self, tmp_path):
         # on any numpy: the writers invert the readers, float repr included
-        records = read_records_csv(V5_SWEEP / "records.csv")
-        manifest = load_manifest(V5_SWEEP / "manifest.txt")
+        records = read_records_csv(V6_SWEEP / "records.csv")
+        manifest = load_manifest(V6_SWEEP / "manifest.txt")
         for written, stored in [
-            (write_records_csv(records, tmp_path / "records.csv"), V5_SWEEP / "records.csv"),
-            (write_manifest(manifest, tmp_path / "manifest.txt"), V5_SWEEP / "manifest.txt"),
+            (write_records_csv(records, tmp_path / "records.csv"), V6_SWEEP / "records.csv"),
+            (write_manifest(manifest, tmp_path / "manifest.txt"), V6_SWEEP / "manifest.txt"),
         ]:
             assert written.read_bytes() == stored.read_bytes(), stored.name
 
@@ -271,26 +272,26 @@ class TestManifestVersions:
 
     def test_fixture_replays_bitwise_at_a_share_of_three(self, monkeypatch):
         # three CPUs for one process: each trial drawn on 3 pool threads, its 12 runs on 3 solver processes
-        manifest = load_manifest(V5_SWEEP / "manifest.txt")
+        manifest = load_manifest(V6_SWEEP / "manifest.txt")
         if not _replays_bitwise_here(manifest):
             pytest.skip("fixture written with another numpy, BLAS or OpenBLAS kernel")
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         records, rerun = run_from_manifest(manifest, workers=1)
         assert rerun.draw_threads == 3
-        stored = [r.comparable() for r in read_records_csv(V5_SWEEP / "records.csv")]
+        stored = [r.comparable() for r in read_records_csv(V6_SWEEP / "records.csv")]
         assert [r.comparable() for r in records] == stored
 
     def test_fixture_replays_within_tolerance_on_another_kernel(self, tmp_path):
         # a child process on another OpenBLAS kernel: Haswell, or the one this
         # process's environment forces; its products round differently, so the
         # records are compared at rel = 1e-9, not bit for bit
-        manifest = load_manifest(V5_SWEEP / "manifest.txt")
+        manifest = load_manifest(V6_SWEEP / "manifest.txt")
         if (manifest.numpy_version, manifest.blas) != (np.__version__, harness._blas_name()):
             pytest.skip("fixture written with another numpy or BLAS: only the kernel may differ")
         kernel = os.environ.get("OPENBLAS_CORETYPE", "Haswell")
         replayed = tmp_path / "records.csv"
         child = subprocess.run(
-            [sys.executable, "-c", _REPLAY_IN_CHILD, str(V5_SWEEP / "manifest.txt"), str(replayed)],
+            [sys.executable, "-c", _REPLAY_IN_CHILD, str(V6_SWEEP / "manifest.txt"), str(replayed)],
             # the child imports the onebitcs this process imported
             env={**os.environ, "OPENBLAS_CORETYPE": kernel, "PYTHONPATH": str(Path(harness.__file__).parents[1])},
             capture_output=True, text=True, timeout=300,
@@ -299,7 +300,7 @@ class TestManifestVersions:
         core = child.stdout.split("\n", 1)[0]
         if core in ("", "unknown", manifest.blas_core):
             pytest.skip(f"the child did not report a kernel other than the fixture's (asked for {kernel})")
-        stored = read_records_csv(V5_SWEEP / "records.csv")
+        stored = read_records_csv(V6_SWEEP / "records.csv")
         assert compare_records(stored, read_records_csv(replayed), rel=1e-9) == []
 
     @pytest.mark.parametrize(
@@ -310,12 +311,13 @@ class TestManifestVersions:
             ("2", "unknown manifest_version 2"),
             ("3", "unknown manifest_version 3"),
             ("4", "unknown manifest_version 4"),
+            ("5", "unknown manifest_version 5"),
             ("two", "malformed"),
         ],
     )
     def test_unknown_version_rejected(self, tmp_path, value, message):
         line = None if value is None else f"manifest_version = {value}"
-        path = _with_version_line(V5_SWEEP / "manifest.txt", tmp_path / "m.txt", line)
+        path = _with_version_line(V6_SWEEP / "manifest.txt", tmp_path / "m.txt", line)
         with pytest.raises(InvalidArgumentError, match=message):
             load_manifest(path)
 
@@ -334,7 +336,7 @@ class TestManifestVersions:
 
 class TestCompareRecords:
     def _records(self):
-        return read_records_csv(V5_SWEEP / "records.csv")
+        return read_records_csv(V6_SWEEP / "records.csv")
 
     def test_equal_records_agree(self):
         assert compare_records(self._records(), self._records(), rel=0.0) == []
@@ -435,8 +437,8 @@ class TestEmitReport:
 
     def test_fixture_report_matches_golden(self, tmp_path):
         # on any numpy: the report is computed from the stored records, not a replay
-        records = read_records_csv(V5_SWEEP / "records.csv")
-        paths = emit_report(records, load_manifest(V5_SWEEP / "manifest.txt"), tmp_path / "report")
-        assert paths["svg"].read_bytes() == (V5_SWEEP / "plot.svg").read_bytes()
-        for algo, slope in V5_SLOPES.items():
+        records = read_records_csv(V6_SWEEP / "records.csv")
+        paths = emit_report(records, load_manifest(V6_SWEEP / "manifest.txt"), tmp_path / "report")
+        assert paths["svg"].read_bytes() == (V6_SWEEP / "plot.svg").read_bytes()
+        for algo, slope in V6_SLOPES.items():
             assert abs(fit_slope(records, algo)[0] - slope) <= 1e-12, algo
